@@ -45,7 +45,6 @@ from .edgeworth import (
     leading_term,
     normal_cdf,
     normal_pdf,
-    truncation_radius,
 )
 from .exactpoly import Poly, hermite
 from .expansion import (

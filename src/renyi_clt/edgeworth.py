@@ -45,7 +45,6 @@ __all__ = [
     "EdgeworthModel",
     "LeadingTerm",
     "leading_term",
-    "truncation_radius",
 ]
 
 _SQRT_2PI = math.sqrt(2 * math.pi)
@@ -75,38 +74,32 @@ def _composition_weight(parts, cumulants: CumulantVector):
     return w
 
 
+def _partition_sum(k: int, cumulants: CumulantVector, shift: int) -> Poly:
+    """sum over (r_1..r_k) of the composition weight times H_{k+2j+shift}."""
+    if k < 1:
+        raise ValueError("correction index must be positive")
+    cumulants.require_order(k + 2)
+    total = Poly()
+    for parts in compositions(k):
+        w = _composition_weight(parts, cumulants)
+        if w == 0:
+            continue
+        total = total + w * hermite(k + 2 * sum(parts) + shift)
+    return total
+
+
 def correction_polynomial(k: int, cumulants: CumulantVector) -> Poly:
     """Density-correction polynomial Q_k (exact for rational cumulants).
 
     Q_k has degree at most 3k, the parity of k, and vanishes identically when
     gamma_3, ..., gamma_{k+2} all vanish.
     """
-    if k < 1:
-        raise ValueError("correction index must be positive")
-    cumulants.require_order(k + 2)
-    total = Poly()
-    for parts in compositions(k):
-        w = _composition_weight(parts, cumulants)
-        if w == 0:
-            continue
-        j = sum(parts)
-        total = total + w * hermite(k + 2 * j)
-    return total
+    return _partition_sum(k, cumulants, 0)
 
 
 def cdf_correction_polynomial(k: int, cumulants: CumulantVector) -> Poly:
     """CDF-correction polynomial R_k: same sum as Q_k with H_{k+2j-1}."""
-    if k < 1:
-        raise ValueError("correction index must be positive")
-    cumulants.require_order(k + 2)
-    total = Poly()
-    for parts in compositions(k):
-        w = _composition_weight(parts, cumulants)
-        if w == 0:
-            continue
-        j = sum(parts)
-        total = total + w * hermite(k + 2 * j - 1)
-    return total
+    return _partition_sum(k, cumulants, -1)
 
 
 @dataclass(frozen=True)
@@ -187,15 +180,3 @@ def leading_term(model: EdgeworthModel) -> Optional[LeadingTerm]:
         if c.gamma(j) != 0:
             return LeadingTerm(k=j - 2, gamma_lead=c.gamma(j))
     return None
-
-
-def truncation_radius(s: float, n: int) -> float:
-    """sqrt((s-2) log n): the radius on which phi_m stays positive for large n.
-
-    Provided as a diagnostic; no routine in this package applies it silently.
-    """
-    if s < 2:
-        raise ValueError("moment order s must be >= 2")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    return math.sqrt((s - 2) * math.log(n)) if n > 1 else 0.0

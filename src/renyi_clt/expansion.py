@@ -235,6 +235,9 @@ def a_coefficient(j: int, r: float, cumulants: CumulantVector) -> float:
         raise ValueError("coefficient index must be positive")
     _require_r(r)
     cumulants.require_order(2 * j + 2)
+    mass = gauss_power_mass(r)
+    if mass == 0.0:
+        raise ValueError(f"int phi**r underflows to 0 at r={r:g}; a_{j} is undefined")
     qs = [correction_polynomial(i, cumulants) for i in range(1, 2 * j + 1)]
     total = 0.0
     for ks in compositions(2 * j):
@@ -252,7 +255,7 @@ def a_coefficient(j: int, r: float, cumulants: CumulantVector) -> float:
         for k_i in ks:
             weight /= factorial(k_i)
         total += weight * gauss_power_integral(prod, r)
-    return total / gauss_power_mass(r)
+    return total / mass
 
 
 def a1_closed_form(r: float, cumulants: CumulantVector) -> float:

@@ -23,8 +23,8 @@ The JSON config is flat; unknown keys are rejected.  Keys:
     r_values        list of entropy indexes: numbers > 1, 1, or "inf"
     n_values        ascending list of positive integers
     moment_order    real s in [2, 8]: moments assumed available
-    grid_points     inversion grid size (default 131072)
-    grid_extent     half-width of the spatial grid (default 16.0)
+    grid_points     inversion grid size, even, >= 1024 (default 131072)
+    grid_extent     finite half-width of the spatial grid, >= 12 (default 16.0)
     out             default output path (overridden by --out)
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.  Runs are
@@ -81,6 +81,17 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _finite_real(value):
+    """``value`` as a float if it is a finite JSON number, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        out = float(value)
+    except OverflowError:
+        return None
+    return out if math.isfinite(out) else None
+
+
 class ExperimentConfig:
     """Validated experiment parameters (see the module docstring for keys)."""
 
@@ -126,11 +137,23 @@ class ExperimentConfig:
             raise ConfigError("moment_order must lie in [2, 8]")
 
         self.grid_points = data.get("grid_points", numerics.DEFAULT_GRID_POINTS)
-        self.grid_extent = data.get("grid_extent", numerics.DEFAULT_GRID_EXTENT)
-        if not isinstance(self.grid_points, int) or self.grid_points < 1024:
-            raise ConfigError("grid_points must be an integer >= 1024")
-        if not self.grid_extent >= 12:
-            raise ConfigError("grid_extent must be >= 12")
+        if (
+            not isinstance(self.grid_points, int)
+            or self.grid_points < 1024
+            or self.grid_points % 2
+        ):
+            raise ConfigError("grid_points must be an even integer >= 1024")
+        self.grid_extent = _finite_real(
+            data.get("grid_extent", numerics.DEFAULT_GRID_EXTENT)
+        )
+        if (
+            self.grid_extent is None
+            or not self.grid_extent >= 12
+            or not math.isfinite(2 * self.grid_extent / self.grid_points)
+        ):
+            raise ConfigError(
+                "grid_extent must be a finite number >= 12 with a finite grid step"
+            )
         self.out = data.get("out")
 
     @property
@@ -314,6 +337,7 @@ def cmd_verify(cfg: ExperimentConfig, dump_dir=None):
         raise ConfigError("r = 1 predictions need moment_order >= 4")
     order = cfg.integer_order
     cums = standard_cumulants(spec, order=order)
+    predictions = {r: _predictions(cfg, cums, r) for r in cfg.r_values}
     grids = _grids(cfg, spec)
     if dump_dir is not None:
         _dump_grids(grids, dump_dir, cfg)
@@ -332,7 +356,7 @@ def cmd_verify(cfg: ExperimentConfig, dump_dir=None):
     for n in cfg.n_values:
         grid = grids[n]
         for r in cfg.r_values:
-            h_ref, offset, factor = _predictions(cfg, cums, r)
+            h_ref, offset, factor = predictions[r]
             if r == "inf":
                 sup = numerics.sup_norm(grid)
                 h_num = -math.log(sup)

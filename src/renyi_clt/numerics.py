@@ -2,25 +2,22 @@
 functionals computed on them.
 
 The normalized sum Z_n = (X_1 + ... + X_n)/sqrt(n) has characteristic
-function f_n(t) = f(t/sqrt(n))**n.  The power is evaluated in log-polar
-form, |f|**n * exp(i n theta), with the angle theta(t) tracked continuously
-from theta(0) = 0 along an ascending frequency sweep (phase unwrapping);
-when |f| vanishes exactly on a lattice point the angle continuation is
-undefined and the computation falls back to the principal-branch complex
-power, recorded on the resulting grid.
+function f_n(t) = f(t/sqrt(n))**n.  n is a positive integer, so the
+principal complex power is exact and needs no phase tracking.
 
 The density is recovered on a uniform spatial grid by a discrete Fourier
 inversion whose frequency lattice is the reciprocal of the spatial one, so
-a single FFT per n suffices.  Simpson quadrature on the fixed grid then
-yields L^r integrals, Renyi/Shannon entropies, entropy powers, KL divergence
-from the standard normal, and the (parabola-refined) sup-norm.
+a single real-output inverse FFT per n suffices.  Simpson quadrature on the
+fixed grid then yields L^r integrals, Renyi/Shannon entropies, entropy
+powers, KL divergence from the standard normal, and the (parabola-refined)
+sup-norm.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -72,7 +69,6 @@ class DensityGrid:
     n: int
     mass_defect: float
     min_value: float
-    principal_branch_fallback: bool = field(default=False)
 
     @property
     def x(self) -> np.ndarray:
@@ -87,51 +83,25 @@ class DensityGrid:
                 writer.writerow([format(xv, ".17g"), format(pv, ".17g")])
 
 
-def _powered_cf_ascending(spec: DistributionSpec, n: int, t: np.ndarray):
-    """f(t/sqrt(n))**n on an ascending sweep that starts at t[0] = 0.
-
-    Returns (values, used_principal_fallback).
-    """
-    u = t / math.sqrt(n)
-    fvals = np.atleast_1d(spec.cf(u)).astype(complex)
-    mag = np.abs(fvals)
-    if float(mag[0]) == 0.0 or t[0] != 0.0:
-        raise ValueError("sweep must start at t = 0 where cf = 1")
-    if np.any(mag == 0.0):
-        # angle continuation breaks down at an exact zero; integer powers are
-        # branch-free, so the principal power is still correct
-        return fvals**n, True
-    theta = np.unwrap(np.angle(fvals))
-    with np.errstate(divide="ignore"):
-        log_mag = np.log(mag)
-    return np.exp(n * (log_mag + 1j * theta)), False
+def _cf_power(spec: DistributionSpec, n: int, t) -> np.ndarray:
+    """f(t/sqrt(n))**n, the principal power (exact for integer n)."""
+    return np.asarray(spec.cf(t / math.sqrt(n)), dtype=complex) ** n
 
 
 def characteristic_power(spec: DistributionSpec, n: int, t):
     """Characteristic function of Z_n at t: f(t/sqrt(n))**n.
 
-    ``t`` may be a scalar or an ascending array starting at 0.  Scalars are
-    handled by sweeping from 0 so the angle continuation is well defined.
+    ``t`` may be a scalar (a complex is returned) or an array of any order.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     t_arr = np.asarray(t, dtype=float)
-    if t_arr.ndim == 0:
-        tv = float(t_arr)
-        sweep = np.linspace(0.0, abs(tv), max(2, int(abs(tv) / 0.05) + 2))
-        vals, _ = _powered_cf_ascending(spec, n, sweep)
-        out = vals[-1]
-        if tv < 0:
-            out = np.conj(out)
-        return complex(out)
-    if t_arr[0] != 0.0 or np.any(np.diff(t_arr) < 0):
-        raise ValueError("array input must be ascending and start at 0")
-    vals, _ = _powered_cf_ascending(spec, n, t_arr)
-    return vals
+    vals = _cf_power(spec, n, t_arr)
+    return complex(vals.item()) if t_arr.ndim == 0 else vals
 
 
 def _folded_spectrum(spec: DistributionSpec, n: int, npoints: int, dt: float,
-                     tail_bound: float, eval_cap: int):
+                     tail_bound: float, eval_cap: int) -> np.ndarray:
     """Fold the powered characteristic function onto the N frequency bins.
 
     The inversion lattice t_m = m*dt aliases with period N: because the grid
@@ -142,28 +112,14 @@ def _folded_spectrum(spec: DistributionSpec, n: int, npoints: int, dt: float,
     conservative bound on the residual ringing (tail integral of |f_n|
     divided by pi, assuming at worst 1/t**2 envelope decay) drops below
     ``tail_bound`` or ``eval_cap`` lattice points have been used.
-
-    For integer n the principal-argument power equals the continued-argument
-    power, so chunks are independent; the fallback flag still records exact
-    zeros of |f| where the argument continuation is undefined.
     """
     N = npoints
-    sqrt_n = math.sqrt(n)
     quarter = N // 4
     bins = np.zeros(N, dtype=complex)
-    fallback = False
     max_chunks = max(1, eval_cap // N)
     chunk = 0
     while True:
-        m = np.arange(chunk * N, (chunk + 1) * N, dtype=float)
-        z = np.atleast_1d(spec.cf(m * (dt / sqrt_n))).astype(complex)
-        mag = np.abs(z)
-        if np.any(mag == 0.0):
-            fallback = True
-            vals = z**n
-        else:
-            with np.errstate(divide="ignore"):
-                vals = np.exp(n * (np.log(mag) + 1j * np.angle(z)))
+        vals = _cf_power(spec, n, dt * np.arange(chunk * N, (chunk + 1) * N))
         bins += vals
         chunk += 1
         tail_int = float(np.abs(vals[-quarter:]).sum()) * dt
@@ -171,7 +127,7 @@ def _folded_spectrum(spec: DistributionSpec, n: int, npoints: int, dt: float,
         ringing = tail_int * (t_hi / (quarter * dt)) / math.pi
         if ringing < tail_bound or chunk >= max_chunks:
             break
-    return bins, fallback
+    return bins
 
 
 def density_of_normalized_sum(
@@ -182,6 +138,9 @@ def density_of_normalized_sum(
     tail_bound: float = 5e-9,
 ) -> DensityGrid:
     """Density p_n of Z_n on [-extent, extent) by Fourier inversion.
+
+    f_n is sampled on the lattice reciprocal to the grid, folded (see
+    ``_folded_spectrum``) and inverted with one real-output inverse FFT.
 
     Requires n >= spec.n_min (below that the characteristic power is not
     integrable and the inversion is meaningless).  Raises
@@ -210,18 +169,18 @@ def density_of_normalized_sum(
     L = float(extent)
     h = 2 * L / N
     dt = 2 * math.pi / (N * h)
-    pos_fold, fallback = _folded_spectrum(spec, n, N, dt, tail_bound, eval_cap=2**27)
+    pos_fold = _folded_spectrum(spec, n, N, dt, tail_bound, eval_cap=2**27)
 
-    # add the negative side by conjugate symmetry: bin b also receives all
-    # m < 0 with m mod N == b, i.e. the mirrored conjugate fold (minus the
-    # double-counted m = 0 term, where f_n = 1)
-    g = np.conj(pos_fold)
-    fn = pos_fold + np.concatenate([g[:1], g[1:][::-1]])
+    # bins 0..N/2 of the full two-sided fold: bin b also receives every m < 0
+    # with m mod N == b, i.e. the conjugate of the positive fold at -b mod N
+    # (minus the double-counted m = 0 term, where f_n = 1).  The phase
+    # exp(-i b dt x0) of the offset x0 = -L is exactly (-1)**b since
+    # dt*L = pi, and the Hermitian spectrum makes the sum real.
+    b = np.arange(N // 2 + 1)
+    fn = pos_fold[b] + np.conj(pos_fold[-b])
     fn[0] -= 1.0
-
-    x0 = -L
-    phase = np.exp(-1j * (np.arange(N) * dt) * x0)
-    values = np.real(np.fft.fft(fn * phase)) / (N * h)
+    fn[1::2] *= -1.0
+    values = np.fft.irfft(np.conj(fn), n=N) / h
 
     mass_defect = abs(1.0 - float(values.sum() * h))
     if mass_defect >= _MASS_DEFECT_LIMIT:
@@ -234,13 +193,12 @@ def density_of_normalized_sum(
         )
     values = np.maximum(values, 0.0)
     return DensityGrid(
-        x0=x0,
+        x0=-L,
         h=h,
         values=values,
         n=n,
         mass_defect=mass_defect,
         min_value=min_value,
-        principal_branch_fallback=fallback,
     )
 
 

@@ -12,7 +12,6 @@ from renyi_clt.edgeworth import (
     correction_polynomial,
     leading_term,
     normal_pdf,
-    truncation_radius,
 )
 from renyi_clt.exactpoly import Poly, hermite
 from renyi_clt.gaussint import gauss_moment_exact
@@ -208,13 +207,6 @@ def test_leading_term_is_moment_gap():
     gauss = moments_from_cumulants(CumulantVector((0, 1, 0, 0, 0, 0)))
     assert lt.k == 4
     assert lt.gamma_lead == moments.alpha(6) - gauss.alpha(6)
-
-
-def test_truncation_radius():
-    assert truncation_radius(4, 100) == pytest.approx(math.sqrt(2 * math.log(100)))
-    assert truncation_radius(2, 50) == 0.0
-    with pytest.raises(ValueError):
-        truncation_radius(1.5, 10)
 
 
 def test_decay_regression_uniform(grid_for):

@@ -88,6 +88,34 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_non_numeric_grid_extent_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, grid_extent="x")
+    assert main(["verify", "--config", str(path)]) == 2
+    assert "grid_extent" in capsys.readouterr().err
+
+
+def test_overflowing_grid_step_is_config_error(tmp_path, capsys):
+    # 2 * 1e308 overflows, so the grid step would be infinite
+    path = write_config(tmp_path, grid_extent=1e308)
+    assert main(["verify", "--config", str(path)]) == 2
+    assert "grid_extent" in capsys.readouterr().err
+
+
+def test_odd_grid_points_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, grid_points=1025)
+    assert main(["verify", "--config", str(path)]) == 2
+    assert "grid_points" in capsys.readouterr().err
+
+
+def test_underflowing_gauss_mass_is_numerical_failure(tmp_path, capsys):
+    # int phi**r underflows to 0 at r = 1e308: a one-line failure, exit 3
+    path = write_config(tmp_path, r_values=[1e308])
+    assert main(["verify", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "underflows" in err
+    assert err.count("\n") == 1
+
+
 # -- coeffs -------------------------------------------------------------------
 
 

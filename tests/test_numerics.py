@@ -137,9 +137,15 @@ def test_characteristic_power_matches_exact_gamma():
     assert np.allclose(got, expected, atol=1e-12)
 
 
-def test_characteristic_power_validates_sweep():
-    with pytest.raises(ValueError, match="ascending"):
-        rc.characteristic_power(rc.Uniform(), 2, np.array([1.0, 0.5]))
+def test_characteristic_power_negative_and_unordered_t():
+    # no sweep from 0 is needed: f_n(-t) = conj(f_n(t)) and any order works
+    spec = rc.StandardizedGamma(4)
+    t = np.array([7.5, -2.0, 0.0, 30.0])
+    got = rc.characteristic_power(spec, 3, t)
+    assert np.allclose(got, rc.StandardizedGamma(12).cf(t), atol=1e-12)
+    assert rc.characteristic_power(spec, 3, -7.5) == pytest.approx(
+        np.conj(got[0]), abs=1e-15
+    )
 
 
 class _PokedUniform(rc.Uniform):
@@ -154,20 +160,19 @@ class _PokedUniform(rc.Uniform):
         return vals
 
 
-def test_exact_cf_zero_triggers_principal_fallback():
-    # an exact |f| = 0 on the lattice makes the angle continuation undefined;
-    # the builder falls back to the principal power and flags the grid
+def test_exact_cf_zero_on_lattice_is_harmless():
+    # an exact |f| = 0 on the lattice needs no special branch: the integer
+    # power of zero is zero, and one far-tail lattice value barely moves p_n
     n, npoints, extent = 4, 2**14, 12.0
     dt = 2 * math.pi / (npoints * (2 * extent / npoints))
     u0 = 12000 * dt / math.sqrt(n)  # far tail: |f| ~ 1e-3 there
     poked = _PokedUniform(u0)
+    assert poked.cf(np.array([u0]))[0] == 0.0
     g = rc.density_of_normalized_sum(poked, n, npoints=npoints, extent=extent)
-    assert g.principal_branch_fallback
     clean = rc.density_of_normalized_sum(
         rc.Uniform(), n, npoints=npoints, extent=extent
     )
-    assert not clean.principal_branch_fallback
-    # zeroing one far-tail lattice value barely moves the density
+    assert np.all(np.isfinite(g.values))
     assert np.abs(g.values - clean.values).max() < 1e-4
 
 
@@ -184,6 +189,27 @@ def test_uniform_n2_matches_triangle(grid_for):
     g = grid_for("uniform", 2)
     exact = normalized_uniform_sum_density(2, g.x)
     assert np.abs(g.values - exact).max() < 1e-8
+
+
+def test_laplace_closed_forms(grid_for):
+    # n = 1: exp(-sqrt(2)|x|)/sqrt(2), whose cf decays only like 1/t^2 and
+    # exhausts the fold cap; n = 2: (1 + 2|x|) exp(-2|x|)/2
+    g1 = grid_for("laplace", 1)
+    ax = np.abs(g1.x)
+    exact1 = np.exp(-math.sqrt(2.0) * ax) / math.sqrt(2.0)
+    assert np.abs(g1.values - exact1).max() < 1e-7
+    g2 = grid_for("laplace", 2)
+    exact2 = 0.5 * (1 + 2 * ax) * np.exp(-2 * ax)
+    assert np.abs(g2.values - exact2).max() < 1e-11
+
+
+def test_exact_phase_gaussian_and_gamma(grid_for):
+    # one-period grids whose only error is roundoff in the inversion itself
+    g = grid_for("gaussian", 4)
+    assert np.abs(g.values - rc.normal_pdf(g.x)).max() < 1e-14
+    g = grid_for("gamma4", 3)
+    exact = rc.StandardizedGamma(12).density(g.x)
+    assert np.abs(g.values - exact).max() < 1e-13
 
 
 def test_uniform_local_limit_improves(grid_for):

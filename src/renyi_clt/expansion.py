@@ -278,6 +278,9 @@ def a2_from_integrals(r: float, cumulants: CumulantVector) -> float:
 
         A_2 = r int Q_4 phi**r + (r)_2/2 int (Q_2**2 + 2 Q_1 Q_3) phi**r
               + (r)_3/2 int Q_1**2 Q_2 phi**r + (r)_4/24 int Q_1**4 phi**r.
+
+    Raises ``ValueError`` when the sum is not finite (for r above about 1e77 the
+    falling factorials overflow while the integrals underflow).
     """
     _require_r(r)
     cumulants.require_order(6)
@@ -291,6 +294,11 @@ def a2_from_integrals(r: float, cumulants: CumulantVector) -> float:
     )
     total += falling_factorial(r, 3) / 2 * gauss_power_integral(q1 * q1 * q2, r)
     total += falling_factorial(r, 4) / 24 * gauss_power_integral(q1**4, r)
+    if not math.isfinite(total):
+        raise ValueError(
+            f"A_2 is not finite at r={r:g}: (r)_k overflows while the Gaussian "
+            "integrals underflow"
+        )
     return total
 
 

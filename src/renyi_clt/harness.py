@@ -27,8 +27,10 @@ The JSON config is flat; unknown keys are rejected.  Keys:
     grid_extent     finite half-width of the spatial grid, >= 12 (default 16.0)
     out             default output path (overridden by --out)
 
-Exit codes: 0 success, 2 config error, 3 numerical failure.  Runs are
-deterministic: fixed quadrature, no randomness, floats printed with 17
+Exit codes: 0 success, 2 config error (including an n below the law's
+n_min), 3 numerical failure.  A density grid whose fold stopped at the cf
+evaluation cap is still used, and a one-line warning goes to stderr.  Runs
+are deterministic: fixed quadrature, no randomness, floats printed with 17
 significant digits.
 """
 
@@ -232,12 +234,28 @@ def _write_rows(path, header, rows) -> None:
 
 
 def _grids(cfg: ExperimentConfig, spec):
-    """Density grids for every configured n, in ascending order."""
+    """Density grids for every configured n, in ascending order.
+
+    An n below the law's ``n_min`` is a config error.  A grid whose fold
+    stopped at the evaluation cap is kept, with a one-line stderr warning.
+    """
+    if cfg.n_values and cfg.n_values[0] < spec.n_min:
+        raise ConfigError(
+            f"n={cfg.n_values[0]} below n_min={spec.n_min} for {spec.name}: "
+            "density unbounded or characteristic power not integrable"
+        )
     out = {}
     for n in cfg.n_values:
-        out[n] = numerics.density_of_normalized_sum(
+        grid = numerics.density_of_normalized_sum(
             spec, n, npoints=cfg.grid_points, extent=cfg.grid_extent
         )
+        if grid.cap_hit:
+            print(
+                f"warning: n={n} density stopped at the cf evaluation cap after "
+                f"{grid.folds} periods; ringing bound {grid.ringing_bound:.3g}",
+                file=sys.stderr,
+            )
+        out[n] = grid
     return out
 
 

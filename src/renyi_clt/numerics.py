@@ -7,10 +7,19 @@ principal complex power is exact and needs no phase tracking.
 
 The density is recovered on a uniform spatial grid by a discrete Fourier
 inversion whose frequency lattice is the reciprocal of the spatial one, so
-a single real-output inverse FFT per n suffices.  Simpson quadrature on the
-fixed grid then yields L^r integrals, Renyi/Shannon entropies, entropy
-powers, KL divergence from the standard normal, and the (parabola-refined)
-sup-norm.
+one real-output inverse FFT turns a folded spectrum into density samples.
+When |f_n| decays fast, one frequency period suffices.  When it decays
+slowly (small n, laws with kinks or jumps), further periods are folded onto
+the same bins: their count K doubles, and two-point Richardson
+extrapolation 2 S_2K - S_K cancels the 1/K truncation error of the K-period
+fold S_K.  Doubling stops after two consecutive sup-norm steps between
+extrapolants fall below the tail bound, or at a fixed cap on cf
+evaluations.  Each grid records its fold count, whether the cap stopped it,
+and its ringing bound.
+
+Simpson quadrature on the fixed grid then yields L^r integrals,
+Renyi/Shannon entropies, entropy powers, KL divergence from the standard
+normal, and the (parabola-refined) sup-norm.
 """
 
 from __future__ import annotations
@@ -48,6 +57,8 @@ DEFAULT_GRID_EXTENT = 16.0
 
 _NEGATIVE_CLIP = 1e-8
 _MASS_DEFECT_LIMIT = 1e-6
+# most cf lattice points one inversion may fold (2**10 periods at 2**17 points)
+_EVAL_CAP = 2**27
 
 
 class GridError(RuntimeError):
@@ -59,8 +70,14 @@ class DensityGrid:
     """Sampled density of Z_n on the uniform grid x0 + j*h, j = 0..len-1.
 
     ``mass_defect`` records |1 - sum(values)*h| and ``min_value`` the most
-    negative raw sample before clipping.  Immutable; safe to share.
-    Identity-compared (the array field makes value equality ill-defined).
+    negative raw sample before clipping.  Grids made by inversion also say
+    how they were folded: ``folds`` frequency periods, ``cap_hit`` when the
+    fold stopped at the evaluation cap before settling, and
+    ``ringing_bound``, the estimated residual truncation error (the
+    one-period tail bound, or the last Richardson step).  Tabulated grids
+    keep the defaults: no folds, no cap, no ringing.  Immutable; safe to
+    share.  Identity-compared (the array field makes value equality
+    ill-defined).
     """
 
     x0: float
@@ -69,6 +86,9 @@ class DensityGrid:
     n: int
     mass_defect: float
     min_value: float
+    folds: int = 0
+    cap_hit: bool = False
+    ringing_bound: float = 0.0
 
     @property
     def x(self) -> np.ndarray:
@@ -100,34 +120,72 @@ def characteristic_power(spec: DistributionSpec, n: int, t):
     return complex(vals.item()) if t_arr.ndim == 0 else vals
 
 
-def _folded_spectrum(spec: DistributionSpec, n: int, npoints: int, dt: float,
-                     tail_bound: float, eval_cap: int) -> np.ndarray:
-    """Fold the powered characteristic function onto the N frequency bins.
+def _invert_fold(fold: np.ndarray, h: float) -> np.ndarray:
+    """Density samples from a positive-frequency fold over the N bins.
+
+    Bins 0..N/2 of the full two-sided fold: bin b also receives every m < 0
+    with m mod N == b, i.e. the conjugate of the positive fold at -b mod N
+    (minus the double-counted m = 0 term, where f_n = 1).  The phase
+    exp(-i b dt x0) of the offset x0 = -L is exactly (-1)**b since dt*L = pi,
+    and the Hermitian spectrum makes the sum real.
+    """
+    N = len(fold)
+    b = np.arange(N // 2 + 1)
+    fn = fold[b] + np.conj(fold[-b])
+    fn[0] -= 1.0
+    fn[1::2] *= -1.0
+    return np.fft.irfft(np.conj(fn), n=N) / h
+
+
+def _folded_density(spec: DistributionSpec, n: int, N: int, dt: float,
+                    h: float, tail_bound: float):
+    """(samples, folds, cap_hit, ringing_bound) of the folded inversion.
 
     The inversion lattice t_m = m*dt aliases with period N: because the grid
     offset satisfies N*dt*x0 = -pi*N (even N), contributions from m and
-    m + N land in the same FFT bin with the same phase.  Folding successive
-    frequency periods therefore refines the plain single-period truncation
-    at the cost of extra cf evaluations only.  Periods are appended until a
-    conservative bound on the residual ringing (tail integral of |f_n|
-    divided by pi, assuming at worst 1/t**2 envelope decay) drops below
-    ``tail_bound`` or ``eval_cap`` lattice points have been used.
+    m + N land in the same FFT bin with the same phase, so folding frequency
+    periods refines the single-period truncation at the cost of cf
+    evaluations only.
+
+    The first period is kept when a conservative bound on its residual
+    ringing (the tail integral of |f_n| over its last quarter, divided by pi
+    and assuming at worst a 1/t**2 envelope) is below ``tail_bound``.
+    Otherwise the number of periods K doubles.  Under that envelope the
+    error of the K-period fold S_K falls like 1/K, so two-point Richardson
+    extrapolation R_K = 2 S_2K - S_K cancels its leading term.  After each
+    doubling R_K is inverted; folding stops once two consecutive sup-norm
+    steps max|R_K - R_{K/2}| fall below ``tail_bound`` (a single step can
+    pass early on a still-converging sequence), or when the next doubling
+    would exceed ``_EVAL_CAP`` lattice points.  The reported ringing bound
+    is the plain one-period bound, or else the last Richardson step (inf if
+    the cap left room for one extrapolant only).
     """
-    N = npoints
     quarter = N // 4
-    bins = np.zeros(N, dtype=complex)
-    max_chunks = max(1, eval_cap // N)
-    chunk = 0
-    while True:
-        vals = _cf_power(spec, n, dt * np.arange(chunk * N, (chunk + 1) * N))
-        bins += vals
-        chunk += 1
-        tail_int = float(np.abs(vals[-quarter:]).sum()) * dt
-        t_hi = chunk * N * dt
-        ringing = tail_int * (t_hi / (quarter * dt)) / math.pi
-        if ringing < tail_bound or chunk >= max_chunks:
-            break
-    return bins
+    max_periods = max(1, _EVAL_CAP // N)
+
+    def period(k):
+        return _cf_power(spec, n, dt * np.arange(k * N, (k + 1) * N))
+
+    fold = np.zeros(N, dtype=complex)
+    fold += period(0)
+    tail_int = float(np.abs(fold[-quarter:]).sum()) * dt
+    ringing = tail_int * (N * dt / (quarter * dt)) / math.pi
+    if ringing < tail_bound or max_periods < 2:
+        return _invert_fold(fold, h), 1, ringing >= tail_bound, ringing
+
+    periods, values, step, calm = 1, None, math.inf, 0
+    while 2 * periods <= max_periods:
+        wider = fold.copy()
+        for k in range(periods, 2 * periods):
+            wider += period(k)
+        previous, values = values, _invert_fold(2.0 * wider - fold, h)
+        fold, periods = wider, 2 * periods
+        if previous is not None:
+            step = float(np.abs(values - previous).max())
+            calm = calm + 1 if step < tail_bound else 0
+            if calm == 2:
+                return values, periods, False, step
+    return values, periods, True, step
 
 
 def density_of_normalized_sum(
@@ -139,19 +197,21 @@ def density_of_normalized_sum(
 ) -> DensityGrid:
     """Density p_n of Z_n on [-extent, extent) by Fourier inversion.
 
-    f_n is sampled on the lattice reciprocal to the grid, folded (see
-    ``_folded_spectrum``) and inverted with one real-output inverse FFT.
+    f_n is sampled on the lattice reciprocal to the grid, folded over as
+    many frequency periods as the tail needs (see ``_folded_density``) and
+    inverted with one real-output inverse FFT per fold tried.  Grids whose
+    characteristic power decays fast enough use one period; slowly decaying
+    ones (small n, laws with kinks or jumps) double the period count under
+    Richardson extrapolation until two consecutive steps fall below
+    ``tail_bound``.  The grid records ``folds``, ``cap_hit`` (the doubling
+    stopped at ``_EVAL_CAP`` cf points before settling) and
+    ``ringing_bound``.
 
     Requires n >= spec.n_min (below that the characteristic power is not
     integrable and the inversion is meaningless).  Raises
     :class:`GridError` when the mass defect reaches 1e-6 or a sample is more
     negative than -1e-8; samples in [-1e-8, 0) are clipped to zero and the
     pre-clip minimum is kept in ``min_value``.
-
-    ``tail_bound`` steers how far beyond the base frequency period the
-    characteristic power is folded back onto the lattice; slowly decaying
-    characteristic functions (small n, compactly supported laws) need the
-    extra zones to keep truncation ringing below the negativity threshold.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -169,18 +229,7 @@ def density_of_normalized_sum(
     L = float(extent)
     h = 2 * L / N
     dt = 2 * math.pi / (N * h)
-    pos_fold = _folded_spectrum(spec, n, N, dt, tail_bound, eval_cap=2**27)
-
-    # bins 0..N/2 of the full two-sided fold: bin b also receives every m < 0
-    # with m mod N == b, i.e. the conjugate of the positive fold at -b mod N
-    # (minus the double-counted m = 0 term, where f_n = 1).  The phase
-    # exp(-i b dt x0) of the offset x0 = -L is exactly (-1)**b since
-    # dt*L = pi, and the Hermitian spectrum makes the sum real.
-    b = np.arange(N // 2 + 1)
-    fn = pos_fold[b] + np.conj(pos_fold[-b])
-    fn[0] -= 1.0
-    fn[1::2] *= -1.0
-    values = np.fft.irfft(np.conj(fn), n=N) / h
+    values, folds, cap_hit, ringing = _folded_density(spec, n, N, dt, h, tail_bound)
 
     mass_defect = abs(1.0 - float(values.sum() * h))
     if mass_defect >= _MASS_DEFECT_LIMIT:
@@ -191,7 +240,9 @@ def density_of_normalized_sum(
             f"inversion produced negative density {min_value:.3e} at n={n}; "
             "grid under-resolved"
         )
-    values = np.maximum(values, 0.0)
+    # clip in place: a fresh N-point array per kept grid lets malloc trim the
+    # inversion's working set and fault it in again on the next grid
+    np.maximum(values, 0.0, out=values)
     return DensityGrid(
         x0=-L,
         h=h,
@@ -199,6 +250,9 @@ def density_of_normalized_sum(
         n=n,
         mass_defect=mass_defect,
         min_value=min_value,
+        folds=folds,
+        cap_hit=cap_hit,
+        ringing_bound=ringing,
     )
 
 
@@ -231,11 +285,19 @@ def lr_integral(grid: DensityGrid, r: float) -> float:
 
 
 def renyi_entropy(grid: DensityGrid, r: float) -> float:
-    """h_r = -log(int p**r)/(r-1) for r > 1."""
+    """h_r = -log(int p**r)/(r-1) for r > 1.
+
+    Raises ``ValueError`` when the integral is not positive, naming the cause:
+    p**r underflowing at a huge r, or a grid with no positive sample.
+    """
     if not r > 1:
         raise ValueError("r must exceed 1")
     integral = lr_integral(grid, r)
     if not integral > 0:
+        if grid.values.max() > 0:
+            raise ValueError(
+                f"int p**r underflows to 0 at r={r:g}; h_r is not representable"
+            )
         raise ValueError("non-positive L^r integral; grid is degenerate")
     return -math.log(integral) / (r - 1)
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from renyi_clt import numerics
 from renyi_clt.harness import (
     ConfigError,
     ExperimentConfig,
@@ -82,8 +83,8 @@ def test_exit_code_missing_config(capsys):
 
 
 def test_exit_code_numerical_failure(tmp_path, capsys):
-    # n = 1 is below n_min for the uniform law
-    path = write_config(tmp_path, n_values=[1, 2])
+    # 1024 points cannot resolve the triangle's kinks: the mass check fails
+    path = write_config(tmp_path, n_values=[2], grid_points=1024)
     assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
@@ -114,6 +115,53 @@ def test_underflowing_gauss_mass_is_numerical_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and "underflows" in err
     assert err.count("\n") == 1
+
+
+def test_n_below_n_min_is_config_error(tmp_path, capsys):
+    # n = 1 is below n_min for the uniform law
+    path = write_config(tmp_path, n_values=[1, 2])
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "n_min=2" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("r", [1e200, 1e308])
+def test_non_finite_a2_is_numerical_failure(tmp_path, capsys, r):
+    # (r)_4 overflows while the Gaussian integrals underflow
+    path = write_config(tmp_path, r_values=[r], moment_order=6)
+    assert main(["coeffs", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure:") and "not finite" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_underflowing_lr_integral_is_named(tmp_path, capsys):
+    path = write_config(tmp_path, r_values=[1e308], n_values=[8, 9, 10])
+    assert main(["monotonicity", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "p**r underflows" in err
+    assert "degenerate" not in err
+    assert err.count("\n") == 1
+
+
+def test_eval_cap_hit_warns(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, n_values=[2, 3])
+    out_plain = tmp_path / "plain.csv"
+    assert main(["verify", "--config", str(path), "--out", str(out_plain)]) == 0
+    assert capsys.readouterr().err == ""
+    # room for eight periods only: the n = 2 grid is kept, flagged and warned
+    # about; the CSV layout is unchanged
+    monkeypatch.setattr(numerics, "_EVAL_CAP", 8 * FAST_GRID["grid_points"])
+    out_capped = tmp_path / "capped.csv"
+    assert main(["verify", "--config", str(path), "--out", str(out_capped)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: n=2 ") and "cap after 8 periods" in err
+    assert err.count("\n") == 1
+    plain, capped = read_rows(out_plain), read_rows(out_capped)
+    assert plain[0] == capped[0]
+    assert [row["n"] for row in plain[1]] == [row["n"] for row in capped[1]]
 
 
 # -- coeffs -------------------------------------------------------------------

@@ -203,6 +203,49 @@ def test_laplace_closed_forms(grid_for):
     assert np.abs(g2.values - exact2).max() < 1e-11
 
 
+def test_extrapolated_fold_uniform_n2(grid_for):
+    # |f_2| ~ 1/t^2: the K-period fold errs like 1/K, which Richardson over
+    # period doubling cancels
+    g = grid_for("uniform", 2)
+    exact = normalized_uniform_sum_density(2, g.x)
+    assert np.abs(g.values - exact).max() < 1e-10
+    assert 1 < g.folds <= 256
+    assert not g.cap_hit
+    assert g.ringing_bound < 5e-9
+
+
+def test_extrapolated_fold_laplace(grid_for):
+    # n = 1 decays like 1/t^2 and needs the extrapolation; n = 2 like 1/t^4
+    g1 = grid_for("laplace", 1)
+    exact1 = np.exp(-math.sqrt(2.0) * np.abs(g1.x)) / math.sqrt(2.0)
+    assert np.abs(g1.values - exact1).max() < 1e-9
+    assert 1 < g1.folds <= 64
+    assert not g1.cap_hit
+    assert grid_for("laplace", 2).folds == 1
+
+
+def test_fast_decaying_cfs_fold_once(grid_for):
+    for g in (grid_for("gamma4", 3), grid_for("gaussian", 4), grid_for("uniform", 8)):
+        assert g.folds == 1
+        assert not g.cap_hit
+        assert 0 <= g.ringing_bound < 5e-9
+
+
+def test_eval_cap_is_flagged(monkeypatch):
+    # with room for eight periods only, uniform n = 2 cannot settle
+    npoints = 2**14
+    monkeypatch.setattr(rc.numerics, "_EVAL_CAP", 8 * npoints)
+    g = rc.density_of_normalized_sum(rc.Uniform(), 2, npoints=npoints, extent=12.0)
+    assert g.cap_hit
+    assert g.folds == 8
+    assert g.ringing_bound >= 5e-9
+
+
+def test_tabulated_grid_has_no_folds():
+    g = rc.tabulate_density(rc.normal_pdf, -12.0, 0.01, 2401)
+    assert (g.folds, g.cap_hit, g.ringing_bound) == (0, False, 0.0)
+
+
 def test_exact_phase_gaussian_and_gamma(grid_for):
     # one-period grids whose only error is roundoff in the inversion itself
     g = grid_for("gaussian", 4)
@@ -268,6 +311,18 @@ def test_renyi_entropy_rejects_degenerate_grid():
         rc.renyi_entropy(empty, 2.0)
     with pytest.raises(ValueError, match="r must"):
         rc.renyi_entropy(empty, 1.0)
+
+
+def test_renyi_entropy_names_underflow(grid_for):
+    # the grid is fine; only p**r underflows at r = 1e308
+    g = grid_for("uniform", 8)
+    with pytest.raises(ValueError, match="underflows to 0 at r=1e\\+308"):
+        rc.renyi_entropy(g, 1e308)
+    empty = rc.DensityGrid(
+        x0=-16.0, h=0.01, values=np.zeros(4096), n=1, mass_defect=1.0, min_value=0.0
+    )
+    with pytest.raises(ValueError, match="grid is degenerate"):
+        rc.renyi_entropy(empty, 1e308)
 
 
 def test_renyi_entropy_gaussian(grid_for):

@@ -18,8 +18,10 @@ The built-in families:
   smallest n with n*alpha > 1.
 * ``TwoSidedExponential``: Laplace with variance 1; cf = 1/(1 + t**2/2).
 * ``GaussianMixture``: finite normal mixture, standardized by construction.
-* ``GridDensity``: a tabulated density on a uniform grid; cf and moments by
-  quadrature.
+* ``GridDensity``: a tabulated density on a uniform grid.  Its cf is the
+  exact transform of the piecewise-linear interpolant, evaluated by a chirp
+  z-transform when the frequencies form an arithmetic progression; its
+  moments come by Simpson quadrature.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.special import gammaln
 
 from .gaussint import double_factorial
@@ -45,6 +46,21 @@ __all__ = [
 ]
 
 _SQRT3 = math.sqrt(3.0)
+# most frequencies one chirp z-transform takes at once (bounds its FFT length)
+_CHIRP_BLOCK = 2**17
+
+
+def _simpson(y, dx: float) -> float:
+    """Composite Simpson rule on equally spaced samples, as in
+    ``scipy.integrate.simpson`` (1.17): an even count closes with
+    Cartwright's rule for the last interval."""
+    y = np.asarray(y, dtype=float)
+    if y.size % 2:
+        return float(np.sum(y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2]) * (dx / 3.0))
+    if y.size == 2:
+        return float(0.5 * dx * (y[0] + y[1]))
+    head = np.sum(y[:-3:2] + 4.0 * y[1:-2:2] + y[2:-1:2]) * (dx / 3.0)
+    return float(head + (5 * dx / 12 * y[-1] + 2 * dx / 3 * y[-2] - dx / 12 * y[-3]))
 
 
 def _exact_sqrt(value):
@@ -200,8 +216,9 @@ class GaussianMixture(DistributionSpec):
     """Finite normal mixture sum_i w_i N(mu_i, sigma_i**2), standardized.
 
     Construction enforces sum w = 1, sum w mu = 0 and
-    sum w (mu**2 + sigma**2) = 1 (exactly for rational parameters, to 1e-10
-    otherwise).
+    sum w (mu**2 + sigma**2) = 1, to 1e-10.  Parameters that meet these
+    exactly when read as Fractions (integers, Fractions, dyadic floats) give
+    exact moments; all others give float moments.
     """
 
     name = "gaussian_mixture"
@@ -215,15 +232,13 @@ class GaussianMixture(DistributionSpec):
         self.weights = tuple(weights)
         self.means = tuple(means)
         self.sigmas = tuple(sigmas)
-        exact = self._exact_params() is not None
-        tol = 0 if exact else 1e-10
         total = sum(self.weights)
         mean = sum(w * m for w, m in zip(self.weights, self.means))
         second = sum(
             w * (m * m + s * s)
             for w, m, s in zip(self.weights, self.means, self.sigmas)
         )
-        if abs(total - 1) > tol or abs(mean) > tol or abs(second - 1) > tol:
+        if abs(total - 1) > 1e-10 or abs(mean) > 1e-10 or abs(second - 1) > 1e-10:
             raise ValueError(
                 "mixture is not standardized: "
                 f"mass={total}, mean={mean}, second moment={second}"
@@ -234,11 +249,18 @@ class GaussianMixture(DistributionSpec):
         return cls((1,), (0,), (1,))
 
     def _exact_params(self):
+        """(w, mu, sigma**2) as Fractions when, read exactly, they describe a
+        standardized law; None otherwise (irrational, or floats such as 0.6
+        whose binary values miss the constraints by rounding)."""
         try:
             w = [Fraction(v) for v in self.weights]
             m = [Fraction(v) for v in self.means]
             s2 = [Fraction(v) ** 2 for v in self.sigmas]
         except (TypeError, ValueError):
+            return None
+        mean = sum(wi * mi for wi, mi in zip(w, m))
+        second = sum(wi * (mi * mi + si) for wi, mi, si in zip(w, m, s2))
+        if sum(w) != 1 or mean != 0 or second != 1:
             return None
         return w, m, s2
 
@@ -313,9 +335,9 @@ class GridDensity(DistributionSpec):
         self.p = p
         self.h = float(steps.mean())
         self.n_min = int(n_min)
-        mass = simpson(p, dx=self.h)
-        mean = simpson(p * x, dx=self.h)
-        second = simpson(p * x * x, dx=self.h)
+        mass = _simpson(p, dx=self.h)
+        mean = _simpson(p * x, dx=self.h)
+        second = _simpson(p * x * x, dx=self.h)
         if (
             abs(mass - 1) > check_tol
             or abs(mean) > check_tol
@@ -331,25 +353,73 @@ class GridDensity(DistributionSpec):
         return np.interp(x, self.x, self.p, left=0.0, right=0.0)
 
     def cf(self, t):
-        # exact characteristic function of the piecewise-linear density:
-        # the hat basis contributes a sinc^2 factor, which also kills the
-        # lattice aliases of the plain exponential sum beyond pi/h
+        """Exact characteristic function of the piecewise-linear interpolant.
+
+        On the uniform nodes x0 + j*h the hat basis contributes a factor
+        sinc(t*h/(2*pi))**2 to the lattice sum sum_j p_j h exp(i t x_j), which
+        also kills the lattice aliases beyond pi/h.  When ``t``, flattened, is
+        an arithmetic progression to a few ulps (every call the inversion and
+        ``smoothing_diagnostic`` make) the lattice sum is a chirp
+        z-transform, computed by FFT in O((J+M) log(J+M)) for J nodes and M
+        frequencies; scalars and scattered points take the dense O(J*M) sum.
+        Returns an array of the shape of ``t`` (at least 1-d).
+        """
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty(t.shape, dtype=complex)
+        flat = t.ravel()
+        out = np.empty(flat.shape, dtype=complex)
         pw = self.p * self.h
-        chunk = max(1, int(2**22 // max(self.p.size, 1)))
-        for lo in range(0, t.size, chunk):
-            ts = t[lo : lo + chunk]
-            lattice = np.exp(1j * np.outer(ts, self.x)) @ pw
+        step = _progression_step(flat)
+        chunk = _CHIRP_BLOCK if step is not None else max(1, 2**22 // self.p.size)
+        for lo in range(0, flat.size, chunk):
+            ts = flat[lo : lo + chunk]
+            if step is None:
+                lattice = np.exp(1j * np.outer(ts, self.x)) @ pw
+            else:
+                lattice = _chirp_lattice_sum(pw, self.x[0], self.h, ts, step)
             out[lo : lo + chunk] = lattice * np.sinc(ts * self.h / (2 * np.pi)) ** 2
-        return out
+        return out.reshape(t.shape)
 
     def moments(self, order: int):
         self._check_order(order)
         return [
-            float(simpson(self.p * self.x**k, dx=self.h))
+            _simpson(self.p * self.x**k, dx=self.h)
             for k in range(1, order + 1)
         ]
+
+
+def _progression_step(t: np.ndarray):
+    """Step d when t[k] = t[0] + k*d to within 4 ulps of max|t| (t 1-d, at
+    least 2 points), else None."""
+    if t.size < 2:
+        return None
+    step = (t[-1] - t[0]) / (t.size - 1)
+    drift = np.abs(t - (t[0] + step * np.arange(t.size))).max()
+    return step if drift <= 4 * np.spacing(np.abs(t).max()) else None
+
+
+def _chirp_lattice_sum(w: np.ndarray, x0: float, h: float, t: np.ndarray,
+                       step: float) -> np.ndarray:
+    """sum_j w_j exp(i t_k (x0 + j*h)) for t_k = t_c + (k-c)*step (Bluestein).
+
+    With theta = step*h and u = k - c, the identity
+    uj = (u**2 + j**2 - (u-j)**2)/2 turns the sum over j into one linear
+    convolution with the chirp exp(-i theta m**2/2), done by FFT at a
+    power-of-two length of at least J + M - 1.  The chirps are built from
+    explicit real angles.  The anchor c is the point nearest t = 0: there
+    the transform is largest, and the chirp angles, which grow like u**2,
+    are smallest.
+    """
+    J, M = w.size, t.size
+    c = int(np.argmin(np.abs(t)))
+    theta = step * h
+    size = 1 << (J + M - 2).bit_length()
+    j = np.arange(J, dtype=float)
+    u = np.arange(-c, M - c, dtype=float)
+    lag = np.arange(1 - J - c, M - c, dtype=float)
+    spectrum = np.fft.fft(w * np.exp(1j * (t[c] * h * j + 0.5 * theta * j * j)), size)
+    spectrum *= np.fft.fft(np.exp(-0.5j * theta * lag * lag), size)
+    conv = np.fft.ifft(spectrum)[J - 1 : J - 1 + M]
+    return conv * np.exp(1j * ((t[c] + step * u) * x0 + 0.5 * theta * u * u))
 
 
 def from_name(name: str, **params) -> DistributionSpec:

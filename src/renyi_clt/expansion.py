@@ -42,7 +42,7 @@ from math import factorial
 from .cumulants import CumulantVector, compositions
 from .edgeworth import correction_polynomial
 from .exactpoly import Poly
-from .gaussint import gauss_power_integral, gauss_power_mass
+from .gaussint import _moment_ratio, gauss_power_integral, gauss_power_mass
 
 __all__ = [
     "TruncatedSeries",
@@ -263,6 +263,9 @@ def a1_closed_form(r: float, cumulants: CumulantVector) -> float:
 
         A_1(r) = (r-1) / ((2 pi)**((r-1)/2) r**(3/2))
                  * [ (2-r)/12 * gamma_3**2 + (r-1)/8 * gamma_4 ].
+
+    Raises ``ValueError`` when the value underflows to 0 (r above about 810)
+    while the bracket is not 0; an exactly zero bracket gives 0.
     """
     _require_r(r)
     cumulants.require_order(4)
@@ -270,7 +273,10 @@ def a1_closed_form(r: float, cumulants: CumulantVector) -> float:
     g4 = float(cumulants.gamma(4))
     bracket = (2 - r) / 12 * g3**2 + (r - 1) / 8 * g4
     pref = math.exp(-0.5 * (r - 1) * math.log(2 * math.pi) - 1.5 * math.log(r))
-    return (r - 1) * pref * bracket
+    value = (r - 1) * pref * bracket
+    if value == 0 and bracket != 0:
+        raise ValueError(f"int phi**r underflows to 0 at r={r:g}; A_1 is not representable")
+    return value
 
 
 def a2_from_integrals(r: float, cumulants: CumulantVector) -> float:
@@ -280,7 +286,9 @@ def a2_from_integrals(r: float, cumulants: CumulantVector) -> float:
               + (r)_3/2 int Q_1**2 Q_2 phi**r + (r)_4/24 int Q_1**4 phi**r.
 
     Raises ``ValueError`` when the sum is not finite (for r above about 1e77 the
-    falling factorials overflow while the integrals underflow).
+    falling factorials overflow while the integrals underflow), and when it
+    comes out 0 only because int phi**r underflows (r above about 810) while
+    a_2 is not 0.
     """
     _require_r(r)
     cumulants.require_order(6)
@@ -288,17 +296,21 @@ def a2_from_integrals(r: float, cumulants: CumulantVector) -> float:
     q2 = correction_polynomial(2, cumulants)
     q3 = correction_polynomial(3, cumulants)
     q4 = correction_polynomial(4, cumulants)
-    total = r * gauss_power_integral(q4, r)
-    total += (
-        falling_factorial(r, 2) / 2 * gauss_power_integral(q2 * q2 + 2 * q1 * q3, r)
+    terms = (
+        (r, q4),
+        (falling_factorial(r, 2) / 2, q2 * q2 + 2 * q1 * q3),
+        (falling_factorial(r, 3) / 2, q1 * q1 * q2),
+        (falling_factorial(r, 4) / 24, q1**4),
     )
-    total += falling_factorial(r, 3) / 2 * gauss_power_integral(q1 * q1 * q2, r)
-    total += falling_factorial(r, 4) / 24 * gauss_power_integral(q1**4, r)
+    a2 = sum(weight * float(_moment_ratio(poly, r)) for weight, poly in terms)
+    total = a2 * gauss_power_mass(r)
     if not math.isfinite(total):
         raise ValueError(
             f"A_2 is not finite at r={r:g}: (r)_k overflows while the Gaussian "
             "integrals underflow"
         )
+    if total == 0 and a2 != 0:
+        raise ValueError(f"int phi**r underflows to 0 at r={r:g}; A_2 is not representable")
     return total
 
 

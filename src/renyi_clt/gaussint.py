@@ -83,14 +83,11 @@ def gauss_power_moment(k: int, r: float) -> float:
     return double_factorial(k - 1) * math.exp(_log_mass(r) - j * math.log(r))
 
 
-def gauss_power_integral(p: Poly, r: float) -> float:
-    """int P(x) phi(x)**r dx as an exact linear combination of moments.
+def _moment_ratio(p: Poly, r: float):
+    """int P(x) phi(x)**r dx / int phi(x)**r dx = sum_k c_k (k-1)!! r**(-k/2).
 
-    The rational part sum_k c_k (k-1)!! r**(-k/2) (integer powers of r, since
-    odd k drop out) is accumulated in exact arithmetic whenever the
-    coefficients are rational, so heavy cancellations -- Hermite combinations
-    near r = 1 -- cost no precision; the transcendental mass factor enters
-    once at the end.
+    Odd k drop out, so only integer powers of r remain; the sum is exact (a
+    Fraction) whenever the coefficients are rational.
     """
     _check_r(r)
     try:
@@ -102,7 +99,18 @@ def gauss_power_integral(p: Poly, r: float) -> float:
         if k % 2 or c == 0:
             continue
         total = total + c * double_factorial(k - 1) / r_exact ** (k // 2)
-    return float(total) * gauss_power_mass(r)
+    return total
+
+
+def gauss_power_integral(p: Poly, r: float) -> float:
+    """int P(x) phi(x)**r dx as an exact linear combination of moments.
+
+    The rational part (``_moment_ratio``) is accumulated in exact arithmetic
+    whenever the coefficients are rational, so heavy cancellations --
+    Hermite combinations near r = 1 -- cost no precision; the transcendental
+    mass factor enters once at the end.
+    """
+    return float(_moment_ratio(p, r)) * gauss_power_mass(r)
 
 
 def hermite_integral(k: int, r: float) -> float:

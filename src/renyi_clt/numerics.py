@@ -30,9 +30,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .distributions import DistributionSpec
+from .distributions import DistributionSpec, _simpson
 
 __all__ = [
     "GridError",
@@ -281,7 +280,7 @@ def lr_integral(grid: DensityGrid, r: float) -> float:
     """int p**r over the grid by composite Simpson quadrature (r >= 1)."""
     if not r >= 1:
         raise ValueError("r must be >= 1")
-    return float(simpson(grid.values**r, dx=grid.h))
+    return _simpson(grid.values**r, dx=grid.h)
 
 
 def renyi_entropy(grid: DensityGrid, r: float) -> float:
@@ -313,7 +312,7 @@ def shannon_entropy(grid: DensityGrid) -> float:
     integrand = np.zeros_like(v)
     pos = v > 0
     integrand[pos] = -v[pos] * np.log(v[pos])
-    return float(simpson(integrand, dx=grid.h))
+    return _simpson(integrand, dx=grid.h)
 
 
 def kl_to_gaussian(grid: DensityGrid) -> float:
@@ -324,7 +323,7 @@ def kl_to_gaussian(grid: DensityGrid) -> float:
     integrand = np.zeros_like(v)
     pos = v > 0
     integrand[pos] = v[pos] * (np.log(v[pos]) - log_phi[pos])
-    return float(simpson(integrand, dx=grid.h))
+    return _simpson(integrand, dx=grid.h)
 
 
 def sup_norm(grid: DensityGrid) -> float:
@@ -377,7 +376,7 @@ def smoothing_diagnostic(
             hi = min(lo + chunk, npts)
             tt = a + step * np.arange(lo, hi + 1)
             vals = np.abs(np.atleast_1d(spec.cf(tt))) ** nu
-            total += float(simpson(vals, dx=step))
+            total += _simpson(vals, dx=step)
         return total
 
     total = 2.0 * seg(0.0, t_start)

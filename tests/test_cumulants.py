@@ -12,6 +12,8 @@ from renyi_clt.cumulants import (
     moments_from_cumulants,
     standard_cumulants,
 )
+from renyi_clt.distributions import GaussianMixture
+from renyi_clt.expansion import sign_change_threshold
 
 
 def brute_force_compositions(k):
@@ -161,3 +163,23 @@ def test_standard_cumulants_uniform_order6():
 def test_standard_cumulants_rejects_unknown():
     with pytest.raises(ValueError):
         standard_cumulants("cauchy", order=4)
+
+
+def test_float_mixture_takes_float_branch():
+    # 0.6 and 0.8 are not exact in binary: read as Fractions the mixture
+    # misses unit variance by about 4e-17, so its moments are floats
+    floats = standard_cumulants(GaussianMixture((0.5, 0.5), (0.6, -0.6), (0.8, 0.8)), order=6)
+    exact = standard_cumulants(
+        GaussianMixture(
+            (Fraction(1, 2),) * 2, (Fraction(3, 5), Fraction(-3, 5)), (Fraction(4, 5),) * 2
+        ),
+        order=6,
+    )
+    for k in range(3, 7):
+        assert float(floats.gamma(k)) == pytest.approx(float(exact.gamma(k)), abs=1e-13)
+
+
+def test_dyadic_float_mixture_stays_exact():
+    cums = standard_cumulants(GaussianMixture((0.25, 0.75), (1.5, -0.5), (0.5, 0.5)), order=6)
+    assert cums.gamma(3) == Fraction(3, 4) and cums.gamma(4) == Fraction(-3, 8)
+    assert sign_change_threshold(cums) == Fraction(3, 2)

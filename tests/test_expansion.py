@@ -176,6 +176,26 @@ def test_a1_closed_form_r_to_1_limit():
     assert a1_closed_form(r, c) / (r - 1) == pytest.approx(g3**2 / 12, abs=1e-4)
 
 
+@pytest.mark.parametrize("r", [820, 1000, 1e5])
+def test_underflowing_a1_a2_raise(r):
+    # int phi**r underflows to 0 while the brackets are not 0
+    with pytest.raises(ValueError, match="underflows"):
+        a1_closed_form(r, UNIFORM)
+    with pytest.raises(ValueError, match="underflows"):
+        a2_from_integrals(r, UNIFORM)
+
+
+def test_zero_brackets_stay_zero_under_underflow():
+    c = CumulantVector((0, 1, 0, 0, 0, 0))
+    assert a1_closed_form(1e5, c) == 0.0
+    assert a2_from_integrals(1e5, c) == 0.0
+
+
+def test_a1_a2_finite_below_underflow():
+    assert 0 > a1_closed_form(500, UNIFORM) > -1e-190
+    assert a2_from_integrals(500, UNIFORM) != 0.0
+
+
 def test_a1_uniform_r2_value():
     val = a1_closed_form(2.0, UNIFORM)
     expected = -3 / (20 * 2**1.5 * math.sqrt(2 * math.pi))

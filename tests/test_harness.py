@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import renyi_clt as rc
 from renyi_clt import numerics
 from renyi_clt.harness import (
     ConfigError,
@@ -128,13 +129,37 @@ def test_n_below_n_min_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("r", [1e200, 1e308])
 def test_non_finite_a2_is_numerical_failure(tmp_path, capsys, r):
-    # (r)_4 overflows while the Gaussian integrals underflow
+    # (r)_4 overflows while the Gaussian integrals underflow; the CLI stops
+    # one step earlier, at A_1, whose int phi**r factor underflows
+    cums = rc.standard_cumulants("uniform", order=6)
+    with pytest.raises(ValueError, match="not finite"):
+        rc.a2_from_integrals(r, cums)
     path = write_config(tmp_path, r_values=[r], moment_order=6)
     assert main(["coeffs", "--config", str(path)]) == 3
     captured = capsys.readouterr()
-    assert captured.err.startswith("numerical failure:") and "not finite" in captured.err
+    assert captured.err.startswith("numerical failure:") and "underflows" in captured.err
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("r", [1000, 1e5])
+def test_underflowing_a1_is_numerical_failure(tmp_path, capsys, r):
+    # int phi**r underflows while the bracket of A_1 is not 0: no silent -0
+    path = write_config(tmp_path, r_values=[r], moment_order=4)
+    assert main(["coeffs", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure:")
+    assert "int phi**r underflows" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_a1_at_r500_is_finite(tmp_path, capsys):
+    path = write_config(tmp_path, r_values=[500], moment_order=4)
+    assert main(["coeffs", "--config", str(path)]) == 0
+    header, row = (ln.split(",") for ln in capsys.readouterr().out.splitlines())
+    a1 = float(row[header.index("a1")])
+    assert math.isfinite(a1) and a1 < 0
 
 
 def test_underflowing_lr_integral_is_named(tmp_path, capsys):

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
 import renyi_clt as rc
+from renyi_clt.distributions import _simpson
 from oracles import (
     normalized_uniform_sum_density,
     normalized_uniform_sum_lr,
@@ -104,6 +109,92 @@ def test_grid_density_spec():
     assert spec.moments(4)[3] == pytest.approx(3.0, abs=1e-6)
     with pytest.raises(ValueError, match="standardized"):
         rc.GridDensity(x, p * 1.01)
+
+
+def _table(points, half_width, pdf):
+    x = np.linspace(-half_width, half_width, points)
+    return rc.GridDensity(x, pdf(x))
+
+
+def _dyadic_mixture_pdf(x):
+    return rc.GaussianMixture((0.25, 0.75), (1.5, -0.5), (0.5, 0.5)).density(x)
+
+
+def _dense_grid_cf(spec, t):
+    """The O(J*M) lattice sum with the hat factor: the oracle for the chirp."""
+    t = np.asarray(t, dtype=float)
+    lattice = np.exp(1j * np.outer(t.ravel(), spec.x)) @ (spec.p * spec.h)
+    hat = np.sinc(t.ravel() * spec.h / (2 * np.pi)) ** 2
+    return (lattice * hat).reshape(t.shape)
+
+
+@pytest.mark.parametrize(
+    "npoints,extent,table_points", [(2**14, 12.0, 4001), (2**17, 16.0, 20001)]
+)
+def test_grid_cf_chirp_matches_dense_sum(npoints, extent, table_points):
+    # the progressions density_of_normalized_sum asks for: fold period k of
+    # the lattice m*dt, scaled by 1/sqrt(n); checked on a sample of each
+    spec = _table(table_points, 12.0, _dyadic_mixture_pdf)
+    dt = math.pi / extent
+    sample = np.r_[np.arange(16), np.arange(16, npoints, npoints // 64)]
+    for n in (1, 2, 4):
+        for k in (0, 3):
+            t = dt * np.arange(k * npoints, (k + 1) * npoints) / math.sqrt(n)
+            got = spec.cf(t)
+            assert got.shape == t.shape
+            err = np.abs(got[sample] - _dense_grid_cf(spec, t[sample])).max()
+            assert err < 1e-12, (n, k, err)
+
+
+def test_grid_cf_chirp_orientation_and_shape():
+    spec = _table(4001, 10.0, _dyadic_mixture_pdf)
+    up = np.linspace(0.0, 300.0, 401)
+    for t in (up, up[::-1], np.linspace(-40.0, 40.0, 400)):
+        assert np.abs(spec.cf(t) - _dense_grid_cf(spec, t)).max() < 1e-12
+    grid = np.linspace(-6.0, 6.0, 600).reshape(20, 30)
+    got = spec.cf(grid)
+    assert got.shape == (20, 30)
+    assert np.abs(got - _dense_grid_cf(spec, grid)).max() < 1e-12
+
+
+def test_grid_cf_scalar_and_scattered_t():
+    spec = _table(4001, 10.0, rc.normal_pdf)
+    assert abs(spec.cf(0.7)[0] - math.exp(-0.245)) < 1e-5
+    t = np.array([0.3, 2.0, -1.1, 5.5, 0.0])
+    assert np.abs(spec.cf(t) - np.exp(-0.5 * t * t)).max() < 1e-5
+
+
+def test_grid_density_inverts_at_default_grid():
+    # each fold period is one chirp z-transform, so the default 2**17-point
+    # grid is affordable for a tabulated law
+    spec = _table(20001, 12.0, rc.normal_pdf)
+    for n in (1, 2, 4):
+        g = rc.density_of_normalized_sum(spec, n)
+        assert len(g.values) == 2**17 and not g.cap_hit
+        assert np.abs(g.values - rc.normal_pdf(g.x)).max() < 1e-6
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5, 10, 11, 1000, 1001])
+def test_simpson_helper_matches_scipy(size):
+    y = np.random.default_rng(size).uniform(0.1, 2.0, size)
+    for dx in (0.01, 0.25, 3.0):
+        assert _simpson(y, dx=dx) == pytest.approx(simpson(y, dx=dx), rel=1e-14)
+
+
+def test_import_leaves_scipy_signal_and_integrate_unloaded():
+    # scipy.signal would add about 0.86 s and scipy.integrate about 0.2 s to
+    # every CLI start; the library needs neither
+    code = (
+        "import sys, renyi_clt; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.signal') if m in sys.modules))"
+    )
+    src = str(Path(rc.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # -- characteristic powering -------------------------------------------------

@@ -4,6 +4,10 @@ Every spec describes a law with mean 0 and variance 1 and exposes
 
     density(x)   -- vectorized pdf
     cf(t)        -- vectorized characteristic function E exp(itX) (complex)
+    cf_envelope(t)
+                 -- a non-increasing bound on |cf| over [t, inf) for t >= 0,
+                    or None when the law has none (the inversion then
+                    evaluates whole frequency periods)
     moments(m)   -- raw moments alpha_1..alpha_m, exact rationals wherever
                     the law allows it (m <= 8)
     n_min        -- smallest n for which |cf(t/sqrt(n))|**n is integrable,
@@ -21,7 +25,9 @@ The built-in families:
 * ``GridDensity``: a tabulated density on a uniform grid.  Its cf is the
   exact transform of the piecewise-linear interpolant, evaluated by a chirp
   z-transform when the frequencies form an arithmetic progression; its
-  moments come by Simpson quadrature.
+  moments come by Simpson quadrature.  It has no cf envelope: the lattice
+  sum revives near every multiple of 2*pi/h, so no useful monotone bound
+  exists.
 """
 
 from __future__ import annotations
@@ -90,6 +96,15 @@ class DistributionSpec:
     def cf(self, t):
         raise NotImplementedError
 
+    def cf_envelope(self, t: float):
+        """A bound on |cf(s)| for every s >= t (t >= 0), non-increasing in t,
+        or None when unknown.
+
+        ``numerics`` uses it to evaluate f_n only on the band of frequencies
+        where it is not negligible; None keeps the full-period inversion.
+        """
+        return None
+
     def moments(self, order: int):
         raise NotImplementedError
 
@@ -115,6 +130,11 @@ class Uniform(DistributionSpec):
         t = np.asarray(t, dtype=float)
         # sin(sqrt(3) t) / (sqrt(3) t) with the removable singularity at 0
         return np.sinc(_SQRT3 * t / np.pi).astype(complex)
+
+    def cf_envelope(self, t: float):
+        """min(1, 1/(sqrt(3) t)), since |sin(u)/u| <= min(1, 1/u)."""
+        u = _SQRT3 * t
+        return 1.0 if u <= 1.0 else 1.0 / u
 
     def moments(self, order: int):
         self._check_order(order)
@@ -158,6 +178,11 @@ class StandardizedGamma(DistributionSpec):
         t = np.asarray(t, dtype=float)
         base = 1.0 - 1j * t / self.sqrt_alpha
         return np.power(base, -float(self.alpha)) * np.exp(-1j * t * self.sqrt_alpha)
+
+    def cf_envelope(self, t: float):
+        """|cf(t)| = (1 + t**2/alpha)**(-alpha/2) exactly."""
+        alpha = float(self.alpha)
+        return (1.0 + t * t / alpha) ** (-0.5 * alpha)
 
     def _cumulants(self, order: int):
         root = self._exact_root
@@ -203,6 +228,10 @@ class TwoSidedExponential(DistributionSpec):
     def cf(self, t):
         t = np.asarray(t, dtype=float)
         return (1.0 / (1.0 + t * t / 2.0)).astype(complex)
+
+    def cf_envelope(self, t: float):
+        """|cf(t)| = 1/(1 + t**2/2) exactly."""
+        return 1.0 / (1.0 + t * t / 2.0)
 
     def moments(self, order: int):
         self._check_order(order)
@@ -285,6 +314,13 @@ class GaussianMixture(DistributionSpec):
             w, m, s = float(w), float(m), float(s)
             out += w * np.exp(1j * m * t - 0.5 * (s * t) ** 2)
         return out
+
+    def cf_envelope(self, t: float):
+        """sum |w_i| exp(-sigma_i**2 t**2 / 2), the triangle inequality."""
+        return sum(
+            abs(float(w)) * math.exp(-0.5 * (float(s) * t) ** 2)
+            for w, s in zip(self.weights, self.sigmas)
+        )
 
     def moments(self, order: int):
         self._check_order(order)

@@ -35,6 +35,7 @@ monotonicity of the entropy power sequence N_r(Z_n).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -264,8 +265,10 @@ def a1_closed_form(r: float, cumulants: CumulantVector) -> float:
         A_1(r) = (r-1) / ((2 pi)**((r-1)/2) r**(3/2))
                  * [ (2-r)/12 * gamma_3**2 + (r-1)/8 * gamma_4 ].
 
-    Raises ``ValueError`` when the value underflows to 0 (r above about 810)
-    while the bracket is not 0; an exactly zero bracket gives 0.
+    Raises ``ValueError`` when the value is below the normal float range
+    while the bracket is not 0: from r of about 775 the int phi**r prefactor
+    is subnormal and has lost digits (17 % at r = 800), and from about 810 it
+    is 0.  An exactly zero bracket gives 0.
     """
     _require_r(r)
     cumulants.require_order(4)
@@ -274,8 +277,8 @@ def a1_closed_form(r: float, cumulants: CumulantVector) -> float:
     bracket = (2 - r) / 12 * g3**2 + (r - 1) / 8 * g4
     pref = math.exp(-0.5 * (r - 1) * math.log(2 * math.pi) - 1.5 * math.log(r))
     value = (r - 1) * pref * bracket
-    if value == 0 and bracket != 0:
-        raise ValueError(f"int phi**r underflows to 0 at r={r:g}; A_1 is not representable")
+    if abs(value) < sys.float_info.min and bracket != 0:
+        raise ValueError(f"int phi**r underflows at r={r:g}; A_1 is not representable")
     return value
 
 
@@ -287,8 +290,8 @@ def a2_from_integrals(r: float, cumulants: CumulantVector) -> float:
 
     Raises ``ValueError`` when the sum is not finite (for r above about 1e77 the
     falling factorials overflow while the integrals underflow), and when it
-    comes out 0 only because int phi**r underflows (r above about 810) while
-    a_2 is not 0.
+    is below the normal float range, because int phi**r underflows (r above
+    about 780), while a_2 is not 0.
     """
     _require_r(r)
     cumulants.require_order(6)
@@ -309,8 +312,8 @@ def a2_from_integrals(r: float, cumulants: CumulantVector) -> float:
             f"A_2 is not finite at r={r:g}: (r)_k overflows while the Gaussian "
             "integrals underflow"
         )
-    if total == 0 and a2 != 0:
-        raise ValueError(f"int phi**r underflows to 0 at r={r:g}; A_2 is not representable")
+    if abs(total) < sys.float_info.min and a2 != 0:
+        raise ValueError(f"int phi**r underflows at r={r:g}; A_2 is not representable")
     return total
 
 

@@ -384,7 +384,7 @@ def cmd_verify(cfg: ExperimentConfig, dump_dir=None):
                 n_num = math.exp(2.0 * h_num)
             else:
                 h_num = numerics.renyi_entropy(grid, r)
-                n_num = numerics.entropy_power(grid, r)
+                n_num = math.exp(2.0 * h_num)
             h_pred = h_ref + offset(n)
             n_pred = (
                 gaussian_entropy_power(math.inf if r == "inf" else r) * factor(n)

@@ -8,14 +8,16 @@ principal complex power is exact and needs no phase tracking.
 The density is recovered on a uniform spatial grid by a discrete Fourier
 inversion whose frequency lattice is the reciprocal of the spatial one, so
 one real-output inverse FFT turns a folded spectrum into density samples.
-When |f_n| decays fast, one frequency period suffices.  When it decays
-slowly (small n, laws with kinks or jumps), further periods are folded onto
-the same bins: their count K doubles, and two-point Richardson
-extrapolation 2 S_2K - S_K cancels the 1/K truncation error of the K-period
-fold S_K.  Doubling stops after two consecutive sup-norm steps between
-extrapolants fall below the tail bound, or at a fixed cap on cf
-evaluations.  Each grid records its fold count, whether the cap stopped it,
-and its ringing bound.
+When the law gives a cf envelope (a non-increasing bound on |f|) under which
+f_n is negligible beyond a short band of the first period, only that band
+is evaluated and the rest of the period is zero.  Otherwise the whole first
+period is evaluated, and when |f_n| still decays too slowly over it (small
+n, laws with kinks or jumps), further periods are folded onto the same
+bins: their count K doubles, and two-point Richardson extrapolation
+2 S_2K - S_K cancels the 1/K truncation error of the K-period fold S_K.
+Doubling stops after two consecutive sup-norm steps between extrapolants
+fall below the tail bound, or at a fixed cap on cf evaluations.  Each grid
+records its fold count, whether the cap stopped it, and its ringing bound.
 
 Simpson quadrature on the fixed grid then yields L^r integrals,
 Renyi/Shannon entropies, entropy powers, KL divergence from the standard
@@ -58,6 +60,10 @@ _NEGATIVE_CLIP = 1e-8
 _MASS_DEFECT_LIMIT = 1e-6
 # most cf lattice points one inversion may fold (2**10 periods at 2**17 points)
 _EVAL_CAP = 2**27
+# a band may drop the rest of the period only when its bound is below this,
+# far under the rounding of the samples near the mode (about 5e-17): the grid
+# then matches the full-period one to an ulp, mostly bit for bit
+_BAND_FLOOR = 2.0**-60
 
 
 class GridError(RuntimeError):
@@ -70,13 +76,14 @@ class DensityGrid:
 
     ``mass_defect`` records |1 - sum(values)*h| and ``min_value`` the most
     negative raw sample before clipping.  Grids made by inversion also say
-    how they were folded: ``folds`` frequency periods, ``cap_hit`` when the
-    fold stopped at the evaluation cap before settling, and
-    ``ringing_bound``, the estimated residual truncation error (the
-    one-period tail bound, or the last Richardson step).  Tabulated grids
-    keep the defaults: no folds, no cap, no ringing.  Immutable; safe to
-    share.  Identity-compared (the array field makes value equality
-    ill-defined).
+    how they were folded: ``folds`` frequency periods (1 also for a band
+    that covers only part of the first period), ``cap_hit`` when the fold
+    stopped at the evaluation cap before settling, and ``ringing_bound``,
+    the estimated residual truncation error: the envelope bound on what a
+    band drops, the one-period tail bound, or the last Richardson step.
+    Tabulated grids keep the defaults: no folds, no cap, no ringing.
+    Immutable; safe to share.  Identity-compared (the array field makes
+    value equality ill-defined).
     """
 
     x0: float
@@ -136,6 +143,33 @@ def _invert_fold(fold: np.ndarray, h: float) -> np.ndarray:
     return np.fft.irfft(np.conj(fn), n=N) / h
 
 
+def _band_length(spec: DistributionSpec, n: int, N: int, dt: float,
+                 tail_bound: float):
+    """(M, bound) for the shortest band m < M of the first period that is
+    enough, or None.
+
+    M doubles over powers of two from 256 while below N/2.  With E the cf
+    envelope, |f_n| <= E(M dt/sqrt(n))**n on t >= M dt, so the samples that
+    the band drops, of both signs, add at most (N - M) dt/pi times that to
+    the density, and the frequencies beyond the period, under the 1/t**2
+    envelope the ringing test assumes, at most M**2 dt/(N pi) times it.
+    Together that is below bound = (N dt/pi) E(M dt/sqrt(n))**n, taken in
+    log space.  The band is enough once bound is below both ``_BAND_FLOOR``
+    and ``tail_bound``; None when no M qualifies or the law has no envelope.
+    """
+    log_span = math.log(N * dt / math.pi)
+    M = 256
+    while M < N // 2:
+        env = spec.cf_envelope(M * dt / math.sqrt(n))
+        if env is None:
+            return None
+        bound = math.exp(log_span + n * math.log(env)) if env > 0 else 0.0
+        if bound < min(_BAND_FLOOR, tail_bound):
+            return M, bound
+        M *= 2
+    return None
+
+
 def _folded_density(spec: DistributionSpec, n: int, N: int, dt: float,
                     h: float, tail_bound: float):
     """(samples, folds, cap_hit, ringing_bound) of the folded inversion.
@@ -146,19 +180,31 @@ def _folded_density(spec: DistributionSpec, n: int, N: int, dt: float,
     periods refines the single-period truncation at the cost of cf
     evaluations only.
 
-    The first period is kept when a conservative bound on its residual
-    ringing (the tail integral of |f_n| over its last quarter, divided by pi
-    and assuming at worst a 1/t**2 envelope) is below ``tail_bound``.
-    Otherwise the number of periods K doubles.  Under that envelope the
-    error of the K-period fold S_K falls like 1/K, so two-point Richardson
-    extrapolation R_K = 2 S_2K - S_K cancels its leading term.  After each
-    doubling R_K is inverted; folding stops once two consecutive sup-norm
-    steps max|R_K - R_{K/2}| fall below ``tail_bound`` (a single step can
-    pass early on a still-converging sequence), or when the next doubling
-    would exceed ``_EVAL_CAP`` lattice points.  The reported ringing bound
-    is the plain one-period bound, or else the last Richardson step (inf if
-    the cap left room for one extrapolant only).
+    When the cf envelope shows f_n negligible beyond a band m < M of the
+    first period (see ``_band_length``), only the band is evaluated, the
+    rest of the fold is zero, and the ringing bound is the envelope's bound
+    on what was dropped.  Otherwise (no envelope, or one that decays too
+    slowly) the whole first period is evaluated, and it is kept when a
+    conservative bound on its residual ringing (the tail integral of |f_n|
+    over its last quarter, divided by pi and assuming at worst a 1/t**2
+    envelope) is below ``tail_bound``.  Otherwise the number of periods K
+    doubles.  Under that envelope the error of the K-period fold S_K falls
+    like 1/K, so two-point Richardson extrapolation R_K = 2 S_2K - S_K
+    cancels its leading term.  After each doubling R_K is inverted; folding
+    stops once two consecutive sup-norm steps max|R_K - R_{K/2}| fall below
+    ``tail_bound`` (a single step can pass early on a still-converging
+    sequence), or when the next doubling would exceed ``_EVAL_CAP`` lattice
+    points.  The reported ringing bound is then the plain one-period bound,
+    or else the last Richardson step (inf if the cap left room for one
+    extrapolant only).
     """
+    band = _band_length(spec, n, N, dt, tail_bound)
+    if band is not None:
+        M, bound = band
+        fold = np.zeros(N, dtype=complex)
+        fold[:M] = _cf_power(spec, n, dt * np.arange(M))
+        return _invert_fold(fold, h), 1, False, bound
+
     quarter = N // 4
     max_periods = max(1, _EVAL_CAP // N)
 
@@ -198,8 +244,11 @@ def density_of_normalized_sum(
 
     f_n is sampled on the lattice reciprocal to the grid, folded over as
     many frequency periods as the tail needs (see ``_folded_density``) and
-    inverted with one real-output inverse FFT per fold tried.  Grids whose
-    characteristic power decays fast enough use one period; slowly decaying
+    inverted with one real-output inverse FFT per fold tried.  When the
+    law's ``cf_envelope`` bounds what lies beyond a band of the first period
+    below 2**-60 and ``tail_bound``, only that band of a few hundred to a few
+    thousand frequencies is evaluated.  Other grids whose characteristic
+    power decays fast enough use the whole first period; slowly decaying
     ones (small n, laws with kinks or jumps) double the period count under
     Richardson extrapolation until two consecutive steps fall below
     ``tail_bound``.  The grid records ``folds``, ``cap_hit`` (the doubling

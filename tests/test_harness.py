@@ -142,9 +142,10 @@ def test_non_finite_a2_is_numerical_failure(tmp_path, capsys, r):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("r", [1000, 1e5])
+@pytest.mark.parametrize("r", [790, 800, 1000, 1e5])
 def test_underflowing_a1_is_numerical_failure(tmp_path, capsys, r):
     # int phi**r underflows while the bracket of A_1 is not 0: no silent -0
+    # and no subnormal A_1 printed to 17 digits
     path = write_config(tmp_path, r_values=[r], moment_order=4)
     assert main(["coeffs", "--config", str(path)]) == 3
     captured = capsys.readouterr()
@@ -254,6 +255,20 @@ def test_verify_gaussian_residuals(tmp_path):
     assert header[0] == "n"
     for row in rows:
         assert abs(row[4]) < 1e-7  # residual
+
+
+def test_verify_integrates_each_renyi_entropy_once(monkeypatch):
+    # N_r is exp(2 h_r) of the h_r already computed, not a second quadrature
+    def fail(grid, r):
+        raise AssertionError("entropy_power integrates p**r again")
+
+    monkeypatch.setattr(numerics, "entropy_power", fail)
+    cfg = ExperimentConfig(
+        {"distribution": "gamma", "alpha": 4, "r_values": [2, 3.5], "n_values": [8],
+         **FAST_GRID}
+    )
+    _, rows = cmd_verify(cfg)
+    assert [row[6] for row in rows] == [math.exp(2.0 * row[2]) for row in rows]
 
 
 def test_verify_requires_order_for_special_r():

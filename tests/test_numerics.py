@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
 import renyi_clt as rc
@@ -109,6 +111,36 @@ def test_grid_density_spec():
     assert spec.moments(4)[3] == pytest.approx(3.0, abs=1e-6)
     with pytest.raises(ValueError, match="standardized"):
         rc.GridDensity(x, p * 1.01)
+
+
+_ENVELOPE_LAWS = {
+    "uniform": rc.Uniform(),
+    "gamma_half": rc.StandardizedGamma(0.5),
+    "gamma1": rc.StandardizedGamma(1),
+    "gamma4": rc.StandardizedGamma(4),
+    "laplace": rc.TwoSidedExponential(),
+    "dyadic_mixture": rc.GaussianMixture(
+        (F(1, 4), F(3, 4)), (F(3, 2), F(-1, 2)), (F(1, 2), F(1, 2))
+    ),
+    "float_mixture": rc.GaussianMixture((0.5, 0.5), (0.6, -0.6), (0.8, 0.8)),
+    "gaussian": rc.GaussianMixture.standard_normal(),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_ENVELOPE_LAWS))
+@settings(deadline=None)
+@given(t=st.floats(0.0, 1e6), step=st.floats(0.0, 1e6))
+def test_cf_envelope_bounds_cf(key, t, step):
+    spec = _ENVELOPE_LAWS[key]
+    bound = spec.cf_envelope(t)
+    assert abs(complex(spec.cf(t))) <= bound * (1 + 1e-12)
+    assert spec.cf_envelope(t + step) <= bound
+
+
+def test_cf_envelope_unknown_for_tables_and_base():
+    x = np.linspace(-12, 12, 2001)
+    assert rc.GridDensity(x, rc.normal_pdf(x)).cf_envelope(1.0) is None
+    assert rc.DistributionSpec().cf_envelope(1.0) is None
 
 
 def _table(points, half_width, pdf):
@@ -320,6 +352,66 @@ def test_fast_decaying_cfs_fold_once(grid_for):
         assert g.folds == 1
         assert not g.cap_hit
         assert 0 <= g.ringing_bound < 5e-9
+
+
+def _counted_grid(spec, n, **kwargs):
+    """(grid, cf points evaluated) for one inversion."""
+    seen = []
+    cf = spec.cf
+    spec.cf = lambda t: seen.append(np.size(t)) or cf(t)
+    try:
+        grid = rc.density_of_normalized_sum(spec, n, **kwargs)
+    finally:
+        del spec.cf
+    return grid, sum(seen)
+
+
+def _full_period_grid(spec, n, **kwargs):
+    """The grid and cf count with the envelope hidden: the full-period path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(type(spec), "cf_envelope", lambda self, t: None)
+        return _counted_grid(spec, n, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "key,n",
+    [("gamma4", 4), ("gamma4", 16), ("gamma4", 1024), ("dyadic_mixture", 1),
+     ("dyadic_mixture", 40), ("uniform", 8), ("uniform", 64), ("laplace", 8)],
+)
+def test_band_grid_equals_full_period(key, n):
+    spec = _ENVELOPE_LAWS[key]
+    band, band_points = _counted_grid(spec, n)
+    full, full_points = _full_period_grid(spec, n)
+    assert np.array_equal(band.values, full.values)
+    assert band_points < full_points == 2**17
+    assert band_points >= 256 and band_points & (band_points - 1) == 0
+    assert (band.folds, band.cap_hit) == (1, False)
+    assert band.ringing_bound < 2.0**-60
+
+
+def test_band_evaluates_few_cf_points():
+    _, points = _counted_grid(rc.StandardizedGamma(4), 16)
+    assert points <= 4096
+
+
+@pytest.mark.parametrize(
+    "key,n,kwargs",
+    [("uniform", 2, {"npoints": 2**14, "extent": 12.0}), ("uniform", 3, {}),
+     ("laplace", 1, {})],
+)
+def test_slow_envelopes_keep_full_period(key, n, kwargs):
+    spec = _ENVELOPE_LAWS[key]
+    grid, points = _counted_grid(spec, n, **kwargs)
+    full, full_points = _full_period_grid(spec, n, **kwargs)
+    assert points == full_points == grid.folds * len(grid.values)
+    assert np.array_equal(grid.values, full.values)
+    assert grid.ringing_bound == full.ringing_bound
+
+
+def test_tabulated_law_keeps_full_period():
+    spec = _table(4001, 12.0, rc.normal_pdf)
+    grid, points = _counted_grid(spec, 2, npoints=2**14, extent=12.0)
+    assert points == grid.folds * 2**14
 
 
 def test_eval_cap_is_flagged(monkeypatch):

@@ -7,8 +7,7 @@ Z_n = (X_1 + ... + X_n)/sqrt(n):
   (:mod:`renyi_clt.exactpoly`),
 * moment/cumulant conversion via the partition formula
   (:mod:`renyi_clt.cumulants`),
-* Edgeworth corrections of the normal density and distribution function
-  (:mod:`renyi_clt.edgeworth`),
+* Edgeworth corrections of the normal density (:mod:`renyi_clt.edgeworth`),
 * closed-form integrals of polynomials against powers of the normal density
   (:mod:`renyi_clt.gaussint`),
 * expansion coefficients for L^r norms, Renyi entropies and entropy powers,
@@ -40,10 +39,8 @@ from .distributions import (
 from .edgeworth import (
     EdgeworthModel,
     LeadingTerm,
-    cdf_correction_polynomial,
     correction_polynomial,
     leading_term,
-    normal_cdf,
     normal_pdf,
 )
 from .exactpoly import Poly, hermite

@@ -37,7 +37,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
-from scipy.special import gammaln
 
 from .gaussint import double_factorial
 
@@ -169,7 +168,7 @@ class StandardizedGamma(DistributionSpec):
         y = float(self.alpha) + self.sqrt_alpha * x
         with np.errstate(divide="ignore", invalid="ignore"):
             logpdf = (
-                (float(self.alpha) - 1.0) * np.log(y) - y - gammaln(float(self.alpha))
+                (float(self.alpha) - 1.0) * np.log(y) - y - math.lgamma(float(self.alpha))
             )
             vals = np.where(y > 0, np.exp(logpdf) * self.sqrt_alpha, 0.0)
         return vals

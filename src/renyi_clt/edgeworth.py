@@ -11,12 +11,7 @@ where each correction polynomial is the partition sum
              * H_{k+2j}(x),
 
 running over non-negative (r_1, ..., r_k) with r_1 + 2 r_2 + ... + k r_k = k
-and j = r_1 + ... + r_k.  The companion distribution-function correction uses
-the same coefficients with H_{k+2j-1} instead:
-
-    Phi_m(x) = Phi(x) - phi(x) * sum_{k=1}^{m-2} R_k(x) * n**(-k/2),
-
-which makes d/dx Phi_m = phi_m exactly, by H_{i+1} = x H_i - i H_{i-1}.
+and j = r_1 + ... + r_k.
 
 phi_m is exposed as a signed function: it may dip below zero far out in the
 tails and no clipping is applied, so that exact integral identities (unit
@@ -32,16 +27,13 @@ from math import factorial
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .cumulants import CumulantVector, compositions
 from .exactpoly import Poly, hermite
 
 __all__ = [
     "normal_pdf",
-    "normal_cdf",
     "correction_polynomial",
-    "cdf_correction_polynomial",
     "EdgeworthModel",
     "LeadingTerm",
     "leading_term",
@@ -53,11 +45,6 @@ _SQRT_2PI = math.sqrt(2 * math.pi)
 def normal_pdf(x):
     """Standard normal density, scalar or array."""
     return np.exp(-0.5 * np.asarray(x, dtype=float) ** 2) / _SQRT_2PI
-
-
-def normal_cdf(x):
-    """Standard normal distribution function, scalar or array."""
-    return ndtr(x)
 
 
 def _composition_weight(parts, cumulants: CumulantVector):
@@ -74,8 +61,13 @@ def _composition_weight(parts, cumulants: CumulantVector):
     return w
 
 
-def _partition_sum(k: int, cumulants: CumulantVector, shift: int) -> Poly:
-    """sum over (r_1..r_k) of the composition weight times H_{k+2j+shift}."""
+def correction_polynomial(k: int, cumulants: CumulantVector) -> Poly:
+    """Density-correction polynomial Q_k (exact for rational cumulants): the
+    sum over (r_1..r_k) of the composition weight times H_{k+2j}.
+
+    Q_k has degree at most 3k, the parity of k, and vanishes identically when
+    gamma_3, ..., gamma_{k+2} all vanish.
+    """
     if k < 1:
         raise ValueError("correction index must be positive")
     cumulants.require_order(k + 2)
@@ -84,36 +76,21 @@ def _partition_sum(k: int, cumulants: CumulantVector, shift: int) -> Poly:
         w = _composition_weight(parts, cumulants)
         if w == 0:
             continue
-        total = total + w * hermite(k + 2 * sum(parts) + shift)
+        total = total + w * hermite(k + 2 * sum(parts))
     return total
-
-
-def correction_polynomial(k: int, cumulants: CumulantVector) -> Poly:
-    """Density-correction polynomial Q_k (exact for rational cumulants).
-
-    Q_k has degree at most 3k, the parity of k, and vanishes identically when
-    gamma_3, ..., gamma_{k+2} all vanish.
-    """
-    return _partition_sum(k, cumulants, 0)
-
-
-def cdf_correction_polynomial(k: int, cumulants: CumulantVector) -> Poly:
-    """CDF-correction polynomial R_k: same sum as Q_k with H_{k+2j-1}."""
-    return _partition_sum(k, cumulants, -1)
 
 
 @dataclass(frozen=True)
 class EdgeworthModel:
     """Correction of order m for a law with the given cumulants.
 
-    Holds the polynomials Q_1..Q_{m-2} (and R_1..R_{m-2} for the CDF).
+    Holds the polynomials Q_1..Q_{m-2}.
     Immutable and safe to share across threads.
     """
 
     order: int
     cumulants: CumulantVector
     q_polys: tuple
-    r_polys: tuple
 
     @classmethod
     def from_cumulants(cls, cumulants, order: Optional[int] = None) -> "EdgeworthModel":
@@ -124,14 +101,10 @@ class EdgeworthModel:
             raise ValueError("order must be at least 2")
         cumulants.require_order(m)
         qs = tuple(correction_polynomial(k, cumulants) for k in range(1, m - 1))
-        rs = tuple(cdf_correction_polynomial(k, cumulants) for k in range(1, m - 1))
-        return cls(order=m, cumulants=cumulants, q_polys=qs, r_polys=rs)
+        return cls(order=m, cumulants=cumulants, q_polys=qs)
 
     def q(self, k: int) -> Poly:
         return self.q_polys[k - 1]
-
-    def r(self, k: int) -> Poly:
-        return self.r_polys[k - 1]
 
     def correction_factor(self, n: int, x):
         """1 + sum_k Q_k(x) n**(-k/2); the signed density is phi(x) times this."""
@@ -147,17 +120,6 @@ class EdgeworthModel:
     def density(self, n: int, x):
         """Signed corrected density phi_m(x) for the given n."""
         return normal_pdf(x) * self.correction_factor(n, x)
-
-    def cdf(self, n: int, x):
-        """Corrected distribution function Phi_m(x); tends to 0/1 at -/+inf."""
-        if n < 1:
-            raise ValueError("n must be a positive integer")
-        corr = 0.0
-        for k, rp in enumerate(self.r_polys, start=1):
-            if rp.is_zero():
-                continue
-            corr = corr + rp(x) * n ** (-k / 2)
-        return normal_cdf(x) - normal_pdf(x) * corr
 
 
 class LeadingTerm(NamedTuple):

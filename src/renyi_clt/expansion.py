@@ -43,7 +43,7 @@ from math import factorial
 from .cumulants import CumulantVector, compositions
 from .edgeworth import correction_polynomial
 from .exactpoly import Poly
-from .gaussint import _moment_ratio, gauss_power_integral, gauss_power_mass
+from .gaussint import _moment_ratio, gauss_power_mass
 
 __all__ = [
     "TruncatedSeries",
@@ -229,16 +229,15 @@ def a_coefficient(j: int, r: float, cumulants: CumulantVector) -> float:
     """Normalized coefficient a_j of n**(-j) in the L^r-norm expansion.
 
     Assembled generically for any j: enumerate the exponent tuples, multiply
-    out the correction polynomials exactly, integrate against phi**r, divide
-    by int phi**r.
+    out the correction polynomials exactly, and take each product's moment
+    ratio int P phi**r / int phi**r exactly (``_moment_ratio``).  int phi**r
+    itself never enters, so a_j stays exact where it underflows (r above
+    about 770).
     """
     if j < 1:
         raise ValueError("coefficient index must be positive")
     _require_r(r)
     cumulants.require_order(2 * j + 2)
-    mass = gauss_power_mass(r)
-    if mass == 0.0:
-        raise ValueError(f"int phi**r underflows to 0 at r={r:g}; a_{j} is undefined")
     qs = [correction_polynomial(i, cumulants) for i in range(1, 2 * j + 1)]
     total = 0.0
     for ks in compositions(2 * j):
@@ -255,8 +254,8 @@ def a_coefficient(j: int, r: float, cumulants: CumulantVector) -> float:
         weight = falling_factorial(r, sum(ks))
         for k_i in ks:
             weight /= factorial(k_i)
-        total += weight * gauss_power_integral(prod, r)
-    return total / mass
+        total += weight * float(_moment_ratio(prod, r))
+    return total
 
 
 def a1_closed_form(r: float, cumulants: CumulantVector) -> float:

@@ -19,16 +19,24 @@ Doubling stops after two consecutive sup-norm steps between extrapolants
 fall below the tail bound, or at a fixed cap on cf evaluations.  Each grid
 records its fold count, whether the cap stopped it, and its ringing bound.
 
-Simpson quadrature on the fixed grid then yields L^r integrals,
-Renyi/Shannon entropies, entropy powers, KL divergence from the standard
-normal, and the (parabola-refined) sup-norm.
+A band grid is a trigonometric polynomial of M terms, M of 256 to 8192,
+periodic over the grid's extent.  The trapezoid and Simpson sums of such a
+smooth periodic integrand are exact to rounding on a few times M points
+(Trefethen and Weideman, SIAM Review 56, 2014), so its functionals and
+checks run on N' = min(N, max(1024, 4M)) samples of the same extent, which
+are every (N/N')-th point of the N-point grid, and its N samples are built
+only when read.  Other grids keep their N samples.
+
+Simpson quadrature on these samples yields L^r integrals, Renyi/Shannon
+entropies, entropy powers and the KL divergence from the standard normal.
+The sup-norm is refined by Newton steps on a band grid's polynomial, and by
+a parabola through the sample argmax and its neighbours otherwise.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -70,35 +78,75 @@ class GridError(RuntimeError):
     """A density grid failed a resolution or positivity check."""
 
 
-@dataclass(frozen=True, eq=False)
 class DensityGrid:
     """Sampled density of Z_n on the uniform grid x0 + j*h, j = 0..len-1.
 
-    ``mass_defect`` records |1 - sum(values)*h| and ``min_value`` the most
-    negative raw sample before clipping.  Grids made by inversion also say
-    how they were folded: ``folds`` frequency periods (1 also for a band
+    ``mass_defect`` records |1 - sum(samples)*spacing| and ``min_value`` the
+    most negative raw sample before clipping.  Grids made by inversion also
+    say how they were folded: ``folds`` frequency periods (1 also for a band
     that covers only part of the first period), ``cap_hit`` when the fold
     stopped at the evaluation cap before settling, and ``ringing_bound``,
     the estimated residual truncation error: the envelope bound on what a
     band drops, the one-period tail bound, or the last Richardson step.
-    Tabulated grids keep the defaults: no folds, no cap, no ringing.
-    Immutable; safe to share.  Identity-compared (the array field makes
-    value equality ill-defined).
+    ``band`` is the number M of cf values a band grid was built from, and 0
+    when the full period was evaluated or the grid was tabulated.
+
+    A band grid keeps its M cf values and its N' = min(N, max(1024, 4M))
+    quadrature samples, on which ``mass_defect`` and ``min_value`` were
+    taken; ``values`` and ``x`` give the N samples all the same, the first
+    read of ``values`` building them by the N-point inverse FFT.  ``len``,
+    ``x0`` and ``h`` never build them.  Tabulated grids keep the defaults:
+    no folds, no cap, no ringing, no band.  Treat as immutable; safe to
+    share.
     """
 
-    x0: float
-    h: float
-    values: np.ndarray
-    n: int
-    mass_defect: float
-    min_value: float
-    folds: int = 0
-    cap_hit: bool = False
-    ringing_bound: float = 0.0
+    def __init__(self, x0: float, h: float, values: np.ndarray, n: int,
+                 mass_defect: float, min_value: float, folds: int = 0,
+                 cap_hit: bool = False, ringing_bound: float = 0.0):
+        self.x0 = x0
+        self.h = h
+        self.n = n
+        self.mass_defect = mass_defect
+        self.min_value = min_value
+        self.folds = folds
+        self.cap_hit = cap_hit
+        self.ringing_bound = ringing_bound
+        self.band = 0
+        self._values = values
+        self._size = len(values)
+        # what the functionals see: the samples and their spacing
+        self._samples = values
+        self._step = h
+        self._spectrum = None
+
+    @classmethod
+    def _of_band(cls, spectrum: np.ndarray, size: int, samples: np.ndarray,
+                 extent: float, n: int, mass_defect: float, min_value: float,
+                 ringing_bound: float) -> "DensityGrid":
+        """A band grid of ``size`` points on [-extent, extent) from f_n on
+        the band (``spectrum``) and its clipped quadrature samples."""
+        grid = cls(-extent, 2 * extent / size, samples, n, mass_defect,
+                   min_value, 1, False, ringing_bound)
+        grid.band = len(spectrum)
+        grid._values = samples if len(samples) == size else None
+        grid._size = size
+        grid._step = 2 * extent / len(samples)
+        grid._spectrum = spectrum
+        return grid
+
+    def __len__(self) -> int:
+        return self._size
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            values = _invert_band(self._spectrum, self._size, self.h)
+            self._values = np.maximum(values, 0.0, out=values)
+        return self._values
 
     @property
     def x(self) -> np.ndarray:
-        return self.x0 + self.h * np.arange(len(self.values))
+        return self.x0 + self.h * np.arange(self._size)
 
     def write_csv(self, path) -> None:
         """Dump the grid as CSV with columns x, p_n."""
@@ -143,6 +191,14 @@ def _invert_fold(fold: np.ndarray, h: float) -> np.ndarray:
     return np.fft.irfft(np.conj(fn), n=N) / h
 
 
+def _invert_band(band: np.ndarray, N: int, h: float) -> np.ndarray:
+    """Density samples at N points of spacing h from f_n on the band m < M,
+    M < N/2: the fold of a band grid, zero beyond the band."""
+    fold = np.zeros(N, dtype=complex)
+    fold[: len(band)] = band
+    return _invert_fold(fold, h)
+
+
 def _band_length(spec: DistributionSpec, n: int, N: int, dt: float,
                  tail_bound: float):
     """(M, bound) for the shortest band m < M of the first period that is
@@ -172,7 +228,7 @@ def _band_length(spec: DistributionSpec, n: int, N: int, dt: float,
 
 def _folded_density(spec: DistributionSpec, n: int, N: int, dt: float,
                     h: float, tail_bound: float):
-    """(samples, folds, cap_hit, ringing_bound) of the folded inversion.
+    """(samples, folds, cap_hit, ringing_bound, band) of the folded inversion.
 
     The inversion lattice t_m = m*dt aliases with period N: because the grid
     offset satisfies N*dt*x0 = -pi*N (even N), contributions from m and
@@ -181,14 +237,14 @@ def _folded_density(spec: DistributionSpec, n: int, N: int, dt: float,
     evaluations only.
 
     When the cf envelope shows f_n negligible beyond a band m < M of the
-    first period (see ``_band_length``), only the band is evaluated, the
-    rest of the fold is zero, and the ringing bound is the envelope's bound
-    on what was dropped.  Otherwise (no envelope, or one that decays too
-    slowly) the whole first period is evaluated, and it is kept when a
-    conservative bound on its residual ringing (the tail integral of |f_n|
-    over its last quarter, divided by pi and assuming at worst a 1/t**2
-    envelope) is below ``tail_bound``.  Otherwise the number of periods K
-    doubles.  Under that envelope the error of the K-period fold S_K falls
+    first period (see ``_band_length``), only the band is evaluated and
+    returned as ``band``, with no samples: the rest of the fold is zero, and
+    the ringing bound is the envelope's bound on what was dropped.
+    Otherwise (no envelope, or one that decays too slowly) the whole first
+    period is evaluated, and it is kept when a conservative bound on its
+    residual ringing (the tail integral of |f_n| over its last quarter,
+    divided by pi and assuming at worst a 1/t**2 envelope) is below
+    ``tail_bound``.  Otherwise the number of periods K doubles.  Under that envelope the error of the K-period fold S_K falls
     like 1/K, so two-point Richardson extrapolation R_K = 2 S_2K - S_K
     cancels its leading term.  After each doubling R_K is inverted; folding
     stops once two consecutive sup-norm steps max|R_K - R_{K/2}| fall below
@@ -196,14 +252,12 @@ def _folded_density(spec: DistributionSpec, n: int, N: int, dt: float,
     sequence), or when the next doubling would exceed ``_EVAL_CAP`` lattice
     points.  The reported ringing bound is then the plain one-period bound,
     or else the last Richardson step (inf if the cap left room for one
-    extrapolant only).
+    extrapolant only).  ``band`` is then None.
     """
     band = _band_length(spec, n, N, dt, tail_bound)
     if band is not None:
         M, bound = band
-        fold = np.zeros(N, dtype=complex)
-        fold[:M] = _cf_power(spec, n, dt * np.arange(M))
-        return _invert_fold(fold, h), 1, False, bound
+        return None, 1, False, bound, _cf_power(spec, n, dt * np.arange(M))
 
     quarter = N // 4
     max_periods = max(1, _EVAL_CAP // N)
@@ -216,7 +270,7 @@ def _folded_density(spec: DistributionSpec, n: int, N: int, dt: float,
     tail_int = float(np.abs(fold[-quarter:]).sum()) * dt
     ringing = tail_int * (N * dt / (quarter * dt)) / math.pi
     if ringing < tail_bound or max_periods < 2:
-        return _invert_fold(fold, h), 1, ringing >= tail_bound, ringing
+        return _invert_fold(fold, h), 1, ringing >= tail_bound, ringing, None
 
     periods, values, step, calm = 1, None, math.inf, 0
     while 2 * periods <= max_periods:
@@ -229,8 +283,8 @@ def _folded_density(spec: DistributionSpec, n: int, N: int, dt: float,
             step = float(np.abs(values - previous).max())
             calm = calm + 1 if step < tail_bound else 0
             if calm == 2:
-                return values, periods, False, step
-    return values, periods, True, step
+                return values, periods, False, step, None
+    return values, periods, True, step, None
 
 
 def density_of_normalized_sum(
@@ -252,8 +306,18 @@ def density_of_normalized_sum(
     ones (small n, laws with kinks or jumps) double the period count under
     Richardson extrapolation until two consecutive steps fall below
     ``tail_bound``.  The grid records ``folds``, ``cap_hit`` (the doubling
-    stopped at ``_EVAL_CAP`` cf points before settling) and
-    ``ringing_bound``.
+    stopped at ``_EVAL_CAP`` cf points before settling), ``ringing_bound``
+    and ``band``.
+
+    A band of M values is inverted once at N' = min(N, max(1024, 4M))
+    points over the same extent.  The frequency step dt = pi/extent does not
+    depend on the point count, so these are exactly every (N/N')-th sample
+    of the N-point grid, up to rounding; the checks below and every
+    functional use them, and the N samples are built from the band only
+    when ``values`` is read.  Checking negativity on the N' samples is
+    enough: every sample of the N-point grid is the periodized density,
+    which is not negative, plus less than the band's bound, itself below
+    2**-60, plus rounding, so no skipped sample can fall below -1e-8.
 
     Requires n >= spec.n_min (below that the characteristic power is not
     integrable and the inversion is meaningless).  Raises
@@ -277,7 +341,13 @@ def density_of_normalized_sum(
     L = float(extent)
     h = 2 * L / N
     dt = 2 * math.pi / (N * h)
-    values, folds, cap_hit, ringing = _folded_density(spec, n, N, dt, h, tail_bound)
+    values, folds, cap_hit, ringing, band = _folded_density(
+        spec, n, N, dt, h, tail_bound
+    )
+    if band is not None:
+        size = min(N, max(1024, 4 * len(band)))
+        h = 2 * L / size
+        values = _invert_band(band, size, h)
 
     mass_defect = abs(1.0 - float(values.sum() * h))
     if mass_defect >= _MASS_DEFECT_LIMIT:
@@ -291,6 +361,10 @@ def density_of_normalized_sum(
     # clip in place: a fresh N-point array per kept grid lets malloc trim the
     # inversion's working set and fault it in again on the next grid
     np.maximum(values, 0.0, out=values)
+    if band is not None:
+        return DensityGrid._of_band(
+            band, N, values, L, n, mass_defect, min_value, ringing
+        )
     return DensityGrid(
         x0=-L,
         h=h,
@@ -326,10 +400,11 @@ def tabulate_density(density, x0: float, h: float, npoints: int, n: int = 1) -> 
 
 
 def lr_integral(grid: DensityGrid, r: float) -> float:
-    """int p**r over the grid by composite Simpson quadrature (r >= 1)."""
+    """int p**r over the grid's samples by composite Simpson quadrature
+    (r >= 1)."""
     if not r >= 1:
         raise ValueError("r must be >= 1")
-    return _simpson(grid.values**r, dx=grid.h)
+    return _simpson(grid._samples**r, dx=grid._step)
 
 
 def renyi_entropy(grid: DensityGrid, r: float) -> float:
@@ -342,7 +417,7 @@ def renyi_entropy(grid: DensityGrid, r: float) -> float:
         raise ValueError("r must exceed 1")
     integral = lr_integral(grid, r)
     if not integral > 0:
-        if grid.values.max() > 0:
+        if grid._samples.max() > 0:
             raise ValueError(
                 f"int p**r underflows to 0 at r={r:g}; h_r is not representable"
             )
@@ -357,29 +432,37 @@ def entropy_power(grid: DensityGrid, r: float) -> float:
 
 def shannon_entropy(grid: DensityGrid) -> float:
     """h = -int p log p with 0 log 0 = 0."""
-    v = grid.values
+    v = grid._samples
     integrand = np.zeros_like(v)
     pos = v > 0
     integrand[pos] = -v[pos] * np.log(v[pos])
-    return _simpson(integrand, dx=grid.h)
+    return _simpson(integrand, dx=grid._step)
 
 
 def kl_to_gaussian(grid: DensityGrid) -> float:
     """D(p || phi) = int p log(p/phi); non-negative up to quadrature error."""
-    v = grid.values
-    x = grid.x
+    v = grid._samples
+    x = grid.x0 + grid._step * np.arange(len(v))
     log_phi = -0.5 * x * x - 0.5 * math.log(2 * math.pi)
     integrand = np.zeros_like(v)
     pos = v > 0
     integrand[pos] = v[pos] * (np.log(v[pos]) - log_phi[pos])
-    return _simpson(integrand, dx=grid.h)
+    return _simpson(integrand, dx=grid._step)
 
 
 def sup_norm(grid: DensityGrid) -> float:
-    """Maximum of the sampled density, refined by a parabola through the
-    grid argmax and its neighbours."""
-    v = grid.values
+    """Maximum of the density, refined from the largest sample.
+
+    On a band grid the density is the trigonometric polynomial
+    p(x) = Re sum_m w_m f_n(m dt) exp(-i m dt x) / (2 extent), w_0 = 1 and
+    w_m = 2 otherwise, so a few Newton steps on p' from the sample argmax
+    find its maximum to rounding.  Elsewhere the maximum is that of the
+    parabola through the argmax and its neighbours.
+    """
+    v = grid._samples
     j = int(np.argmax(v))
+    if grid._spectrum is not None:
+        return _band_peak(grid, grid.x0 + grid._step * j)
     if j == 0 or j == len(v) - 1:
         return float(v[j])
     a = 0.5 * (v[j + 1] + v[j - 1]) - v[j]
@@ -387,6 +470,24 @@ def sup_norm(grid: DensityGrid) -> float:
     if a >= 0:
         return float(v[j])
     return float(v[j] - b * b / (4 * a))
+
+
+def _band_peak(grid: DensityGrid, x: float) -> float:
+    """The band polynomial's local maximum near x, by Newton on p'."""
+    span = grid.h * len(grid)
+    theta = (2 * math.pi / span) * np.arange(grid.band)
+    weighted = grid._spectrum * np.where(theta > 0, 2.0, 1.0) / span
+    for _ in range(8):
+        terms = weighted * np.exp(-1j * theta * x)
+        slope = float((theta @ terms).imag)
+        curvature = -float(((theta * theta) @ terms).real)
+        if not curvature < 0:
+            break
+        step = slope / curvature
+        x -= step
+        if abs(step) < 1e-12:
+            break
+    return float(np.real(weighted @ np.exp(-1j * theta * x)))
 
 
 class SmoothingResult(NamedTuple):

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 from renyi_clt.cumulants import CumulantVector, moments_from_cumulants
 from renyi_clt.edgeworth import (
     EdgeworthModel,
-    cdf_correction_polynomial,
     correction_polynomial,
     leading_term,
     normal_pdf,
@@ -61,19 +60,10 @@ def test_q3_q4_golden():
     assert correction_polynomial(4, c) == q4
 
 
-def test_r_polynomials():
-    c = CumulantVector((0, 1, F(5, 7), F(1, 3)))
-    g3, g4 = F(5, 7), F(1, 3)
-    assert cdf_correction_polynomial(1, c) == g3 / F(6) * hermite(2)
-    expected = g3**2 / F(72) * hermite(5) + g4 / F(24) * hermite(3)
-    assert cdf_correction_polynomial(2, c) == expected
-
-
 def test_zero_cumulants_vanish():
     c = CumulantVector((0, 1, 0, 0, 0, 0))
     for k in range(1, 5):
         assert correction_polynomial(k, c) == Poly()
-        assert cdf_correction_polynomial(k, c) == Poly()
 
 
 def test_insufficient_order():
@@ -162,31 +152,6 @@ def test_moment_matching_symbolic():
             target = alpha[j]
             for power in range(m - 1):
                 assert series[power] == target.coeff(power), (m, j, power)
-
-
-def test_cdf_order2():
-    from scipy.special import ndtr
-
-    model = EdgeworthModel.from_cumulants(CumulantVector((0, 1)), order=2)
-    x = np.linspace(-4, 4, 17)
-    assert np.allclose(model.cdf(3, x), ndtr(x), atol=0)
-
-
-def test_cdf_derivative_matches_density():
-    rng = np.random.default_rng(13)
-    c = random_cumulants(rng, 6)
-    model = EdgeworthModel.from_cumulants(c)
-    n, step = 25, 1e-5
-    for x in (-2.5, -1.0, -0.3, 0.0, 0.7, 1.9, 3.1):
-        fd = (model.cdf(n, x + step) - model.cdf(n, x - step)) / (2 * step)
-        assert fd == pytest.approx(model.density(n, x), abs=1e-9)
-
-
-def test_cdf_limits():
-    rng = np.random.default_rng(15)
-    model = EdgeworthModel.from_cumulants(random_cumulants(rng, 6))
-    assert model.cdf(4, 40.0) == pytest.approx(1.0, abs=1e-12)
-    assert model.cdf(4, -40.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_leading_term():

@@ -197,6 +197,17 @@ def test_a1_a2_finite_below_underflow():
     assert a2_from_integrals(500, UNIFORM) != 0.0
 
 
+@pytest.mark.parametrize("r", [800.0, 1000.0, 1e5])
+def test_a_coefficient_where_gauss_mass_underflows(r):
+    # int phi**r is subnormal from r of about 770 and 0 from about 810, but
+    # a_j is a ratio of moments: on the uniform law a_1 = -3 (r-1)**2 / (20 r)
+    a1 = -3 * F(r - 1) ** 2 / (20 * F(r))
+    assert a_coefficient(1, r, UNIFORM) == pytest.approx(float(a1), rel=1e-15)
+    assert math.isfinite(a_coefficient(2, r, UNIFORM))
+    b1 = entropy_expansion(4, r, UNIFORM).b[0]
+    assert b1 == pytest.approx(float(b_coefficient(r, UNIFORM)), rel=1e-14)
+
+
 def test_a1_uniform_r2_value():
     val = a1_closed_form(2.0, UNIFORM)
     expected = -3 / (20 * 2**1.5 * math.sqrt(2 * math.pi))

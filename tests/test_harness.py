@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import renyi_clt as rc
@@ -577,6 +578,69 @@ def test_cli_dump_density(tmp_path):
     assert files[0].read_text().splitlines()[0] == "x,p_n"
 
 
+def _capture_grids(monkeypatch):
+    """Grids the harness builds, and the length of every inverse FFT run."""
+    grids, lengths = [], []
+    invert, irfft = numerics.density_of_normalized_sum, np.fft.irfft
+
+    def density(*args, **kwargs):
+        grids.append(invert(*args, **kwargs))
+        return grids[-1]
+
+    def counted_irfft(a, n=None, *args, **kwargs):
+        lengths.append(n)
+        return irfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "density_of_normalized_sum", density)
+    monkeypatch.setattr(np.fft, "irfft", counted_irfft)
+    return grids, lengths
+
+
+@pytest.mark.parametrize("command", [cmd_verify, cmd_monotonicity])
+def test_band_grids_skip_the_full_inverse_fft(monkeypatch, command):
+    # verify and monotonicity read only functionals of band grids, which run
+    # on max(1024, 4M) samples: the 2**17-point grid is never built
+    grids, lengths = _capture_grids(monkeypatch)
+    cfg = ExperimentConfig(
+        {"distribution": "gamma", "alpha": 4, "r_values": [1.5, 2, 1, "inf"],
+         "n_values": [8, 9, 10], "moment_order": 6}
+    )
+    command(cfg)
+    assert len(grids) == 3
+    for grid in grids:
+        assert grid.band > 0
+        assert (len(grid), grid.x0, grid.h) == (2**17, -16.0, 32.0 / 2**17)
+    assert lengths and max(lengths) <= 4 * max(grid.band for grid in grids)
+
+
+def _hide_envelope(monkeypatch):
+    """Make gamma grids evaluate their full first period: no band."""
+    monkeypatch.setattr(rc.StandardizedGamma, "cf_envelope", lambda self, t: None)
+
+
+def test_band_grid_dump_and_locallimit_match_full_period(tmp_path, monkeypatch):
+    # the N samples a band grid builds on demand are those of the full first
+    # period bit for bit, so dumps and locallimit rows are byte-identical
+    cfg = {"distribution": "gamma", "alpha": 4, "n_values": [8, 16],
+           "moment_order": 4, **FAST_GRID}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    outputs = []
+    for hidden in (False, True):
+        if hidden:
+            _hide_envelope(monkeypatch)
+        grids, _ = _capture_grids(monkeypatch)
+        dump = tmp_path / f"dump{int(hidden)}"
+        out = tmp_path / f"local{int(hidden)}.csv"
+        argv = ["locallimit", "--config", str(path), "--out", str(out)]
+        assert main(argv + ["--dump-density", str(dump)]) == 0
+        assert [grid.band > 0 for grid in grids] == [not hidden] * 2
+        files = sorted(dump.iterdir())
+        assert len(files[0].read_text().splitlines()) == FAST_GRID["grid_points"] + 1
+        outputs.append([out.read_bytes()] + [f.read_bytes() for f in files])
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_help_mentions_config_keys():
     proc = subprocess.run(
         [sys.executable, "-m", "renyi_clt.harness", "verify", "--help"],
@@ -597,8 +661,6 @@ def test_config_out_key_used(tmp_path):
 
 
 def test_grid_distribution_via_file(tmp_path):
-    import numpy as np
-
     x = np.linspace(-12, 12, 8001)
     p = np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
     lines = ["x,p_n"] + [f"{xi},{pi}" for xi, pi in zip(x, p)]

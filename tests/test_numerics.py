@@ -214,11 +214,11 @@ def test_simpson_helper_matches_scipy(size):
 
 
 def test_import_leaves_scipy_signal_and_integrate_unloaded():
-    # scipy.signal would add about 0.86 s and scipy.integrate about 0.2 s to
-    # every CLI start; the library needs neither
+    # importing scipy.special alone adds about 0.3 s to every CLI start, and
+    # scipy.signal about 0.86 s; the library needs no part of scipy
     code = (
         "import sys, renyi_clt; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.signal') if m in sys.modules))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     src = str(Path(rc.__file__).resolve().parents[1])
     out = subprocess.run(
@@ -390,8 +390,40 @@ def test_band_grid_equals_full_period(key, n):
 
 
 def test_band_evaluates_few_cf_points():
-    _, points = _counted_grid(rc.StandardizedGamma(4), 16)
+    grid, points = _counted_grid(rc.StandardizedGamma(4), 16)
     assert points <= 4096
+    assert grid.band == points
+
+
+def _reference_grid(grid):
+    """The same N samples as a plain grid: its functionals run on all N
+    points, Simpson and the three-point parabola, as for a full period."""
+    return rc.DensityGrid(
+        x0=grid.x0, h=grid.h, values=grid.values, n=grid.n,
+        mass_defect=grid.mass_defect, min_value=grid.min_value,
+    )
+
+
+@pytest.mark.parametrize(
+    "key,n,band",
+    [("gamma4", 4, 512), ("gamma4", 16, 256), ("gamma4", 2048, 256),
+     ("gamma1", 16, 512), ("gamma1", 2048, 256), ("dyadic_mixture", 8, 256),
+     ("dyadic_mixture", 40, 256), ("uniform", 8, 8192), ("uniform", 64, 256)],
+)
+def test_band_functionals_match_full_grid(key, n, band):
+    # a band grid integrates on max(1024, 4M) samples and takes its maximum
+    # by Newton on its polynomial; the 2**17-point sums agree to rounding,
+    # which 1/(r-1) amplifies near r = 1
+    grid = rc.density_of_normalized_sum(_ENVELOPE_LAWS[key], n)
+    assert grid.band == band
+    full = _reference_grid(grid)
+    for r in (1.005, 1.5, 2.0, 3.4, 7.9):
+        rel = 2e-13 if r < 1.5 else 2e-15
+        assert rc.renyi_entropy(grid, r) == pytest.approx(rc.renyi_entropy(full, r), rel=rel)
+    assert rc.shannon_entropy(grid) == pytest.approx(rc.shannon_entropy(full), abs=2e-14)
+    assert rc.kl_to_gaussian(grid) == pytest.approx(rc.kl_to_gaussian(full), abs=1e-13)
+    assert rc.sup_norm(grid) == pytest.approx(rc.sup_norm(full), abs=1e-12)
+    assert len(grid) == len(full.values) == 2**17
 
 
 @pytest.mark.parametrize(
@@ -406,6 +438,7 @@ def test_slow_envelopes_keep_full_period(key, n, kwargs):
     assert points == full_points == grid.folds * len(grid.values)
     assert np.array_equal(grid.values, full.values)
     assert grid.ringing_bound == full.ringing_bound
+    assert grid.band == full.band == 0
 
 
 def test_tabulated_law_keeps_full_period():
@@ -426,7 +459,7 @@ def test_eval_cap_is_flagged(monkeypatch):
 
 def test_tabulated_grid_has_no_folds():
     g = rc.tabulate_density(rc.normal_pdf, -12.0, 0.01, 2401)
-    assert (g.folds, g.cap_hit, g.ringing_bound) == (0, False, 0.0)
+    assert (g.folds, g.cap_hit, g.ringing_bound, g.band) == (0, False, 0.0, 0)
 
 
 def test_exact_phase_gaussian_and_gamma(grid_for):

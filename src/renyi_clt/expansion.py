@@ -16,6 +16,17 @@ over non-negative k_1..k_{2j} with k_1 + 2 k_2 + ... + 2j k_{2j} = 2j, where
 (r)_k = r (r-1) ... (r-k+1) is the falling factorial.  Odd half-powers drop
 out by parity, so the series runs over integer powers of 1/n.
 
+Dividing by int phi**r turns each integral into moments of N(0, 1/r), and
+int x**(2i) phi**r / int phi**r = (2i-1)!! r**(-i).  Collecting the products
+by k = k_1 + ... + k_{2j} into one polynomial P_k gives
+
+    a_j(r) = sum_k (r)_k sum_i c_{k,i} r**(-i),   c_{k,i} = coeff_{2i}(P_k) (2i-1)!!,
+
+a Laurent polynomial in r with i <= 3j.  It is built once per (j, cumulants)
+and cached; evaluating it at an index costs a Horner pass in exact
+arithmetic.  Results are exact (``Fraction``) when r is an int or Fraction
+and every cumulant is rational, and floats, rounded once, otherwise.
+
 Pushing the a-series through log and power maps yields the entropy and
 entropy-power expansions
 
@@ -38,12 +49,13 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .cumulants import CumulantVector, compositions
 from .edgeworth import correction_polynomial
 from .exactpoly import Poly
-from .gaussint import _moment_ratio, gauss_power_mass
+from .gaussint import _moment_ratio, double_factorial, gauss_power_mass
 
 __all__ = [
     "TruncatedSeries",
@@ -160,9 +172,8 @@ class TruncatedSeries:
     def _deviation(self):
         """y with self = c0 * (1 + y); y has zero constant term."""
         c0 = self.coeffs[0]
-        return TruncatedSeries(
-            [0] + [c / c0 for c in self.coeffs[1:]], self.remainder_exponent
-        )
+        rest = self.coeffs[1:] if c0 == 1 else [c / c0 for c in self.coeffs[1:]]
+        return TruncatedSeries([0, *rest], self.remainder_exponent)
 
     def log(self) -> "TruncatedSeries":
         """Truncated composition with log; requires positive constant term."""
@@ -171,7 +182,8 @@ class TruncatedSeries:
             raise ValueError("series log needs a positive constant term")
         y = self._deviation()
         out = TruncatedSeries(
-            (math.log(c0),) + (0,) * self.order, self.remainder_exponent
+            (0 if c0 == 1 else math.log(c0),) + (0,) * self.order,
+            self.remainder_exponent,
         )
         power = y
         for i in range(1, self.order + 1):
@@ -208,6 +220,8 @@ class TruncatedSeries:
             out = out + power * coef
             if i < self.order:
                 power = power * y
+        if c0 == 1:
+            return out
         scale = c0**q if isinstance(q, int) else float(c0) ** q
         return out * scale
 
@@ -225,37 +239,78 @@ def _require_r(r) -> None:
         raise ValueError(f"index r must exceed 1, got {r}")
 
 
-def a_coefficient(j: int, r: float, cumulants: CumulantVector) -> float:
-    """Normalized coefficient a_j of n**(-j) in the L^r-norm expansion.
+def _is_exact(r, cumulants: CumulantVector) -> bool:
+    """Whether r and every cumulant are int or Fraction: results stay exact."""
+    return all(isinstance(v, (int, Fraction)) for v in (r, *cumulants.values))
 
-    Assembled generically for any j: enumerate the exponent tuples, multiply
-    out the correction polynomials exactly, and take each product's moment
-    ratio int P phi**r / int phi**r exactly (``_moment_ratio``).  int phi**r
-    itself never enters, so a_j stays exact where it underflows (r above
-    about 770).
+
+@lru_cache(maxsize=64)
+def _laurent_numerator(j: int, cumulants: CumulantVector, kinds: tuple):
+    """(N_j, D) with a_j(r) = N_j(r) / (D r**(3j)), N_j an integer polynomial.
+
+    Runs the composition sum once: the products Q_1**k_1 ... Q_{2j}**k_{2j}
+    / (k_1! ... k_{2j}!) are gathered into one P_k per k = sum k_i, and each
+    P_k, of degree at most 6j, contributes (r)_k sum_i c_{k,i} r**(3j-i).
+    Float cumulants multiply in floats, as the Edgeworth layer does, and
+    their P_k enter exactly; D is the common denominator of the c_{k,i}.
+    ``kinds``, the types of the cumulant values, only keys the cache: 1/2
+    and 0.5 are equal keys that build differently.
+    """
+    qs = [correction_polynomial(i, cumulants) for i in range(1, 2 * j + 1)]
+    by_k = [Poly()] * (2 * j + 1)
+    for ks in compositions(2 * j):
+        if any(k_i and q.is_zero() for q, k_i in zip(qs, ks)):
+            continue
+        prod = Poly((1,))
+        weight = 1
+        for q, k_i in zip(qs, ks):
+            if k_i:
+                prod = prod * q**k_i
+                weight *= factorial(k_i)
+        by_k[sum(ks)] += prod * Fraction(1, weight)
+    rows = [[Fraction(p.coeff(2 * i)) for i in range(3 * j + 1)] for p in by_k[1:]]
+    den = math.lcm(*(c.denominator for row in rows for c in row))
+    num = Poly()
+    falling = Poly((1,))
+    for k, row in enumerate(rows, start=1):
+        falling = falling * Poly((1 - k, 1))  # (r)_k
+        moments = [
+            c.numerator * (den // c.denominator) * double_factorial(2 * i - 1)
+            for i, c in enumerate(row)
+        ]
+        num = num + falling * Poly(moments[::-1])
+    return num, den
+
+
+def a_coefficient(j: int, r, cumulants: CumulantVector):
+    """Normalized coefficient a_j of n**(-j) in the L^r-norm expansion:
+
+        a_j(r) = sum_k (r)_k sum_{i<=3j} c_{k,i} r**(-i),
+
+    the Laurent polynomial of the module docstring.  It is built once per
+    (j, cumulants) and cached, then evaluated at Fraction(r) exactly; int
+    phi**r never enters, so a_j stays exact where it underflows (r above
+    about 770).  The result is a ``Fraction`` when r is an int or Fraction
+    and every cumulant is rational; otherwise it is rounded once to a
+    float, and a value beyond the float range gives +-inf.
     """
     if j < 1:
         raise ValueError("coefficient index must be positive")
     _require_r(r)
     cumulants.require_order(2 * j + 2)
-    qs = [correction_polynomial(i, cumulants) for i in range(1, 2 * j + 1)]
-    total = 0.0
-    for ks in compositions(2 * j):
-        prod = Poly((1,))
-        for q, k_i in zip(qs, ks):
-            if k_i == 0:
-                continue
-            if q.is_zero():
-                prod = Poly()
-                break
-            prod = prod * q**k_i
-        if prod.is_zero():
-            continue
-        weight = falling_factorial(r, sum(ks))
-        for k_i in ks:
-            weight /= factorial(k_i)
-        total += weight * float(_moment_ratio(prod, r))
-    return total
+    try:
+        x = Fraction(r)
+    except (OverflowError, ValueError):
+        raise ValueError(f"index r must be finite, got {r}") from None
+    kinds = tuple(type(v) for v in cumulants.values)
+    num, den = _laurent_numerator(j, cumulants, kinds)
+    total = num(x) / (den * x ** (3 * j))
+    if _is_exact(r, cumulants):
+        return total
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
 
 
 def a1_closed_form(r: float, cumulants: CumulantVector) -> float:
@@ -367,12 +422,14 @@ class ExpansionCoefficients:
         return 1.0 + sum(cj * n ** -(j + 1) for j, cj in enumerate(self.c))
 
 
-def entropy_expansion(m: int, r: float, cumulants: CumulantVector) -> ExpansionCoefficients:
+def entropy_expansion(m: int, r, cumulants: CumulantVector) -> ExpansionCoefficients:
     """Entropy and entropy-power expansion coefficients through order
     J = [(m-2)/2], where m is the available (integer) moment order.
 
     For m <= 3 the coefficient lists are empty and only the remainder tag
-    rho = (m-2)/2 survives.
+    rho = (m-2)/2 survives.  Like :func:`a_coefficient`, the coefficients
+    are exact (``Fraction``) when r is an int or Fraction and every cumulant
+    is rational, and floats otherwise.
     """
     _require_r(r)
     if m < 2:
@@ -384,12 +441,14 @@ def entropy_expansion(m: int, r: float, cumulants: CumulantVector) -> ExpansionC
         return ExpansionCoefficients(
             a=(), b=(), c=(), r=r, cumulants=cumulants, remainder_exponent=rho
         )
-    coeffs = [1.0] + [0.0] * (2 * terms)
+    coeffs = [1] + [0] * (2 * terms)
     for j, aj in enumerate(a, start=1):
         coeffs[2 * j] = aj
     series = TruncatedSeries(coeffs, rho)
-    b_series = series.log() * (-1.0 / (r - 1))
-    c_series = series.pow(-2.0 / (r - 1))
+    # float a_j take float multipliers, as Fraction ones only slow them down
+    one = Fraction(1) if _is_exact(r, cumulants) else 1.0
+    b_series = series.log() * -(one / (r - 1))
+    c_series = series.pow(-(2 * one / (r - 1)))
     b = tuple(b_series.coeff(2 * j) for j in range(1, terms + 1))
     c = tuple(c_series.coeff(2 * j) for j in range(1, terms + 1))
     return ExpansionCoefficients(

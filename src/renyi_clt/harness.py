@@ -20,7 +20,7 @@ The JSON config is flat; unknown keys are rejected.  Keys:
     alpha           gamma shape parameter (gamma only)
     weights/means/sigmas   mixture parameters (gaussian_mixture only)
     density_file    two-column CSV x,p (grid only)
-    r_values        list of entropy indexes: numbers > 1, 1, or "inf"
+    r_values        list of entropy indexes: finite numbers > 1, 1, or "inf"
     n_values        ascending list of positive integers
     moment_order    real s in [2, 8]: moments assumed available
     grid_points     inversion grid size, even, >= 1024 (default 131072)
@@ -106,6 +106,8 @@ class ExperimentConfig:
         if "distribution" not in data:
             raise ConfigError("config needs a 'distribution'")
         self.distribution = data["distribution"]
+        if not isinstance(self.distribution, str):
+            raise ConfigError("distribution must be a name string")
         self.params = {
             k: data[k]
             for k in ("alpha", "weights", "means", "sigmas", "density_file")
@@ -118,7 +120,7 @@ class ExperimentConfig:
         for r in self.r_values:
             if r == "inf":
                 continue
-            if not isinstance(r, (int, float)) or isinstance(r, bool):
+            if _finite_real(r) is None:
                 raise ConfigError(f"invalid r value {r!r}")
             if r != 1 and not r > 1:
                 raise ConfigError(f"r values must be 1, > 1, or 'inf'; got {r}")
@@ -127,7 +129,7 @@ class ExperimentConfig:
         if not isinstance(self.n_values, list):
             raise ConfigError("n_values must be a list")
         for n in self.n_values:
-            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            if not isinstance(n, int) or _finite_real(n) is None or n < 1:
                 raise ConfigError(f"invalid n value {n!r}")
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
             raise ConfigError("n_values must be strictly ascending")
@@ -166,8 +168,8 @@ class ExperimentConfig:
         params = dict(self.params)
         if self.distribution == "grid":
             path = params.pop("density_file", None)
-            if path is None:
-                raise ConfigError("grid distribution needs density_file")
+            if not isinstance(path, str):
+                raise ConfigError("grid distribution needs a density_file path")
             xs, ps = [], []
             try:
                 with open(path, newline="") as fh:
@@ -184,7 +186,7 @@ class ExperimentConfig:
                 raise ConfigError(str(exc)) from exc
         try:
             return distributions.from_name(self.distribution, **params)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
 
 
@@ -578,7 +580,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (numerics.GridError, ValueError) as exc:
+    except (numerics.GridError, ValueError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     _write_rows(args.out or cfg.out, header, rows)

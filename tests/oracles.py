@@ -6,8 +6,10 @@ and integration is plain antiderivative evaluation.
 """
 
 from fractions import Fraction
-from math import comb, factorial, sqrt
+from math import comb, factorial, prod, sqrt
 
+from renyi_clt.cumulants import compositions
+from renyi_clt.edgeworth import correction_polynomial
 from renyi_clt.exactpoly import Poly
 
 
@@ -59,3 +61,31 @@ def normalized_uniform_sum_density(n: int, x):
         if mask.any():
             out[mask] = piece(y[mask])
     return a * np.maximum(out, 0.0)
+
+
+def a_coefficient_by_compositions(j: int, r, cumulants):
+    """a_j(r) summed afresh at one r, composition by composition:
+
+        a_j = sum_ks (r)_{|ks|} / prod k_i! * int prod Q_i**k_i phi**r / int phi**r,
+
+    with each moment ratio sum_m c_m (m-1)!! r**(-m/2) taken term by term.
+    The sum is exact: a Fraction, in which the float coefficients of float
+    cumulants enter at their binary values.
+    """
+    rx = Fraction(r)
+    qs = [correction_polynomial(i, cumulants) for i in range(1, 2 * j + 1)]
+    total = Fraction(0)
+    for ks in compositions(2 * j):
+        poly = Poly((1,))
+        for q, k in zip(qs, ks):
+            poly = poly * q**k
+        weight = Fraction(1, prod(factorial(k) for k in ks))
+        for i in range(sum(ks)):
+            weight *= rx - i
+        ratio = sum(
+            Fraction(c) * prod(range(m - 1, 0, -2)) / rx ** (m // 2)
+            for m, c in enumerate(poly.coeffs)
+            if m % 2 == 0
+        )
+        total += weight * ratio
+    return total

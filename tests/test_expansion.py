@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 
+import renyi_clt as rc
+from oracles import a_coefficient_by_compositions
 from renyi_clt.cumulants import CumulantVector
 from renyi_clt.expansion import (
     DECREASING,
@@ -23,6 +26,8 @@ from renyi_clt.expansion import (
     monotonicity_prediction,
     sign_change_threshold,
 )
+from renyi_clt.exactpoly import Poly
+from renyi_clt.expansion import _laurent_numerator
 from renyi_clt.gaussint import gauss_power_integral, gauss_power_mass, hermite_integral
 
 F = Fraction
@@ -88,6 +93,13 @@ def test_series_pow_additivity():
         lhs = s.pow(q1 + q2)
         rhs = s.pow(q1) * s.pow(q2)
         assert np.allclose(lhs.coeffs, rhs.coeffs, rtol=1e-11, atol=1e-12)
+
+
+def test_series_log_and_pow_keep_a_unit_constant_exact():
+    s = TruncatedSeries([1, 0, F(1, 2), 0, F(-1, 3)])
+    assert s.log().coeffs == (0, 0, F(1, 2), 0, F(-11, 24))
+    assert s.pow(F(-2, 3)).coeffs == (1, 0, F(-1, 3), 0, F(13, 36))
+    assert all(type(c) is not float for c in s.log().coeffs + s.pow(F(-2, 3)).coeffs)
 
 
 def test_series_remainder_bookkeeping():
@@ -243,6 +255,125 @@ def test_a_coefficient_requires_order():
         a_coefficient(2, 2.0, c)
     with pytest.raises(ValueError):
         a_coefficient(1, 1.0, c)
+
+
+# the symbolic-sweep benchmark laws and a law whose cumulants are floats
+ORACLE_LAWS = {
+    "gamma4": rc.StandardizedGamma(4),
+    "gamma1": rc.StandardizedGamma(1),
+    "dyadic_mixture": rc.GaussianMixture((0.25, 0.75), (1.5, -0.5), (0.5, 0.5)),
+    "uniform": rc.Uniform(),
+    "float_mixture": rc.GaussianMixture((0.5, 0.5), (0.6, -0.6), (0.8, 0.8)),
+}
+
+
+@pytest.mark.parametrize("law", sorted(ORACLE_LAWS))
+def test_laurent_form_matches_composition_sum(law):
+    cums = rc.standard_cumulants(ORACLE_LAWS[law], order=8)
+    for r in (1.005, 1.5, 2, 3.4, 7.9, 800):
+        for j in (1, 2, 3):
+            expected = float(a_coefficient_by_compositions(j, r, cums))
+            assert a_coefficient(j, r, cums) == pytest.approx(expected, rel=1e-13)
+
+
+def test_a2_is_the_gaussian_average_of_the_edgeworth_power():
+    # a_2(r) for Gamma(4) as a rational function of a symbolic r, from the
+    # cumulant generating function, probabilists' Hermite polynomials and
+    # Gaussian integrals: the n**-2 coefficient of
+    # int phi**r (1 + sum_k Q_k n**(-k/2))**r / int phi**r
+    x, s, eps = sp.symbols("x s epsilon")
+    r = sp.Symbol("r", positive=True)
+    # Gamma(alpha) cumulants (k-1)! alpha**(1 - k/2) at alpha = 4
+    gam = {k: sp.factorial(k - 1) / sp.Integer(2) ** (k - 2) for k in range(3, 7)}
+    cgf = sum(gam[k] * s**k * eps ** (k - 2) / sp.factorial(k) for k in gam)
+    chi = sp.expand(sp.series(sp.exp(cgf), eps, 0, 5).removeO())
+    # (i t)**m exp(-t**2/2) is the Fourier transform of He_m(x) phi(x)
+    q = {}
+    for k in range(1, 5):
+        terms = sp.Poly(chi.coeff(eps, k), s).terms()
+        q[k] = sum(c * sp.hermite_prob(m, x) for (m,), c in terms)
+    u = sp.Poly(sum(eps**k * q[k] for k in q), eps)
+    n2 = sum(sp.binomial(r, k) * (u**k).coeff_monomial(eps**4) for k in range(1, 5))
+    weight = sp.exp(-r * x**2 / 2)
+    norm = sp.integrate(weight, (x, -sp.oo, sp.oo))
+    ref = sum(
+        c * sp.integrate(x**m * weight, (x, -sp.oo, sp.oo)) / norm
+        for (m,), c in sp.Poly(sp.expand(sp.expand_func(n2)), x).terms()
+    )
+    cums = rc.standard_cumulants("gamma", order=6, alpha=4)
+    assert cums.values[2:] == tuple(gam.values())
+    num, den = _laurent_numerator(2, cums, tuple(type(v) for v in cums.values))
+    lib = sum(sp.Integer(c) * r**e for e, c in enumerate(num.coeffs)) / (den * r**6)
+    assert sp.simplify(lib - ref) == 0
+
+
+def test_expansion_builds_once_per_law(monkeypatch):
+    # the r-free work (compositions, Q_k products) happens once per
+    # (order, cumulants); further indices only evaluate
+    cums = rc.standard_cumulants("gamma", order=8, alpha=4)
+    entropy_expansion(8, 2.5, cums)  # fills the Hermite cache
+    calls = []
+    mul = Poly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    counts = []
+    for rs in ([1.5], [1.005, 1.5, 2, 3.4, 7.9, 800, 1e5, 12.25]):
+        _laurent_numerator.cache_clear()
+        calls.clear()
+        for r in rs:
+            entropy_expansion(8, r, cums)
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[0] == counts[1]
+
+
+def test_rational_inputs_give_exact_expansion():
+    gamma4 = rc.standard_cumulants("gamma", order=8, alpha=4)
+    exact = entropy_expansion(8, F(2), gamma4)
+    assert exact.b == (F(-3, 32), F(-1, 128), F(-3, 4096))
+    assert exact.c == (F(-3, 16), F(1, 512), F(3, 8192))
+    assert all(type(v) is F for v in exact.a + exact.b + exact.c)
+    assert entropy_expansion(8, 2, gamma4).b == exact.b
+    rounded = entropy_expansion(8, 2.0, gamma4)
+    assert all(type(v) is float for v in rounded.a + rounded.b + rounded.c)
+    assert rounded.b == tuple(float(v) for v in exact.b)
+    uniform = rc.standard_cumulants("uniform", order=8)
+    b1 = entropy_expansion(8, 800, uniform).b[0]
+    assert b1 == b_coefficient(800, uniform) == F(2397, 16000)
+
+
+def test_float_cumulants_give_floats_at_rational_r():
+    cums = rc.standard_cumulants(ORACLE_LAWS["float_mixture"], order=8)
+    coeffs = entropy_expansion(8, 2, cums)
+    assert all(type(v) is float for v in coeffs.a + coeffs.b + coeffs.c)
+
+
+def test_equal_float_and_rational_cumulants_build_separately():
+    # 1/2 and 0.5 are equal cache keys; the float build must not be reused
+    # for the exact one, nor the exact build for the float one
+    exact = CumulantVector((0, 1, F(1, 2), F(3, 2), F(1, 4), F(5, 4)))
+    floats = CumulantVector((0.0, 1.0, 0.5, 1.5, 0.25, 1.25))
+    assert exact == floats and hash(exact) == hash(floats)
+    from_floats = a_coefficient(2, 3, floats)
+    assert type(from_floats) is float
+    assert a_coefficient(2, 3, exact) == a_coefficient_by_compositions(2, 3, exact)
+    _laurent_numerator.cache_clear()
+    assert type(a_coefficient(2, 3, exact)) is F
+    assert a_coefficient(2, 3, floats) == from_floats
+
+
+def test_a_coefficient_beyond_float_range_is_infinite():
+    # the exact a_2 and a_3 at r = 1e308 exceed the float range; float()
+    # would raise OverflowError
+    uniform = rc.standard_cumulants("uniform", order=8)
+    assert a_coefficient(1, 1e308, uniform) == pytest.approx(-1.5e307, rel=1e-15)
+    assert a_coefficient(2, 1e308, uniform) == math.inf
+    assert a_coefficient(3, 1e308, uniform) == -math.inf
+    with pytest.raises(ValueError, match="finite"):
+        a_coefficient(1, math.inf, uniform)
 
 
 # -- b-coefficients and entropy expansion ------------------------------------

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import renyi_clt as rc
 from renyi_clt import numerics
@@ -89,6 +95,36 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     path = write_config(tmp_path, n_values=[2], grid_points=1024)
     assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"distribution": None},
+        {"r_values": [10**400]},
+        {"n_values": [2, 10**400]},
+        {"distribution": "gamma", "alpha": 1e-320},
+        {"distribution": "gamma", "alpha": 10**400},
+    ],
+)
+def test_null_law_and_out_of_float_range_values_are_config_errors(
+    tmp_path, capsys, overrides
+):
+    # each of these raised AttributeError or OverflowError out of main
+    path = write_config(tmp_path, **overrides)
+    for command in ("coeffs", "verify"):
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("density_file", [["table.csv"], 1.5, 12345])
+def test_non_string_density_file_is_config_error(tmp_path, capsys, density_file):
+    # an int would be opened as a file descriptor, 0 being standard input
+    path = write_config(tmp_path, distribution="grid", density_file=density_file)
+    assert main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: grid distribution needs a density_file path\n"
 
 
 def test_non_numeric_grid_extent_is_config_error(tmp_path, capsys):
@@ -678,3 +714,86 @@ def test_grid_distribution_via_file(tmp_path):
     )
     _, rows = cmd_verify(cfg)
     assert abs(rows[0][4]) < 1e-5  # near-Gaussian tabulation, tiny residual
+
+
+# -- any JSON object -----------------------------------------------------------
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=5,
+)
+_R = st.one_of(
+    st.integers(2, 10**308),
+    st.floats(1.0, 1e308, exclude_min=True),
+    st.sampled_from([1, "inf"]),
+)
+_REALS = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3)
+_LAWS = (
+    {"distribution": "uniform"},
+    {"distribution": "gamma", "alpha": 4},
+    {"distribution": "two_sided_exponential"},
+    {"distribution": "gaussian"},
+    {
+        "distribution": "gaussian_mixture",
+        "weights": [0.25, 0.75],
+        "means": [1.5, -0.5],
+        "sigmas": [0.5, 0.5],
+    },
+)
+# grids stay small: a valid grid_points is at most 2048 and n at most 12, so
+# every run takes milliseconds; other keys may hold any JSON value
+_GRID_POINTS = (
+    st.sampled_from([1024, 2048])
+    | st.integers(-4, 1023)
+    | _JSON.filter(lambda v: not isinstance(v, int) or isinstance(v, bool))
+)
+_NS = st.lists(st.integers(1, 12), min_size=1, max_size=3, unique=True).map(sorted)
+_CONFIG_PARTS = st.fixed_dictionaries(
+    {"grid_points": _GRID_POINTS},
+    optional={
+        "r_values": st.lists(_R, min_size=1, max_size=3) | _JSON,
+        "n_values": _NS | _JSON,
+        "moment_order": st.sampled_from([2, 3.5, 4, 6, 8]) | _JSON,
+        "grid_extent": st.sampled_from([12, 16.0]) | _JSON,
+        "distribution": st.sampled_from(["grid", "gamma", "gaussian_mixture"]) | _JSON,
+        "alpha": st.floats(allow_nan=False, allow_infinity=False) | _JSON,
+        "weights": _REALS | _JSON,
+        "means": _REALS | _JSON,
+        "sigmas": _REALS | _JSON,
+        "density_file": _JSON,
+        "out": _JSON,
+        "unknown": _JSON,
+    },
+)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# Gamma(1e-110)'s exact moments overflow a float before n_min is checked
+@example(
+    command="verify",
+    law={"distribution": "gamma", "alpha": 1e-110},
+    parts={"grid_points": 1024, "moment_order": 8, "n_values": [4]},
+)
+@given(
+    command=st.sampled_from(["coeffs", "verify", "monotonicity", "locallimit"]),
+    law=st.sampled_from(_LAWS),
+    parts=_CONFIG_PARTS,
+)
+def test_any_json_object_exits_cleanly(command, law, parts):
+    # exit 0, 2 or 3 and never a traceback; a failure is one stderr line
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump({**law, **parts}, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", path, "--out", os.path.join(tmp, "o.csv")])
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().count("\n") == 1, err.getvalue()

@@ -1,52 +1,40 @@
 #!/usr/bin/env python3
-"""The r = infinity branch: where the corrected density peaks, how high the
-peak sits, and what that says about N_inf(Z_n).
+"""The r = infinity branch: how high the density of Z_n peaks, and what that
+says about N_inf(Z_n).
 
-For skewed laws the maximizer drifts like a_1/sqrt(n); the sup-norm admits
-the two-term expansion phi(0)(1 + A/n + B/n^2), and N_inf(Z_n) is eventually
-monotone according to the sign of gamma_4 - (2/3) gamma_3^2.
+h_inf(Z_n) = -log sup p_n is the r -> inf limit of the Renyi entropies, so
+its expansion h_inf(Z) + sum b_j(inf) n**(-j) comes from the same exact
+polynomials as every finite r.  The sup-norm itself is then
+phi(0) exp(-sum b_j(inf) n**(-j)), and N_inf(Z_n) is eventually monotone by
+the sign of b(inf) = -(gamma_4 - (2/3) gamma_3^2)/8.
 """
 
 import math
 
 import renyi_clt as rc
 
-gam = rc.standard_cumulants("gamma", order=6, alpha=4)
-a1, a2 = rc.extremum_series(gam)
-print(f"gamma(4) cumulants: {tuple(str(v) for v in gam.values)}")
-print(f"maximizer series:   a1 = {a1}, a2 = {a2}")
-print(f"\n{'n':>6} {'Newton root':>14} {'series':>14} {'difference':>12}")
-for n in (100, 1000, 10000):
-    root = rc.solve_extremum(gam, n)
-    series = float(a1) / math.sqrt(n) + float(a2) / n**1.5
-    print(f"{n:>6} {root:>14.9f} {series:>14.9f} {root - series:>12.2e}")
-
-sn = rc.supnorm_coefficients(gam)
-print(f"\nsup-norm expansion:  A = {sn.A} = {float(sn.A):.5f}, "
-      f"B = {sn.B} = {float(sn.B):.5f}")
-print(f"entropy power form:  A~ = {sn.A_tilde} (= 2A), B~ = {sn.B_tilde} (= 3A^2 - 2B)")
-
 phi0 = 1 / math.sqrt(2 * math.pi)
-spec = rc.StandardizedGamma(4)
-print(f"\nmeasured vs predicted sup-norm, gamma(4):")
-print(f"{'n':>6} {'sup p_n':>12} {'phi(0)(1+A/n+B/n^2)':>22} {'rel err':>10}")
-for n in (16, 32, 64, 128):
-    g = rc.density_of_normalized_sum(spec, n)
-    measured = rc.sup_norm(g)
-    predicted = phi0 * (1 + float(sn.A) / n + float(sn.B) / n**2)
-    print(f"{n:>6} {measured:>12.8f} {predicted:>22.8f} "
-          f"{abs(measured - predicted) / measured:>10.2e}")
+for label, name, params, spec in (
+    ("gamma(4)", "gamma", {"alpha": 4}, rc.StandardizedGamma(4)),
+    ("uniform", "uniform", {}, rc.Uniform()),
+):
+    cums = rc.standard_cumulants(name, order=8, **params)
+    coeffs = rc.limit_expansion(8, math.inf, cums)
+    print(f"\n{label}: exact coefficients at r = inf")
+    print("  b_j(inf) =", ", ".join(str(b) for b in coeffs.b))
+    print("  c_j(inf) =", ", ".join(str(c) for c in coeffs.c),
+          "  (N_inf(Z_n) / N_inf(Z) = 1 + sum c_j n^-j)")
+    print(f"  {'n':>5} {'sup p_n':>12} {'predicted':>12} {'rel err':>9} "
+          f"{'N_inf ratio':>12} {'predicted':>12}")
+    for n in (16, 32, 64, 128):
+        measured = rc.sup_norm(rc.density_of_normalized_sum(spec, n))
+        predicted = phi0 * math.exp(-coeffs.entropy_offset(n))
+        print(f"  {n:>5} {measured:>12.9f} {predicted:>12.9f} "
+              f"{abs(measured - predicted) / measured:>9.1e} "
+              f"{(phi0 / measured) ** 2:>12.9f} {coeffs.entropy_power_factor(n):>12.9f}")
 
-print("\neventual monotonicity of N_inf(Z_n):")
+print("\neventual monotonicity of N_inf(Z_n), by the sign of b(inf):")
 for name, params in (("gamma", {"alpha": 4}), ("uniform", {})):
     c = rc.standard_cumulants(name, order=4, **params)
-    print(f"  {name:8s} gamma_4 - (2/3) gamma_3^2 = "
-          f"{float(c.gamma(4)) - 2 / 3 * float(c.gamma(3)) ** 2:+.4f}  ->  "
-          f"{rc.monotonicity_prediction_inf(c)}")
-
-print("\nuniform law N_inf check (A = -0.15):")
-uni = rc.Uniform()
-for n in (32, 64, 128):
-    g = rc.density_of_normalized_sum(uni, n)
-    print(f"  n={n:4d}  n*(sup p_n / phi(0) - 1) = "
-          f"{n * (rc.sup_norm(g) / phi0 - 1):+.6f}")
+    print(f"  {name:8s} b(inf) = {rc.b_coefficient(math.inf, c)!s:>6}  ->  "
+          f"{rc.monotonicity_prediction(math.inf, c)}")

@@ -10,9 +10,9 @@ Z_n = (X_1 + ... + X_n)/sqrt(n):
 * Edgeworth corrections of the normal density (:mod:`renyi_clt.edgeworth`),
 * closed-form integrals of polynomials against powers of the normal density
   (:mod:`renyi_clt.gaussint`),
-* expansion coefficients for L^r norms, Renyi entropies and entropy powers,
-  with eventual-monotonicity verdicts (:mod:`renyi_clt.expansion`),
-* the sup-norm / N_infinity branch (:mod:`renyi_clt.maxdensity`),
+* expansion coefficients for L^r norms, Renyi entropies and entropy powers
+  at every index 1 <= r <= inf, with eventual-monotonicity verdicts
+  (:mod:`renyi_clt.expansion`),
 * actual densities of Z_n by characteristic-function powering and Fourier
   inversion, with entropies computed on the resulting grids
   (:mod:`renyi_clt.numerics` and :mod:`renyi_clt.distributions`),
@@ -55,6 +55,7 @@ from .expansion import (
     a_coefficient,
     b_coefficient,
     entropy_expansion,
+    limit_expansion,
     gaussian_entropy_power,
     gaussian_renyi_entropy,
     kl_rate_coefficient,
@@ -67,14 +68,6 @@ from .gaussint import (
     gauss_power_mass,
     gauss_power_moment,
     hermite_integral,
-)
-from .maxdensity import (
-    SupNormExpansion,
-    extremum_series,
-    monotonicity_prediction_inf,
-    ninf_expansion,
-    solve_extremum,
-    supnorm_coefficients,
 )
 from .numerics import (
     DensityGrid,

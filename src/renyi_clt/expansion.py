@@ -27,14 +27,25 @@ and cached; evaluating it at an index costs a Horner pass in exact
 arithmetic.  Results are exact (``Fraction``) when r is an int or Fraction
 and every cumulant is rational, and floats, rounded once, otherwise.
 
-Pushing the a-series through log and power maps yields the entropy and
-entropy-power expansions
+The entropy and entropy-power expansions
 
     h_r(Z_n) = h_r(Z) + sum b_j n**(-j) + o(n**(-(s-2)/2)),
-    N_r(Z_n) = N_r(Z) * (1 + sum c_j n**(-j)) + o(n**(-(s-2)/2)),
+    N_r(Z_n) = N_r(Z) * (1 + sum c_j n**(-j)) + o(n**(-(s-2)/2))
 
-with b-series = -1/(r-1) * log(a-series) and
-c-series = (a-series)**(-2/(r-1)); in particular c_1 = 2 b_1 and
+follow from b-series = -1/(r-1) * log(a-series) and c-series =
+exp(2 * b-series).  With v = 1/(n r**3) the a-series is
+1 + sum_j (N_j(r)/D_j) v**j, a series in v with polynomial coefficients, so
+its logarithm is sum_j L_j(r) v**j with every L_j an exact polynomial in r,
+built once per (order, cumulants), and
+
+    b_j(r) = -L_j(r) / ((r-1) r**(3j))                  (1 < r < inf),
+    b_j(1) = -L_j'(1)                   (L_j(1) = 0, as int p_n = 1),
+    b_j(inf) = -[r**(3j+1)] L_j         (L_j has degree at most 3j + 1).
+
+So one route serves every r in [1, inf], r = 1 (Shannon) and r = inf
+(-log sup p_n) included.  The c-series is taken as exp(2 * b-series), not
+as (a-series)**(-2/(r-1)), because only that form has a limit at r = 1.  In
+particular c_1 = 2 b_1 and
 
     b_1 = b(r) = -(1/r) * [ (2-r)/12 * gamma_3**2 + (r-1)/8 * gamma_4 ],
 
@@ -66,6 +77,7 @@ __all__ = [
     "b_coefficient",
     "ExpansionCoefficients",
     "entropy_expansion",
+    "limit_expansion",
     "leading_entropy_coefficient",
     "kl_rate_coefficient",
     "sign_change_threshold",
@@ -135,18 +147,6 @@ class TruncatedSeries:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs], self.remainder_exponent)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, float, Fraction)):
             return TruncatedSeries(
@@ -169,18 +169,14 @@ class TruncatedSeries:
 
     # -- compositions ----------------------------------------------------
 
-    def _deviation(self):
-        """y with self = c0 * (1 + y); y has zero constant term."""
-        c0 = self.coeffs[0]
-        rest = self.coeffs[1:] if c0 == 1 else [c / c0 for c in self.coeffs[1:]]
-        return TruncatedSeries([0, *rest], self.remainder_exponent)
-
     def log(self) -> "TruncatedSeries":
         """Truncated composition with log; requires positive constant term."""
         c0 = self.coeffs[0]
         if not c0 > 0:
             raise ValueError("series log needs a positive constant term")
-        y = self._deviation()
+        # self = c0 (1 + y), y with zero constant term
+        rest = self.coeffs[1:] if c0 == 1 else [c / c0 for c in self.coeffs[1:]]
+        y = TruncatedSeries([0, *rest], self.remainder_exponent)
         out = TruncatedSeries(
             (0 if c0 == 1 else math.log(c0),) + (0,) * self.order,
             self.remainder_exponent,
@@ -193,7 +189,8 @@ class TruncatedSeries:
         return out
 
     def exp(self) -> "TruncatedSeries":
-        """Truncated composition with exp."""
+        """Truncated composition with exp; exact when the constant term is 0
+        and the other coefficients are exact."""
         c0 = self.coeffs[0]
         y = TruncatedSeries(
             (0,) + self.coeffs[1:], self.remainder_exponent
@@ -204,26 +201,7 @@ class TruncatedSeries:
             out = out + power * Fraction(1, factorial(i))
             if i < self.order:
                 power = power * y
-        return out * math.exp(c0)
-
-    def pow(self, q) -> "TruncatedSeries":
-        """Truncated binomial composition (1 + y)**q; constant term must be > 0."""
-        c0 = self.coeffs[0]
-        if not c0 > 0:
-            raise ValueError("series pow needs a positive constant term")
-        y = self._deviation()
-        out = TruncatedSeries((1,) + (0,) * self.order, self.remainder_exponent)
-        power = y
-        coef = 1
-        for i in range(1, self.order + 1):
-            coef = coef * (q - (i - 1)) / i
-            out = out + power * coef
-            if i < self.order:
-                power = power * y
-        if c0 == 1:
-            return out
-        scale = c0**q if isinstance(q, int) else float(c0) ** q
-        return out * scale
+        return out if c0 == 0 else out * math.exp(c0)
 
 
 def falling_factorial(r, k: int):
@@ -240,23 +218,33 @@ def _require_r(r) -> None:
 
 
 def _is_exact(r, cumulants: CumulantVector) -> bool:
-    """Whether r and every cumulant are int or Fraction: results stay exact."""
-    return all(isinstance(v, (int, Fraction)) for v in (r, *cumulants.values))
+    """Whether r and every cumulant are int or Fraction: results stay exact.
+    r = inf counts as exact, as its coefficients are read off, not evaluated."""
+    index = () if r == math.inf else (r,)
+    return all(isinstance(v, (int, Fraction)) for v in (*index, *cumulants.values))
 
 
 @lru_cache(maxsize=64)
-def _laurent_numerator(j: int, cumulants: CumulantVector, kinds: tuple):
+def _laurent_numerator(j: int, cumulants: CumulantVector):
     """(N_j, D) with a_j(r) = N_j(r) / (D r**(3j)), N_j an integer polynomial.
 
     Runs the composition sum once: the products Q_1**k_1 ... Q_{2j}**k_{2j}
     / (k_1! ... k_{2j}!) are gathered into one P_k per k = sum k_i, and each
-    P_k, of degree at most 6j, contributes (r)_k sum_i c_{k,i} r**(3j-i).
-    Float cumulants multiply in floats, as the Edgeworth layer does, and
-    their P_k enter exactly; D is the common denominator of the c_{k,i}.
-    ``kinds``, the types of the cumulant values, only keys the cache: 1/2
-    and 0.5 are equal keys that build differently.
+    P_k, of degree at most 6j, contributes (r)_k sum_i c_{k,i} r**(3j-i);
+    D is the common denominator of the c_{k,i}.  Float cumulants enter at
+    their binary values, so the build is exact for every law, keeps the
+    identities a_j(1) = 0 and deg L_j <= 3j + 1 that the limits rely on, and
+    depends only on the values: 1/2 and 0.5 share it.
+
+    Q_k is homogeneous of weight k when gamma_{i+2} has weight i, so with t
+    the lcm of the cumulants' denominators the Q_i are built from the
+    integers gamma_{i+2} t**i as t**i Q_i, with small denominators only;
+    every product then carries the same t**(2j), which D takes up.
     """
-    qs = [correction_polynomial(i, cumulants) for i in range(1, 2 * j + 1)]
+    gammas = [Fraction(g) for g in cumulants.values[2:]]
+    t = math.lcm(*(g.denominator for g in gammas))
+    scaled = CumulantVector.from_gammas(*(int(g * t**i) for i, g in enumerate(gammas, 1)))
+    qs = [correction_polynomial(i, scaled) for i in range(1, 2 * j + 1)]
     by_k = [Poly()] * (2 * j + 1)
     for ks in compositions(2 * j):
         if any(k_i and q.is_zero() for q, k_i in zip(qs, ks)):
@@ -279,7 +267,7 @@ def _laurent_numerator(j: int, cumulants: CumulantVector, kinds: tuple):
             for i, c in enumerate(row)
         ]
         num = num + falling * Poly(moments[::-1])
-    return num, den
+    return num, den * t ** (2 * j)
 
 
 def a_coefficient(j: int, r, cumulants: CumulantVector):
@@ -302,8 +290,7 @@ def a_coefficient(j: int, r, cumulants: CumulantVector):
         x = Fraction(r)
     except (OverflowError, ValueError):
         raise ValueError(f"index r must be finite, got {r}") from None
-    kinds = tuple(type(v) for v in cumulants.values)
-    num, den = _laurent_numerator(j, cumulants, kinds)
+    num, den = _laurent_numerator(j, cumulants)
     total = num(x) / (den * x ** (3 * j))
     if _is_exact(r, cumulants):
         return total
@@ -394,11 +381,71 @@ def b_coefficient(r, cumulants: CumulantVector):
     return -((2 - r) * third * g3**2 + (r - 1) * eighth * g4) / r
 
 
+@lru_cache(maxsize=64)
+def _log_numerators(terms: int, cumulants: CumulantVector):
+    """((M_1, E_1), ..., (M_J, E_J)), J = ``terms``: the exact polynomials
+    L_j = M_j / E_j of the module docstring, M_j with integer coefficients,
+    with log(1 + sum_j a_j n**(-j)) = sum_j L_j(r) v**j, v = 1/(n r**3).
+    :meth:`TruncatedSeries.log` takes the log over ``Poly`` coefficients,
+    slot 2j holding v**j.
+    """
+    parts = [_laurent_numerator(j, cumulants) for j in range(1, terms + 1)]
+    # in w = v/s, s the lcm of the D_j, the a-series has the integer
+    # coefficients N_j (s/D_j) s**(j-1), and its log those of L_j s**j
+    s = math.lcm(*(den for _, den in parts))
+    coeffs = [1] + [0] * (2 * terms)
+    for j, (num, den) in enumerate(parts, start=1):
+        coeffs[2 * j] = num * (s // den * s ** (j - 1))
+    log = TruncatedSeries(coeffs).log()
+    out = []
+    for j in range(1, terms + 1):
+        poly = Poly() + log.coeff(2 * j)
+        den = math.lcm(*(Fraction(c).denominator for c in poly.coeffs))
+        out.append((Poly([int(c * den) for c in poly.coeffs]), den * s**j))
+    return tuple(out)
+
+
+def _entropy_coefficients(terms: int, r, cumulants: CumulantVector):
+    """(b, c) through order ``terms`` at any 1 <= r <= inf from the cached
+    L_j, with c-series = exp(2 * b-series).  Each b_j is one exact quotient
+    of integers: a ``Fraction`` when r is an int, a Fraction or inf and every
+    cumulant is rational, and otherwise a float rounded once, from which the
+    c_j follow in floats.
+    """
+    exact = _is_exact(r, cumulants)
+    b = []
+    for j, (num, den) in enumerate(_log_numerators(terms, cumulants), start=1):
+        if r == math.inf:
+            top, bottom = -num.coeff(3 * j + 1), den
+        elif r == 1:
+            top, bottom = -num.derivative()(1), den
+        else:
+            # at r = p/q, L_j(r) q**(3j+1) is an integer: deg L_j <= 3j + 1
+            p, q = Fraction(r).as_integer_ratio()
+            top = -sum(
+                c * p**k * q ** (3 * j + 1 - k) for k, c in enumerate(num.coeffs)
+            )
+            bottom = den * (p - q) * p ** (3 * j)
+        b.append(Fraction(top, bottom) if exact else top / bottom)
+    c = (TruncatedSeries([0, *b]) * 2).exp().coeffs[1:]
+    rounding = Fraction if exact else float
+    return tuple(b), tuple(map(rounding, c))
+
+
+def _expansion_order(m: int):
+    """(J, rho): the number of terms [(m-2)/2] and the remainder exponent."""
+    if m < 2:
+        raise ValueError("moment order m must be at least 2")
+    return (m - 2) // 2, (m - 2) / 2
+
+
 @dataclass(frozen=True)
 class ExpansionCoefficients:
-    """a_j, b_j, c_j up to J = [(m-2)/2] for a given index r.
+    """b_j, c_j up to J = [(m-2)/2] for a given index r, with a_j for
+    1 < r < inf and no a_j at r = 1 and r = inf (a_j(1) = 0, and a_j(r)
+    grows without bound as r -> inf).
 
-    The c-series satisfies 1 + sum c_j n**(-j) = (1 + sum a_j n**(-j))**(-2/(r-1))
+    The c-series satisfies 1 + sum c_j n**(-j) = exp(2 sum b_j n**(-j))
     truncated at order J; in particular c_1 = 2 b_1.
     """
 
@@ -411,7 +458,7 @@ class ExpansionCoefficients:
 
     @property
     def terms(self) -> int:
-        return len(self.a)
+        return len(self.b)
 
     def entropy_offset(self, n: int) -> float:
         """sum_j b_j n**(-j): the predicted h_r(Z_n) - h_r(Z)."""
@@ -424,35 +471,36 @@ class ExpansionCoefficients:
 
 def entropy_expansion(m: int, r, cumulants: CumulantVector) -> ExpansionCoefficients:
     """Entropy and entropy-power expansion coefficients through order
-    J = [(m-2)/2], where m is the available (integer) moment order.
+    J = [(m-2)/2] at a finite index r > 1, where m is the available
+    (integer) moment order.
 
     For m <= 3 the coefficient lists are empty and only the remainder tag
     rho = (m-2)/2 survives.  Like :func:`a_coefficient`, the coefficients
     are exact (``Fraction``) when r is an int or Fraction and every cumulant
-    is rational, and floats otherwise.
+    is rational, and floats, each rounded once from the exact value,
+    otherwise.  :func:`limit_expansion` serves r = 1 and r = inf.
     """
     _require_r(r)
-    if m < 2:
-        raise ValueError("moment order m must be at least 2")
-    terms = (m - 2) // 2
-    rho = (m - 2) / 2
+    terms, rho = _expansion_order(m)
     a = tuple(a_coefficient(j, r, cumulants) for j in range(1, terms + 1))
-    if terms == 0:
-        return ExpansionCoefficients(
-            a=(), b=(), c=(), r=r, cumulants=cumulants, remainder_exponent=rho
-        )
-    coeffs = [1] + [0] * (2 * terms)
-    for j, aj in enumerate(a, start=1):
-        coeffs[2 * j] = aj
-    series = TruncatedSeries(coeffs, rho)
-    # float a_j take float multipliers, as Fraction ones only slow them down
-    one = Fraction(1) if _is_exact(r, cumulants) else 1.0
-    b_series = series.log() * -(one / (r - 1))
-    c_series = series.pow(-(2 * one / (r - 1)))
-    b = tuple(b_series.coeff(2 * j) for j in range(1, terms + 1))
-    c = tuple(c_series.coeff(2 * j) for j in range(1, terms + 1))
+    b, c = _entropy_coefficients(terms, r, cumulants)
     return ExpansionCoefficients(
         a=a, b=b, c=c, r=r, cumulants=cumulants, remainder_exponent=rho
+    )
+
+
+def limit_expansion(m: int, r, cumulants: CumulantVector) -> ExpansionCoefficients:
+    """The b_j and c_j of :func:`entropy_expansion` at r = 1 (Shannon
+    entropy) or r = inf (-log of the sup-norm), as limits of the same exact
+    polynomials L_j; ``a`` is empty.  Exact when every cumulant is rational
+    and r is the int 1 or inf.
+    """
+    if not (r == 1 or r == math.inf):
+        raise ValueError(f"limit_expansion takes r = 1 or r = inf, got {r}")
+    terms, rho = _expansion_order(m)
+    b, c = _entropy_coefficients(terms, r, cumulants)
+    return ExpansionCoefficients(
+        a=(), b=b, c=c, r=r, cumulants=cumulants, remainder_exponent=rho
     )
 
 

@@ -3,8 +3,9 @@
 Subcommands (each takes ``--config <json>`` and ``--out <csv>``):
 
 * ``coeffs``        -- per-index coefficient table: b(r), B1(r), the L^r-norm
-                       coefficients A1/A2, the sup-norm pair At/Bt, the sign
-                       threshold r0 and the monotonicity verdicts.
+                       coefficients A1/A2, the N_inf pair At = -c_1(inf) and
+                       Bt = c_2(inf), the sign threshold r0 and the
+                       monotonicity verdicts.
 * ``verify``        -- per-(n, r) rows with measured and predicted Renyi
                        entropies and entropy powers, residuals, and residuals
                        scaled by n**((s-2)/2).
@@ -44,7 +45,7 @@ import sys
 
 import numpy as np
 
-from . import distributions, maxdensity, numerics
+from . import distributions, numerics
 from .cumulants import standard_cumulants
 from .edgeworth import EdgeworthModel
 from .expansion import (
@@ -54,6 +55,7 @@ from .expansion import (
     entropy_expansion,
     gaussian_entropy_power,
     gaussian_renyi_entropy,
+    limit_expansion,
     monotonicity_prediction,
     sign_change_threshold,
 )
@@ -114,16 +116,18 @@ class ExperimentConfig:
             if k in data
         }
 
-        self.r_values = data.get("r_values", [2])
-        if not isinstance(self.r_values, list) or not self.r_values:
+        r_values = data.get("r_values", [2])
+        if not isinstance(r_values, list) or not r_values:
             raise ConfigError("r_values must be a non-empty list")
-        for r in self.r_values:
+        self.r_values = []
+        for r in r_values:
             if r == "inf":
-                continue
-            if _finite_real(r) is None:
+                r = math.inf
+            elif _finite_real(r) is None:
                 raise ConfigError(f"invalid r value {r!r}")
-            if r != 1 and not r > 1:
+            elif r != 1 and not r > 1:
                 raise ConfigError(f"r values must be 1, > 1, or 'inf'; got {r}")
+            self.r_values.append(r)
 
         self.n_values = data.get("n_values", [])
         if not isinstance(self.n_values, list):
@@ -215,12 +219,6 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _fmt_r(r) -> str:
-    if r == "inf" or r == math.inf:
-        return "inf"
-    return _fmt(r)
-
-
 def _write_rows(path, header, rows) -> None:
     def dump(fh):
         writer = csv.writer(fh, lineterminator="\n")
@@ -282,32 +280,27 @@ def cmd_coeffs(cfg: ExperimentConfig):
     cums = standard_cumulants(spec, order=order)
     r0 = sign_change_threshold(cums)
     if order >= 6:
-        a_sup, b_sup = maxdensity.ninf_expansion(cums)
+        # the two-term N_inf expansion: moment order 6 is enough
+        a_sup, b_sup = limit_expansion(6, math.inf, cums).c
+        a_sup = -a_sup
     else:
         a_sup = b_sup = None
     header = ["r", "b", "B1", "a1", "a2", "A_tilde", "B_tilde", "r0", "verdict"]
     rows = []
     for r in cfg.r_values:
-        if r == "inf":
-            verdict = maxdensity.monotonicity_prediction_inf(cums)
-            b = b_coefficient(math.inf, cums)
-            a1 = a2 = None
-        else:
-            verdict = monotonicity_prediction(r, cums)
-            b = b_coefficient(r, cums)
-            a1 = a1_closed_form(r, cums) if r > 1 else None
-            a2 = a2_from_integrals(r, cums) if r > 1 and order >= 6 else None
+        b = b_coefficient(r, cums)
+        finite = 1 < r < math.inf
         rows.append(
             [
-                _fmt_r(r),
+                _fmt(r),
                 b,
                 -b,
-                a1,
-                a2,
+                a1_closed_form(r, cums) if finite else None,
+                a2_from_integrals(r, cums) if finite and order >= 6 else None,
                 a_sup,
                 b_sup,
                 "none" if r0 is None else r0,
-                verdict,
+                monotonicity_prediction(r, cums),
             ]
         )
     return header, rows
@@ -315,31 +308,8 @@ def cmd_coeffs(cfg: ExperimentConfig):
 
 def _predictions(cfg: ExperimentConfig, cums, r):
     """(h_reference, h_offset(n), power_factor(n)) for one entropy index."""
-    order = cfg.integer_order
-    if r == "inf":
-        sn = maxdensity.supnorm_coefficients(cums)
-        a_coef, b_coef = float(sn.A), float(sn.B)
-        at, bt = float(sn.A_tilde), float(sn.B_tilde)
-
-        def offset(n):
-            return -math.log(1.0 + a_coef / n + b_coef / n**2)
-
-        def factor(n):
-            return 1.0 - at / n + bt / n**2
-
-        return gaussian_renyi_entropy(math.inf), offset, factor
-    if r == 1:
-        rate = float(-b_coefficient(1, cums))
-
-        def offset(n):
-            return -rate / n
-
-        def factor(n):
-            return math.exp(2.0 * offset(n))
-
-        return gaussian_renyi_entropy(1), offset, factor
-
-    coeffs = entropy_expansion(order, r, cums)
+    expand = entropy_expansion if 1 < r < math.inf else limit_expansion
+    coeffs = expand(cfg.integer_order, r, cums)
     return (
         gaussian_renyi_entropy(r),
         coeffs.entropy_offset,
@@ -351,7 +321,7 @@ def cmd_verify(cfg: ExperimentConfig, dump_dir=None):
     spec = cfg.build_spec()
     if not cfg.n_values:
         raise ConfigError("verify needs n_values")
-    if "inf" in cfg.r_values and cfg.moment_order < 6:
+    if math.inf in cfg.r_values and cfg.moment_order < 6:
         raise ConfigError("r = inf predictions need moment_order >= 6")
     if 1 in cfg.r_values and cfg.moment_order < 4:
         raise ConfigError("r = 1 predictions need moment_order >= 4")
@@ -377,31 +347,19 @@ def cmd_verify(cfg: ExperimentConfig, dump_dir=None):
         grid = grids[n]
         for r in cfg.r_values:
             h_ref, offset, factor = predictions[r]
-            if r == "inf":
-                sup = numerics.sup_norm(grid)
-                h_num = -math.log(sup)
-                n_num = sup**-2.0
-            elif r == 1:
-                h_num = numerics.shannon_entropy(grid)
-                n_num = math.exp(2.0 * h_num)
-            else:
-                h_num = numerics.renyi_entropy(grid, r)
-                n_num = math.exp(2.0 * h_num)
+            h_num = numerics.renyi_entropy(grid, r)
             h_pred = h_ref + offset(n)
-            n_pred = (
-                gaussian_entropy_power(math.inf if r == "inf" else r) * factor(n)
-            )
             residual = h_num - h_pred
             rows.append(
                 [
                     n,
-                    _fmt_r(r),
+                    _fmt(r),
                     h_num,
                     h_pred,
                     residual,
                     residual * n**scale_exp,
-                    n_num,
-                    n_pred,
+                    math.exp(2.0 * h_num),
+                    gaussian_entropy_power(r) * factor(n),
                 ]
             )
     return header, rows
@@ -430,20 +388,9 @@ def cmd_monotonicity(cfg: ExperimentConfig, dump_dir=None):
     ]
     rows = []
     for r in cfg.r_values:
-        if r == "inf":
-            values = [numerics.sup_norm(grids[n]) ** -2.0 for n in cfg.n_values]
-            predicted = maxdensity.monotonicity_prediction_inf(cums)
-            noise = _SIGN_NOISE * gaussian_entropy_power(math.inf)
-        else:
-            if r == 1:
-                values = [
-                    math.exp(2.0 * numerics.shannon_entropy(grids[n]))
-                    for n in cfg.n_values
-                ]
-            else:
-                values = [numerics.entropy_power(grids[n], r) for n in cfg.n_values]
-            predicted = monotonicity_prediction(1 if r == 1 else r, cums)
-            noise = _SIGN_NOISE * gaussian_entropy_power(r)
+        values = [numerics.entropy_power(grids[n], r) for n in cfg.n_values]
+        predicted = monotonicity_prediction(r, cums)
+        noise = _SIGN_NOISE * gaussian_entropy_power(r)
         diffs = [b - a for a, b in zip(values, values[1:])]
         signs = [0 if abs(d) <= noise else (1 if d > 0 else -1) for d in diffs]
         final = signs[-1] if signs else 0
@@ -462,7 +409,7 @@ def cmd_monotonicity(cfg: ExperimentConfig, dump_dir=None):
         for i, n in enumerate(cfg.n_values):
             rows.append(
                 [
-                    _fmt_r(r),
+                    _fmt(r),
                     n,
                     values[i],
                     diffs[i] if i < len(diffs) else None,

@@ -48,6 +48,7 @@ __all__ = [
     "DensityGrid",
     "DEFAULT_GRID_POINTS",
     "DEFAULT_GRID_EXTENT",
+    "MAX_N",
     "characteristic_power",
     "density_of_normalized_sum",
     "tabulate_density",
@@ -63,6 +64,13 @@ __all__ = [
 
 DEFAULT_GRID_POINTS = 2**17
 DEFAULT_GRID_EXTENT = 16.0
+# f(t/sqrt(n))**n multiplies the relative rounding error of f, about 2**-53,
+# by n.  Against 40-digit cfs on the uniform, Gamma(4), Laplace and normal
+# laws, the density error bound int |error| dt / pi is 0.09 to 0.35 times
+# n 2**-53: under the 1e-6 mass tolerance at 2**33, over it at 2**36.  A
+# larger n only fails, and from about 2**80, where f rounds to 1 near the
+# origin, it folds to the evaluation cap for seconds before failing.
+MAX_N = 2**33
 
 _NEGATIVE_CLIP = 1e-8
 _MASS_DEFECT_LIMIT = 1e-6
@@ -319,8 +327,9 @@ def density_of_normalized_sum(
     which is not negative, plus less than the band's bound, itself below
     2**-60, plus rounding, so no skipped sample can fall below -1e-8.
 
-    Requires n >= spec.n_min (below that the characteristic power is not
-    integrable and the inversion is meaningless).  Raises
+    Requires spec.n_min <= n <= ``MAX_N`` (below n_min the characteristic
+    power is not integrable and the inversion is meaningless; above MAX_N
+    its rounding error alone exceeds the mass tolerance).  Raises
     :class:`GridError` when the mass defect reaches 1e-6 or a sample is more
     negative than -1e-8; samples in [-1e-8, 0) are clipped to zero and the
     pre-clip minimum is kept in ``min_value``.
@@ -331,6 +340,11 @@ def density_of_normalized_sum(
         raise ValueError(
             f"n={n} below n_min={spec.n_min} for {spec.name}: density unbounded "
             "or characteristic power not integrable"
+        )
+    if n > MAX_N:
+        raise ValueError(
+            f"n={n} above {MAX_N}: f(t/sqrt(n))**n has a relative rounding "
+            "error of about n 2**-53, beyond the 1e-6 mass tolerance"
         )
     if npoints < 1024 or npoints % 2:
         raise ValueError("npoints must be an even integer >= 1024")
@@ -408,13 +422,22 @@ def lr_integral(grid: DensityGrid, r: float) -> float:
 
 
 def renyi_entropy(grid: DensityGrid, r: float) -> float:
-    """h_r = -log(int p**r)/(r-1) for r > 1.
+    """h_r = -log(int p**r)/(r-1) for 1 < r < inf, with its limits: the
+    Shannon entropy -int p log p at r = 1 and -log sup p at r = inf.
 
-    Raises ``ValueError`` when the integral is not positive, naming the cause:
-    p**r underflowing at a huge r, or a grid with no positive sample.
+    Raises ``ValueError`` when the integral or the sup-norm is not positive,
+    naming the cause: p**r underflowing at a huge r, or a grid with no
+    positive sample.
     """
-    if not r > 1:
-        raise ValueError("r must exceed 1")
+    if not r >= 1:
+        raise ValueError("r must be at least 1")
+    if r == 1:
+        return shannon_entropy(grid)
+    if r == math.inf:
+        peak = sup_norm(grid)
+        if not peak > 0:
+            raise ValueError("non-positive sup-norm; grid is degenerate")
+        return -math.log(peak)
     integral = lr_integral(grid, r)
     if not integral > 0:
         if grid._samples.max() > 0:

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -23,11 +24,12 @@ from renyi_clt.expansion import (
     gaussian_renyi_entropy,
     kl_rate_coefficient,
     leading_entropy_coefficient,
+    limit_expansion,
     monotonicity_prediction,
     sign_change_threshold,
 )
 from renyi_clt.exactpoly import Poly
-from renyi_clt.expansion import _laurent_numerator
+from renyi_clt.expansion import _laurent_numerator, _log_numerators
 from renyi_clt.gaussint import gauss_power_integral, gauss_power_mass, hermite_integral
 
 F = Fraction
@@ -63,7 +65,7 @@ def test_series_log_rejects_nonpositive():
     with pytest.raises(ValueError):
         TruncatedSeries([0.0, 1.0]).log()
     with pytest.raises(ValueError):
-        TruncatedSeries([-1.0, 1.0]).pow(2.0)
+        TruncatedSeries([-1.0, 1.0]).log()
 
 
 def test_series_exp_log_round_trip():
@@ -75,12 +77,17 @@ def test_series_exp_log_round_trip():
         assert np.allclose(back.coeffs, s.coeffs, rtol=1e-12, atol=1e-12)
 
 
+def _pow(s, q):
+    """(1 + y)**q as exp(q log(1 + y)), the composition the library uses."""
+    return (s.log() * q).exp()
+
+
 def test_series_pow_goldens():
     s = TruncatedSeries([1.0, 1.0])
-    assert s.pow(1.0).coeffs == pytest.approx((1.0, 1.0))
+    assert _pow(s, 1.0).coeffs == pytest.approx((1.0, 1.0))
     a1 = 0.4
     t = TruncatedSeries([1.0, 0.0, a1, 0.0, 0.0])
-    out = t.pow(-2.0)
+    out = _pow(t, -2.0)
     assert out.coeff(2) == pytest.approx(-2 * a1)
     assert out.coeff(4) == pytest.approx(3 * a1 * a1)
 
@@ -90,16 +97,17 @@ def test_series_pow_additivity():
     for _ in range(10):
         s = TruncatedSeries([2.0] + list(rng.uniform(-0.5, 0.5, size=4)))
         q1, q2 = rng.uniform(-2, 2, size=2)
-        lhs = s.pow(q1 + q2)
-        rhs = s.pow(q1) * s.pow(q2)
+        lhs = _pow(s, q1 + q2)
+        rhs = _pow(s, q1) * _pow(s, q2)
         assert np.allclose(lhs.coeffs, rhs.coeffs, rtol=1e-11, atol=1e-12)
 
 
 def test_series_log_and_pow_keep_a_unit_constant_exact():
     s = TruncatedSeries([1, 0, F(1, 2), 0, F(-1, 3)])
     assert s.log().coeffs == (0, 0, F(1, 2), 0, F(-11, 24))
-    assert s.pow(F(-2, 3)).coeffs == (1, 0, F(-1, 3), 0, F(13, 36))
-    assert all(type(c) is not float for c in s.log().coeffs + s.pow(F(-2, 3)).coeffs)
+    # exp of a series with constant term 0 stays exact: no factor exp(0) = 1.0
+    assert _pow(s, F(-2, 3)).coeffs == (1, 0, F(-1, 3), 0, F(13, 36))
+    assert all(type(c) is not float for c in s.log().coeffs + _pow(s, F(-2, 3)).coeffs)
 
 
 def test_series_remainder_bookkeeping():
@@ -276,35 +284,57 @@ def test_laurent_form_matches_composition_sum(law):
             assert a_coefficient(j, r, cums) == pytest.approx(expected, rel=1e-13)
 
 
-def test_a2_is_the_gaussian_average_of_the_edgeworth_power():
-    # a_2(r) for Gamma(4) as a rational function of a symbolic r, from the
-    # cumulant generating function, probabilists' Hermite polynomials and
-    # Gaussian integrals: the n**-2 coefficient of
-    # int phi**r (1 + sum_k Q_k n**(-k/2))**r / int phi**r
+# Gamma(alpha) cumulants (k-1)! alpha**(1 - k/2) at alpha = 4
+SYMPY_GAMMA4 = {k: sp.factorial(k - 1) / sp.Integer(2) ** (k - 2) for k in range(3, 7)}
+R = sp.Symbol("r", positive=True)
+
+
+@lru_cache(maxsize=None)
+def sympy_a(j):
+    """a_j(r) for Gamma(4) as a rational function of a symbolic r, from the
+    cumulant generating function, probabilists' Hermite polynomials and
+    Gaussian integrals: the n**-j coefficient of
+    int phi**r (1 + sum_k Q_k n**(-k/2))**r / int phi**r."""
     x, s, eps = sp.symbols("x s epsilon")
-    r = sp.Symbol("r", positive=True)
-    # Gamma(alpha) cumulants (k-1)! alpha**(1 - k/2) at alpha = 4
-    gam = {k: sp.factorial(k - 1) / sp.Integer(2) ** (k - 2) for k in range(3, 7)}
+    gam = SYMPY_GAMMA4
     cgf = sum(gam[k] * s**k * eps ** (k - 2) / sp.factorial(k) for k in gam)
-    chi = sp.expand(sp.series(sp.exp(cgf), eps, 0, 5).removeO())
+    chi = sp.expand(sp.series(sp.exp(cgf), eps, 0, 2 * j + 1).removeO())
     # (i t)**m exp(-t**2/2) is the Fourier transform of He_m(x) phi(x)
     q = {}
-    for k in range(1, 5):
+    for k in range(1, 2 * j + 1):
         terms = sp.Poly(chi.coeff(eps, k), s).terms()
         q[k] = sum(c * sp.hermite_prob(m, x) for (m,), c in terms)
     u = sp.Poly(sum(eps**k * q[k] for k in q), eps)
-    n2 = sum(sp.binomial(r, k) * (u**k).coeff_monomial(eps**4) for k in range(1, 5))
-    weight = sp.exp(-r * x**2 / 2)
-    norm = sp.integrate(weight, (x, -sp.oo, sp.oo))
-    ref = sum(
-        c * sp.integrate(x**m * weight, (x, -sp.oo, sp.oo)) / norm
-        for (m,), c in sp.Poly(sp.expand(sp.expand_func(n2)), x).terms()
+    nj = sum(
+        sp.binomial(R, k) * (u**k).coeff_monomial(eps ** (2 * j))
+        for k in range(1, 2 * j + 1)
     )
+    weight = sp.exp(-R * x**2 / 2)
+    norm = sp.integrate(weight, (x, -sp.oo, sp.oo))
+    return sum(
+        c * sp.integrate(x**m * weight, (x, -sp.oo, sp.oo)) / norm
+        for (m,), c in sp.Poly(sp.expand(sp.expand_func(nj)), x).terms()
+    )
+
+
+def test_a2_is_the_gaussian_average_of_the_edgeworth_power():
+    ref = sympy_a(2)
     cums = rc.standard_cumulants("gamma", order=6, alpha=4)
-    assert cums.values[2:] == tuple(gam.values())
-    num, den = _laurent_numerator(2, cums, tuple(type(v) for v in cums.values))
-    lib = sum(sp.Integer(c) * r**e for e, c in enumerate(num.coeffs)) / (den * r**6)
+    assert cums.values[2:] == tuple(SYMPY_GAMMA4.values())
+    num, den = _laurent_numerator(2, cums)
+    lib = sum(sp.Integer(c) * R**e for e, c in enumerate(num.coeffs)) / (den * R**6)
     assert sp.simplify(lib - ref) == 0
+
+
+def test_b2_limits_at_r1_and_rinf_match_sympy():
+    # b_2(r) = -(a_2 - a_1**2/2)/(r-1) for Gamma(4) in sympy; its limits at
+    # r -> 1 and r -> oo are the library's b_2(1) and b_2(inf), exactly
+    b2 = -(sympy_a(2) - sympy_a(1) ** 2 / 2) / (R - 1)
+    cums = rc.standard_cumulants("gamma", order=6, alpha=4)
+    for r, limit in ((1, sp.limit(b2, R, 1)), (math.inf, sp.limit(b2, R, sp.oo))):
+        lib = limit_expansion(6, r, cums).b[1]
+        assert sp.Rational(lib.numerator, lib.denominator) == limit
+    assert sp.simplify(b2.subs(R, 2)) == sp.Rational(-1, 128)
 
 
 def test_expansion_builds_once_per_law(monkeypatch):
@@ -323,6 +353,7 @@ def test_expansion_builds_once_per_law(monkeypatch):
     counts = []
     for rs in ([1.5], [1.005, 1.5, 2, 3.4, 7.9, 800, 1e5, 12.25]):
         _laurent_numerator.cache_clear()
+        _log_numerators.cache_clear()
         calls.clear()
         for r in rs:
             entropy_expansion(8, r, cums)
@@ -345,6 +376,70 @@ def test_rational_inputs_give_exact_expansion():
     assert b1 == b_coefficient(800, uniform) == F(2397, 16000)
 
 
+@pytest.mark.parametrize(
+    "law, b1, binf",
+    [
+        ("gamma4", (F(-1, 12), F(-1, 192), F(-1, 5760)), (F(-5, 48), F(-1, 96), F(-31, 23040))),
+        ("uniform", (0, F(-3, 100), F(-9, 250)), (F(3, 20), F(4, 175), F(-39, 7000))),
+    ],
+)
+def test_limit_expansion_exact_gates(law, b1, binf):
+    cums = rc.standard_cumulants(ORACLE_LAWS[law], order=8)
+    for r, expected in ((1, b1), (math.inf, binf)):
+        coeffs = limit_expansion(8, r, cums)
+        assert coeffs.b == expected and coeffs.a == ()
+        assert all(type(v) is F for v in coeffs.b + coeffs.c)
+        assert coeffs.b[0] == b_coefficient(r, cums)
+        # c-series = exp(2 b-series), truncated at n**-3
+        b_1, b_2, b_3 = expected
+        assert coeffs.c == (
+            2 * b_1,
+            2 * b_2 + 2 * b_1**2,
+            2 * b_3 + 4 * b_1 * b_2 + F(4, 3) * b_1**3,
+        )
+
+
+def test_log_numerators_vanish_at_1_and_have_degree_3j_plus_1():
+    for law in sorted(ORACLE_LAWS):
+        cums = rc.standard_cumulants(ORACLE_LAWS[law], order=8)
+        for j, (num, den) in enumerate(_log_numerators(3, cums), start=1):
+            assert num(1) == 0 and num.degree == 3 * j + 1
+
+
+def test_limit_expansion_is_the_limit_of_entropy_expansion():
+    cums = rc.standard_cumulants("gamma", order=8, alpha=4)
+    for r, near in ((1, 1 + F(1, 10**12)), (math.inf, F(10**12))):
+        limit = limit_expansion(8, r, cums)
+        close = entropy_expansion(8, near, cums)
+        for lim, val in zip(limit.b + limit.c, close.b + close.c):
+            assert abs(lim - val) < F(1, 10**10)
+
+
+def test_limit_expansion_rejects_finite_r():
+    with pytest.raises(ValueError, match="r = 1 or r = inf"):
+        limit_expansion(8, 2, UNIFORM)
+
+
+def test_symmetric_shannon_rate():
+    # Bobkov-Chistyakov-Goetze: for gamma_3 = gamma_5 = 0,
+    # D(Z_n || Z) = gamma_4**2 / (48 n**2) + o(n**-2), so b_1(1) = 0 and
+    # b_2(1) = -gamma_4**2 / 48
+    rng = np.random.default_rng(44)
+    for _ in range(10):
+        g4, g6 = (F(int(rng.integers(-8, 9)), int(rng.integers(1, 7))) for _ in range(2))
+        coeffs = limit_expansion(6, 1, CumulantVector((0, 1, 0, g4, 0, g6)))
+        assert coeffs.b == (0, -g4**2 / 48)
+
+
+def test_huge_r_coefficients_are_finite():
+    # exact evaluation: no inf - inf in a float series log at r = 1e308
+    uniform = rc.standard_cumulants("uniform", order=8)
+    coeffs = entropy_expansion(8, 1e308, uniform)
+    assert coeffs.b == (0.15, 0.022857142857142857, -0.005571428571428572)
+    assert coeffs.b == tuple(float(v) for v in limit_expansion(8, math.inf, uniform).b)
+    assert all(math.isfinite(v) for v in coeffs.c)
+
+
 def test_float_cumulants_give_floats_at_rational_r():
     cums = rc.standard_cumulants(ORACLE_LAWS["float_mixture"], order=8)
     coeffs = entropy_expansion(8, 2, cums)
@@ -352,8 +447,8 @@ def test_float_cumulants_give_floats_at_rational_r():
 
 
 def test_equal_float_and_rational_cumulants_build_separately():
-    # 1/2 and 0.5 are equal cache keys; the float build must not be reused
-    # for the exact one, nor the exact build for the float one
+    # 1/2 and 0.5 are equal cache keys: they share one exact build, and the
+    # result type still follows the inputs, whichever of them built first
     exact = CumulantVector((0, 1, F(1, 2), F(3, 2), F(1, 4), F(5, 4)))
     floats = CumulantVector((0.0, 1.0, 0.5, 1.5, 0.25, 1.25))
     assert exact == floats and hash(exact) == hash(floats)
@@ -445,7 +540,7 @@ def test_entropy_power_series_identity():
         series = TruncatedSeries(
             [1.0, 0.0, coeffs.a[0], 0.0, coeffs.a[1], 0.0, coeffs.a[2]]
         )
-        powed = series.pow(-2.0 / (r - 1))
+        powed = _pow(series, -2.0 / (r - 1))
         for j, cj in enumerate(coeffs.c, start=1):
             assert cj == pytest.approx(powed.coeff(2 * j), rel=1e-12, abs=1e-15)
         assert coeffs.c[0] == pytest.approx(2 * coeffs.b[0], rel=1e-12, abs=1e-15)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -366,6 +367,32 @@ def test_second_order_coefficient_against_measurements(grid_for):
     assert richardson(est[128], est[256]) == pytest.approx(b2, rel=1e-2)
 
 
+@pytest.mark.parametrize("r", [1, math.inf])
+def test_third_order_limit_coefficient_against_measurements(grid_for, r):
+    # b_3 at r = 1 and r = inf comes from the same exact L_3 as at finite r;
+    # n**3 (h_r(Z_n) - h_r(Z) - b_1/n - b_2/n**2) -> b_3 on Gamma(4)
+    import renyi_clt as rc
+
+    cums = rc.standard_cumulants("gamma", order=8, alpha=4)
+    b1, b2, b3 = rc.limit_expansion(8, r, cums).b
+    h_gauss = rc.gaussian_renyi_entropy(r)
+    for n in (32, 64, 128):
+        h = rc.renyi_entropy(grid_for("gamma4", n), r)
+        assert n**3 * (h - h_gauss - b1 / n - b2 / n**2) == pytest.approx(b3, rel=2e-2)
+
+
+def test_limit_rows_carry_every_term():
+    # r = 1 and r = inf predictions run to the moment order like finite r:
+    # at n = 64 on Gamma(4) the first-order rows missed by 1.3e-6 and 1e-8
+    cfg = ExperimentConfig(
+        {"distribution": "gamma", "alpha": 4, "r_values": [1, "inf"],
+         "n_values": [64], "moment_order": 8}
+    )
+    _, rows = cmd_verify(cfg)
+    assert [row[1] for row in rows] == ["1", "inf"]
+    assert all(abs(row[4]) < 1e-10 for row in rows)
+
+
 def test_irrational_shape_float_pipeline():
     # sqrt(alpha) irrational: cumulants degrade to floats and every layer
     # downstream (corrections, coefficients, verdicts) still works
@@ -677,6 +704,23 @@ def test_band_grid_dump_and_locallimit_match_full_period(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("command", ["verify", "locallimit"])
+@pytest.mark.parametrize(
+    "law",
+    [{"distribution": "uniform"}, {"distribution": "gamma", "alpha": 4},
+     {"distribution": "two_sided_exponential"}, {"distribution": "gaussian"}],
+)
+def test_huge_n_exits_at_once(tmp_path, capsys, command, law):
+    # beyond numerics.MAX_N the powered cf's rounding error alone exceeds the
+    # mass tolerance; such an n used to fold for seconds before failing
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**law, "n_values": [3, 10**300], "grid_points": 1024}))
+    start = time.perf_counter()
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")])
+    assert code == 3 and time.perf_counter() - start < 1.0
+    assert "above 8589934592" in capsys.readouterr().err
+
+
 def test_cli_help_mentions_config_keys():
     proc = subprocess.run(
         [sys.executable, "-m", "renyi_clt.harness", "verify", "--help"],
@@ -746,14 +790,18 @@ _LAWS = (
         "sigmas": [0.5, 0.5],
     },
 )
-# grids stay small: a valid grid_points is at most 2048 and n at most 12, so
-# every run takes milliseconds; other keys may hold any JSON value
+# grids stay small: a valid grid_points is at most 2048, and n is either at
+# most 12 or anything up to 10**300, which numerics.MAX_N rejects at once
+# from 2**33 on, so every run takes milliseconds; other keys may hold any
+# JSON value
 _GRID_POINTS = (
     st.sampled_from([1024, 2048])
     | st.integers(-4, 1023)
     | _JSON.filter(lambda v: not isinstance(v, int) or isinstance(v, bool))
 )
-_NS = st.lists(st.integers(1, 12), min_size=1, max_size=3, unique=True).map(sorted)
+_NS = st.lists(
+    st.integers(1, 12) | st.integers(13, 10**300), min_size=1, max_size=3, unique=True
+).map(sorted)
 _CONFIG_PARTS = st.fixed_dictionaries(
     {"grid_points": _GRID_POINTS},
     optional={

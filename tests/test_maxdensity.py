@@ -1,24 +1,42 @@
+"""The r = inf branch: the sup-norm and N_inf coefficients read off the
+exact L_j of the entropy expansion, against the hand-expanded maximizer
+oracle of ``oracles.py`` and against the corrected density itself."""
+
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oracles import extremum_series, solve_extremum, supnorm_coefficients
 from renyi_clt.cumulants import CumulantVector, standard_cumulants
 from renyi_clt.edgeworth import EdgeworthModel, correction_polynomial
 from renyi_clt.exactpoly import Poly
-from renyi_clt.expansion import DECREASING, INCREASING, INDETERMINATE
-from renyi_clt.maxdensity import (
-    extremum_series,
-    monotonicity_prediction_inf,
-    ninf_expansion,
-    solve_extremum,
-    supnorm_coefficients,
+from renyi_clt.expansion import (
+    DECREASING,
+    INCREASING,
+    INDETERMINATE,
+    limit_expansion,
+    monotonicity_prediction,
 )
 
 F = Fraction
 UNIFORM = CumulantVector((0, 1, 0, F(-6, 5), 0, F(48, 7)))
 SKEWED = CumulantVector((0, 1, 1, 0, 0, 0))  # gamma_3 = 1 family
+
+
+def derived_supnorm(cumulants):
+    """(A, B) of ||p_n||_inf = phi(0)(1 + A/n + B/n**2) from b_j(inf):
+    h_inf = -log ||p_n||_inf gives b_1 = -A and b_2 = A**2/2 - B."""
+    b1, b2 = limit_expansion(6, math.inf, cumulants).b
+    return -b1, b1 * b1 / 2 - b2
+
+
+def ninf_expansion(cumulants):
+    """(A_tilde, B_tilde) of N_inf(Z_n) = N_inf(Z)(1 - A_tilde/n + B_tilde/n**2)
+    as the harness derives them: -c_1(inf) and c_2(inf)."""
+    c1, c2 = limit_expansion(6, math.inf, cumulants).c
+    return -c1, c2
 
 
 def random_cumulants(rng, order=6):
@@ -58,18 +76,21 @@ def test_supnorm_symmetric_law():
         assert sn.A == g4 / 8
         assert sn.B == sn.b4 == F(105, 2 * 576) * g4**2 - F(15, 720) * g6
         assert sn.a1 == sn.a2 == sn.b1 == sn.b2 == sn.b3 == 0
+        assert derived_supnorm(c) == (sn.A, sn.B)
 
 
 def test_supnorm_uniform():
     sn = supnorm_coefficients(UNIFORM)
     assert sn.A == F(-3, 20)
     assert float(sn.A) == -0.15
+    assert derived_supnorm(UNIFORM) == (sn.A, sn.B)
 
 
 def test_supnorm_gaussian():
     c = CumulantVector((0, 1, 0, 0, 0, 0))
     sn = supnorm_coefficients(c)
     assert sn.A == 0 and sn.B == 0
+    assert derived_supnorm(c) == (0, 0)
 
 
 def test_structural_identities():
@@ -81,7 +102,7 @@ def test_structural_identities():
         assert sn.B_tilde == 3 * sn.A**2 - 2 * sn.B
         at, bt = ninf_expansion(c)
         assert (at, bt) == (sn.A_tilde, sn.B_tilde)
-        assert sn.A_tilde == F(1, 4) * (c.gamma(4) - F(2, 3) * c.gamma(3) ** 2)
+        assert at == F(1, 4) * (c.gamma(4) - F(2, 3) * c.gamma(3) ** 2)
 
 
 def test_b1_printed_formula():
@@ -185,7 +206,7 @@ def test_supnorm_numeric_invariant():
         standard_cumulants("gamma", order=6, alpha=4),
     ):
         model = EdgeworthModel.from_cumulants(cums, order=6)
-        sn = supnorm_coefficients(cums)
+        big_a, big_b = derived_supnorm(cums)
         for n in (100, 1000, 10000):
             radius = math.sqrt(math.log(n))
             xs = np.arange(-radius, radius, 1e-4)
@@ -194,7 +215,7 @@ def test_supnorm_numeric_invariant():
             a = 0.5 * (vals[j + 1] + vals[j - 1]) - vals[j]
             b = 0.5 * (vals[j + 1] - vals[j - 1])
             peak = vals[j] - b * b / (4 * a) if a < 0 else vals[j]
-            predicted = phi0 * (1 + float(sn.A) / n + float(sn.B) / n**2)
+            predicted = phi0 * (1 + float(big_a) / n + float(big_b) / n**2)
             assert abs(peak - predicted) <= 5 * n**-2.5
 
 
@@ -207,7 +228,21 @@ def test_solve_extremum_rejects_nonpositive_center():
 
 
 def test_monotonicity_inf():
-    assert monotonicity_prediction_inf(standard_cumulants("gamma", order=4, alpha=4)) == INCREASING
-    assert monotonicity_prediction_inf(UNIFORM) == DECREASING
+    # N_inf(Z_n) increases iff gamma_4 > (2/3) gamma_3**2, the sign of -b(inf)
+    gamma4 = standard_cumulants("gamma", order=4, alpha=4)
+    assert monotonicity_prediction(math.inf, gamma4) == INCREASING
+    assert monotonicity_prediction(math.inf, UNIFORM) == DECREASING
     boundary = CumulantVector((0, 1, F(3, 2), F(3, 2)))  # gamma_4 = (2/3) gamma_3^2
-    assert monotonicity_prediction_inf(boundary) == INDETERMINATE
+    assert monotonicity_prediction(math.inf, boundary) == INDETERMINATE
+
+
+def test_limit_expansion_at_inf_matches_the_hand_oracle():
+    # b_1 = -A, b_2 = A**2/2 - B, c_1 = -2A, c_2 = 3A**2 - 2B, all exact
+    rng = np.random.default_rng(56)
+    for _ in range(20):
+        c = random_cumulants(rng)
+        sn = supnorm_coefficients(c)
+        coeffs = limit_expansion(6, math.inf, c)
+        assert coeffs.b == (-sn.A, sn.A**2 / 2 - sn.B)
+        assert coeffs.c == (-2 * sn.A, 3 * sn.A**2 - 2 * sn.B)
+        assert all(type(v) is F for v in coeffs.b + coeffs.c)

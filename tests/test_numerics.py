@@ -483,6 +483,13 @@ def test_below_nmin_rejected():
         rc.density_of_normalized_sum(rc.Uniform(), 1)
 
 
+def test_above_max_n_rejected():
+    # at n = 2**33 the powered cf's relative error n 2**-53 is about 1e-6
+    assert rc.numerics.MAX_N == 2**33
+    with pytest.raises(ValueError, match="above 8589934592"):
+        rc.density_of_normalized_sum(rc.Uniform(), 2**33 + 1, npoints=1024)
+
+
 def test_grid_parameters_validated():
     with pytest.raises(ValueError, match="extent"):
         rc.density_of_normalized_sum(rc.Uniform(), 4, extent=8)
@@ -526,7 +533,9 @@ def test_renyi_entropy_rejects_degenerate_grid():
     with pytest.raises(ValueError, match="non-positive"):
         rc.renyi_entropy(empty, 2.0)
     with pytest.raises(ValueError, match="r must"):
-        rc.renyi_entropy(empty, 1.0)
+        rc.renyi_entropy(empty, 0.5)
+    with pytest.raises(ValueError, match="degenerate"):
+        rc.renyi_entropy(empty, math.inf)
 
 
 def test_renyi_entropy_names_underflow(grid_for):
@@ -539,6 +548,16 @@ def test_renyi_entropy_names_underflow(grid_for):
     )
     with pytest.raises(ValueError, match="grid is degenerate"):
         rc.renyi_entropy(empty, 1e308)
+
+
+def test_renyi_entropy_limits(grid_for):
+    # r = 1 is the Shannon entropy and r = inf is -log of the sup-norm
+    g = grid_for("gamma4", 16)
+    assert rc.renyi_entropy(g, 1) == rc.shannon_entropy(g)
+    assert rc.renyi_entropy(g, math.inf) == -math.log(rc.sup_norm(g))
+    assert rc.entropy_power(g, math.inf) == pytest.approx(rc.sup_norm(g) ** -2, rel=1e-15)
+    assert rc.renyi_entropy(g, 1 + 1e-6) == pytest.approx(rc.renyi_entropy(g, 1), abs=1e-6)
+    assert rc.renyi_entropy(g, 500) == pytest.approx(rc.renyi_entropy(g, math.inf), abs=1e-2)
 
 
 def test_renyi_entropy_gaussian(grid_for):

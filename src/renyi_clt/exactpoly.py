@@ -2,10 +2,8 @@
 
 Polynomials are stored densely: ``coeffs[k]`` is the coefficient of ``x**k``.
 Arithmetic is exact whenever the coefficients are ``int`` or
-``fractions.Fraction``: sums and products then run on integer numerators
-over one common denominator and reduce each result coefficient once.  Float
-coefficients are accepted and take the plain coefficient-wise path (mixed
-inputs degrade to float).
+``fractions.Fraction``; float coefficients are accepted and simply propagate
+through the same code paths (mixed inputs degrade to float).
 
 The Chebyshev-Hermite (probabilists' Hermite) polynomials are the monic
 family orthogonal under the standard normal weight, generated by
@@ -18,9 +16,7 @@ H_k'(x) - x * H_k(x) = -H_{k+1}(x).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from itertools import zip_longest
 
 import numpy as np
 
@@ -29,26 +25,6 @@ __all__ = ["Poly", "hermite"]
 
 def _is_zero(c) -> bool:
     return c == 0
-
-
-def _integer_form(coeffs):
-    """(numerators, d) with coeffs[k] = numerators[k] / d and d the least
-    common denominator, when every coefficient is an int or a Fraction;
-    else None."""
-    if not all(type(c) is int or type(c) is Fraction for c in coeffs):
-        return None
-    d = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
-
-
-def _convolve(a, b) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if _is_zero(x):
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 class Poly:
@@ -127,14 +103,6 @@ class Poly:
             other = Poly((other,))
         if not isinstance(other, Poly):
             return NotImplemented
-        left, right = _integer_form(self.coeffs), _integer_form(other.coeffs)
-        if left and right:
-            # exact: add integer numerators over one denominator
-            den = math.lcm(left[1], right[1])
-            a = [c * (den // left[1]) for c in left[0]]
-            b = [c * (den // right[1]) for c in right[0]]
-            out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
-            return Poly(out if den == 1 else [Fraction(c, den) for c in out])
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly([self.coeff(k) + other.coeff(k) for k in range(n)])
 
@@ -160,13 +128,14 @@ class Poly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly()
-        left, right = _integer_form(self.coeffs), _integer_form(other.coeffs)
-        if left and right:
-            # exact: multiply integer numerators, reduce each result once
-            den = left[1] * right[1]
-            out = _convolve(left[0], right[0])
-            return Poly(out if den == 1 else [Fraction(c, den) for c in out])
-        return Poly(_convolve(self.coeffs, other.coeffs))
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        right = [(j, b) for j, b in enumerate(other.coeffs) if not _is_zero(b)]
+        for i, a in enumerate(self.coeffs):
+            if _is_zero(a):
+                continue
+            for j, b in right:
+                out[i + j] += a * b
+        return Poly(out)
 
     __rmul__ = __mul__
 

@@ -232,19 +232,13 @@ def _laurent_numerator(j: int, cumulants: CumulantVector):
     / (k_1! ... k_{2j}!) are gathered into one P_k per k = sum k_i, and each
     P_k, of degree at most 6j, contributes (r)_k sum_i c_{k,i} r**(3j-i);
     D is the common denominator of the c_{k,i}.  Float cumulants enter at
-    their binary values, so the build is exact for every law, keeps the
+    their binary values (and gamma_1, gamma_2 as 0, 1, which the Q_k do not
+    read), so the build is exact for every law, keeps the
     identities a_j(1) = 0 and deg L_j <= 3j + 1 that the limits rely on, and
     depends only on the values: 1/2 and 0.5 share it.
-
-    Q_k is homogeneous of weight k when gamma_{i+2} has weight i, so with t
-    the lcm of the cumulants' denominators the Q_i are built from the
-    integers gamma_{i+2} t**i as t**i Q_i, with small denominators only;
-    every product then carries the same t**(2j), which D takes up.
     """
-    gammas = [Fraction(g) for g in cumulants.values[2:]]
-    t = math.lcm(*(g.denominator for g in gammas))
-    scaled = CumulantVector.from_gammas(*(int(g * t**i) for i, g in enumerate(gammas, 1)))
-    qs = [correction_polynomial(i, scaled) for i in range(1, 2 * j + 1)]
+    exact = CumulantVector.from_gammas(*map(Fraction, cumulants.values[2:]))
+    qs = [correction_polynomial(i, exact) for i in range(1, 2 * j + 1)]
     by_k = [Poly()] * (2 * j + 1)
     for ks in compositions(2 * j):
         if any(k_i and q.is_zero() for q, k_i in zip(qs, ks)):
@@ -267,7 +261,7 @@ def _laurent_numerator(j: int, cumulants: CumulantVector):
             for i, c in enumerate(row)
         ]
         num = num + falling * Poly(moments[::-1])
-    return num, den * t ** (2 * j)
+    return num, den
 
 
 def a_coefficient(j: int, r, cumulants: CumulantVector):
@@ -382,51 +376,38 @@ def b_coefficient(r, cumulants: CumulantVector):
 
 
 @lru_cache(maxsize=64)
-def _log_numerators(terms: int, cumulants: CumulantVector):
-    """((M_1, E_1), ..., (M_J, E_J)), J = ``terms``: the exact polynomials
-    L_j = M_j / E_j of the module docstring, M_j with integer coefficients,
-    with log(1 + sum_j a_j n**(-j)) = sum_j L_j(r) v**j, v = 1/(n r**3).
-    :meth:`TruncatedSeries.log` takes the log over ``Poly`` coefficients,
-    slot 2j holding v**j.
+def _log_polynomials(terms: int, cumulants: CumulantVector):
+    """(L_1, ..., L_J), J = ``terms``: the exact polynomials of the module
+    docstring, with log(1 + sum_j a_j n**(-j)) = sum_j L_j(r) v**j,
+    v = 1/(n r**3).  :meth:`TruncatedSeries.log` takes the log over ``Poly``
+    coefficients, slot 2j holding v**j.
     """
-    parts = [_laurent_numerator(j, cumulants) for j in range(1, terms + 1)]
-    # in w = v/s, s the lcm of the D_j, the a-series has the integer
-    # coefficients N_j (s/D_j) s**(j-1), and its log those of L_j s**j
-    s = math.lcm(*(den for _, den in parts))
     coeffs = [1] + [0] * (2 * terms)
-    for j, (num, den) in enumerate(parts, start=1):
-        coeffs[2 * j] = num * (s // den * s ** (j - 1))
-    log = TruncatedSeries(coeffs).log()
-    out = []
     for j in range(1, terms + 1):
-        poly = Poly() + log.coeff(2 * j)
-        den = math.lcm(*(Fraction(c).denominator for c in poly.coeffs))
-        out.append((Poly([int(c * den) for c in poly.coeffs]), den * s**j))
-    return tuple(out)
+        num, den = _laurent_numerator(j, cumulants)
+        coeffs[2 * j] = num * Fraction(1, den)
+    log = TruncatedSeries(coeffs).log()
+    return tuple(Poly() + log.coeff(2 * j) for j in range(1, terms + 1))
 
 
 def _entropy_coefficients(terms: int, r, cumulants: CumulantVector):
     """(b, c) through order ``terms`` at any 1 <= r <= inf from the cached
-    L_j, with c-series = exp(2 * b-series).  Each b_j is one exact quotient
-    of integers: a ``Fraction`` when r is an int, a Fraction or inf and every
-    cumulant is rational, and otherwise a float rounded once, from which the
-    c_j follow in floats.
+    L_j, with c-series = exp(2 * b-series).  Each b_j is exact: a
+    ``Fraction`` when r is an int, a Fraction or inf and every cumulant is
+    rational, and otherwise a float rounded once, from which the c_j follow
+    in floats.
     """
     exact = _is_exact(r, cumulants)
     b = []
-    for j, (num, den) in enumerate(_log_numerators(terms, cumulants), start=1):
+    for j, poly in enumerate(_log_polynomials(terms, cumulants), start=1):
         if r == math.inf:
-            top, bottom = -num.coeff(3 * j + 1), den
+            bj = -Fraction(poly.coeff(3 * j + 1))
         elif r == 1:
-            top, bottom = -num.derivative()(1), den
+            bj = -Fraction(poly.derivative()(1))
         else:
-            # at r = p/q, L_j(r) q**(3j+1) is an integer: deg L_j <= 3j + 1
-            p, q = Fraction(r).as_integer_ratio()
-            top = -sum(
-                c * p**k * q ** (3 * j + 1 - k) for k, c in enumerate(num.coeffs)
-            )
-            bottom = den * (p - q) * p ** (3 * j)
-        b.append(Fraction(top, bottom) if exact else top / bottom)
+            x = Fraction(r)
+            bj = -poly(x) / ((x - 1) * x ** (3 * j))
+        b.append(bj if exact else float(bj))
     c = (TruncatedSeries([0, *b]) * 2).exp().coeffs[1:]
     rounding = Fraction if exact else float
     return tuple(b), tuple(map(rounding, c))

@@ -24,30 +24,6 @@ def test_mul():
     assert (X * X).degree == 2
 
 
-def test_exact_sum_and_product_match_coefficientwise_fractions():
-    # exact sums and products run on integer numerators over one
-    # denominator; they must equal the plain Fraction arithmetic, and floats
-    # keep the plain path
-    rng = np.random.default_rng(7)
-
-    def rand_poly(size):
-        return Poly([Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13)))
-                     for _ in range(size)] + [int(rng.integers(1, 5))])
-
-    for _ in range(20):
-        a, b = rand_poly(int(rng.integers(0, 6))), rand_poly(int(rng.integers(0, 6)))
-        prod = [sum((a.coeff(i) * b.coeff(k - i) for i in range(k + 1)), Fraction(0))
-                for k in range(a.degree + b.degree + 1)]
-        assert (a * b).coeffs == tuple(prod)
-        total = [a.coeff(k) + b.coeff(k) for k in range(max(a.degree, b.degree) + 1)]
-        assert (a + b) == Poly(total)
-        assert all(type(c) is not float for c in (a * b).coeffs + (a + b).coeffs)
-    mixed = Poly((0.5, 1)) * Poly((Fraction(1, 3), 2))
-    assert type(mixed.coeffs[0]) is float and type(mixed.coeffs[1]) is float
-    assert mixed.coeffs == pytest.approx((1 / 6, 1 + 1 / 3, 2))
-    assert Poly((Fraction(1, 2),)) + Poly((Fraction(1, 2), 1)) == Poly((1, 1))
-
-
 def test_degree_additivity():
     a = Poly((1, 2, 3))
     b = Poly((0, Fraction(1, 3), 0, 5))

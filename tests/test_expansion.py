@@ -29,7 +29,7 @@ from renyi_clt.expansion import (
     sign_change_threshold,
 )
 from renyi_clt.exactpoly import Poly
-from renyi_clt.expansion import _laurent_numerator, _log_numerators
+from renyi_clt.expansion import _laurent_numerator, _log_polynomials
 from renyi_clt.gaussint import gauss_power_integral, gauss_power_mass, hermite_integral
 
 F = Fraction
@@ -353,7 +353,7 @@ def test_expansion_builds_once_per_law(monkeypatch):
     counts = []
     for rs in ([1.5], [1.005, 1.5, 2, 3.4, 7.9, 800, 1e5, 12.25]):
         _laurent_numerator.cache_clear()
-        _log_numerators.cache_clear()
+        _log_polynomials.cache_clear()
         calls.clear()
         for r in rs:
             entropy_expansion(8, r, cums)
@@ -399,11 +399,11 @@ def test_limit_expansion_exact_gates(law, b1, binf):
         )
 
 
-def test_log_numerators_vanish_at_1_and_have_degree_3j_plus_1():
+def test_log_polynomials_vanish_at_1_and_have_degree_3j_plus_1():
     for law in sorted(ORACLE_LAWS):
         cums = rc.standard_cumulants(ORACLE_LAWS[law], order=8)
-        for j, (num, den) in enumerate(_log_numerators(3, cums), start=1):
-            assert num(1) == 0 and num.degree == 3 * j + 1
+        for j, poly in enumerate(_log_polynomials(3, cums), start=1):
+            assert poly(1) == 0 and poly.degree == 3 * j + 1
 
 
 def test_limit_expansion_is_the_limit_of_entropy_expansion():

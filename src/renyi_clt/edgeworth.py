@@ -16,6 +16,9 @@ and j = r_1 + ... + r_k.
 phi_m is exposed as a signed function: it may dip below zero far out in the
 tails and no clipping is applied, so that exact integral identities (unit
 mass, moment matching) survive.
+
+Each Q_k is built once per (k, gamma_3, ..., gamma_{k+2}) and cached, so
+the models and the expansion coefficients of one law share it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import NamedTuple, Optional
 
@@ -47,13 +51,14 @@ def normal_pdf(x):
     return np.exp(-0.5 * np.asarray(x, dtype=float) ** 2) / _SQRT_2PI
 
 
-def _composition_weight(parts, cumulants: CumulantVector):
-    """prod_i (gamma_{i+2}/(i+2)!)**r_i / r_i! for one tuple (r_1..r_k)."""
+def _composition_weight(parts, gammas):
+    """prod_i (gamma_{i+2}/(i+2)!)**r_i / r_i! for one tuple (r_1..r_k), with
+    ``gammas`` = (gamma_3, ..., gamma_{k+2})."""
     w = Fraction(1)
     for i, r_i in enumerate(parts, start=1):
         if r_i == 0:
             continue
-        g = cumulants.gamma(i + 2)
+        g = gammas[i - 1]
         if g == 0:
             return 0
         w *= (Fraction(1, factorial(i + 2)) * g) ** r_i
@@ -66,14 +71,24 @@ def correction_polynomial(k: int, cumulants: CumulantVector) -> Poly:
     sum over (r_1..r_k) of the composition weight times H_{k+2j}.
 
     Q_k has degree at most 3k, the parity of k, and vanishes identically when
-    gamma_3, ..., gamma_{k+2} all vanish.
+    gamma_3, ..., gamma_{k+2} all vanish.  It is built once per (k, gamma_3,
+    ..., gamma_{k+2}) and cached, so the Edgeworth model, every a_j build and
+    the oracles share one Q_k per law.  Whether each cumulant is a float is
+    part of the key: float cumulants build in floats, and 1/2 == 0.5.
     """
     if k < 1:
         raise ValueError("correction index must be positive")
     cumulants.require_order(k + 2)
+    gammas = cumulants.values[2 : k + 2]
+    return _correction_polynomial(k, gammas, tuple(isinstance(g, float) for g in gammas))
+
+
+@lru_cache(maxsize=256)
+def _correction_polynomial(k: int, gammas: tuple, floats: tuple) -> Poly:
+    """The partition sum of Q_k; ``floats`` only keys the cache."""
     total = Poly()
     for parts in compositions(k):
-        w = _composition_weight(parts, cumulants)
+        w = _composition_weight(parts, gammas)
         if w == 0:
             continue
         total = total + w * hermite(k + 2 * sum(parts))
@@ -84,7 +99,8 @@ def correction_polynomial(k: int, cumulants: CumulantVector) -> Poly:
 class EdgeworthModel:
     """Correction of order m for a law with the given cumulants.
 
-    Holds the polynomials Q_1..Q_{m-2}.
+    Holds the polynomials Q_1..Q_{m-2}, taken from the
+    :func:`correction_polynomial` cache.
     Immutable and safe to share across threads.
     """
 

@@ -174,8 +174,9 @@ class Poly:
         if isinstance(x, np.ndarray):
             cs = self.float_coeffs()
             acc = np.zeros_like(x, dtype=float)
-            for c in cs[::-1]:
-                acc = acc * x + c
+            for c in cs[::-1]:  # in place: the same roundings, no temporaries
+                acc *= x
+                acc += c
             return acc
         acc = 0
         for c in reversed(self.coeffs):

@@ -23,8 +23,9 @@ by k = k_1 + ... + k_{2j} into one polynomial P_k gives
     a_j(r) = sum_k (r)_k sum_i c_{k,i} r**(-i),   c_{k,i} = coeff_{2i}(P_k) (2i-1)!!,
 
 a Laurent polynomial in r with i <= 3j.  It is built once per (j, cumulants)
-and cached; evaluating it at an index costs a Horner pass in exact
-arithmetic.  Results are exact (``Fraction``) when r is an int or Fraction
+and cached, from the Q_k of the :func:`~renyi_clt.edgeworth.correction_polynomial`
+cache, which every j shares; evaluating it at an index costs a Horner pass in
+exact arithmetic.  Results are exact (``Fraction``) when r is an int or Fraction
 and every cumulant is rational, and floats, rounded once, otherwise.
 
 The entropy and entropy-power expansions
@@ -224,6 +225,12 @@ def _is_exact(r, cumulants: CumulantVector) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in (*index, *cumulants.values))
 
 
+def _integer_form(q: Poly):
+    """(q, d) with Q = q / d, q an integer polynomial and d > 0."""
+    d = math.lcm(*(Fraction(c).denominator for c in q.coeffs))
+    return Poly([int(c * d) for c in q.coeffs]), d
+
+
 @lru_cache(maxsize=64)
 def _laurent_numerator(j: int, cumulants: CumulantVector):
     """(N_j, D) with a_j(r) = N_j(r) / (D r**(3j)), N_j an integer polynomial.
@@ -231,26 +238,33 @@ def _laurent_numerator(j: int, cumulants: CumulantVector):
     Runs the composition sum once: the products Q_1**k_1 ... Q_{2j}**k_{2j}
     / (k_1! ... k_{2j}!) are gathered into one P_k per k = sum k_i, and each
     P_k, of degree at most 6j, contributes (r)_k sum_i c_{k,i} r**(3j-i);
-    D is the common denominator of the c_{k,i}.  Float cumulants enter at
-    their binary values (and gamma_1, gamma_2 as 0, 1, which the Q_k do not
+    D is the common denominator of the c_{k,i}.  Each Q_i (from the
+    :func:`correction_polynomial` cache) enters as q_i / d_i with q_i an
+    integer polynomial, so the products multiply integers, and each P_k is
+    gathered over one integer denominator.  Float cumulants enter at their
+    binary values (and gamma_1, gamma_2 as 0, 1, which the Q_k do not
     read), so the build is exact for every law, keeps the
     identities a_j(1) = 0 and deg L_j <= 3j + 1 that the limits rely on, and
     depends only on the values: 1/2 and 0.5 share it.
     """
     exact = CumulantVector.from_gammas(*map(Fraction, cumulants.values[2:]))
-    qs = [correction_polynomial(i, exact) for i in range(1, 2 * j + 1)]
-    by_k = [Poly()] * (2 * j + 1)
+    qs = [_integer_form(correction_polynomial(i, exact)) for i in range(1, 2 * j + 1)]
+    terms = [[] for _ in range(2 * j + 1)]  # (integer product, its denominator)
     for ks in compositions(2 * j):
-        if any(k_i and q.is_zero() for q, k_i in zip(qs, ks)):
+        if any(k_i and q.is_zero() for (q, _), k_i in zip(qs, ks)):
             continue
         prod = Poly((1,))
-        weight = 1
-        for q, k_i in zip(qs, ks):
+        scale = 1
+        for (q, d), k_i in zip(qs, ks):
             if k_i:
                 prod = prod * q**k_i
-                weight *= factorial(k_i)
-        by_k[sum(ks)] += prod * Fraction(1, weight)
-    rows = [[Fraction(p.coeff(2 * i)) for i in range(3 * j + 1)] for p in by_k[1:]]
+                scale *= factorial(k_i) * d**k_i
+        terms[sum(ks)].append((prod, scale))
+    rows = []
+    for group in terms[1:]:
+        common = math.lcm(*(scale for _, scale in group))
+        p = sum((prod * (common // scale) for prod, scale in group), Poly())
+        rows.append([Fraction(p.coeff(2 * i), common) for i in range(3 * j + 1)])
     den = math.lcm(*(c.denominator for row in rows for c in row))
     num = Poly()
     falling = Poly((1,))
@@ -304,6 +318,10 @@ def a1_closed_form(r: float, cumulants: CumulantVector) -> float:
     while the bracket is not 0: from r of about 775 the int phi**r prefactor
     is subnormal and has lost digits (17 % at r = 800), and from about 810 it
     is 0.  An exactly zero bracket gives 0.
+
+    No library path uses it: ``coeffs`` takes A_1 from the cached
+    :func:`a_coefficient`, and this hand formula is an independent
+    cross-check for the benchmark and the tests.
     """
     _require_r(r)
     cumulants.require_order(4)
@@ -327,6 +345,10 @@ def a2_from_integrals(r: float, cumulants: CumulantVector) -> float:
     falling factorials overflow while the integrals underflow), and when it
     is below the normal float range, because int phi**r underflows (r above
     about 780), while a_2 is not 0.
+
+    No library path uses it: ``coeffs`` takes A_2 from the cached
+    :func:`a_coefficient`, and this term-by-term assembly is an independent
+    cross-check for the benchmark and the tests.
     """
     _require_r(r)
     cumulants.require_order(6)

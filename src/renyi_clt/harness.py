@@ -49,8 +49,7 @@ from . import distributions, numerics
 from .cumulants import standard_cumulants
 from .edgeworth import EdgeworthModel
 from .expansion import (
-    a1_closed_form,
-    a2_from_integrals,
+    a_coefficient,
     b_coefficient,
     entropy_expansion,
     gaussian_entropy_power,
@@ -59,6 +58,7 @@ from .expansion import (
     monotonicity_prediction,
     sign_change_threshold,
 )
+from .gaussint import gauss_power_mass
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "main", "richardson"]
 
@@ -272,7 +272,29 @@ def _dump_grids(grids, directory, cfg: ExperimentConfig) -> None:
 # -- subcommands ----------------------------------------------------------
 
 
+def _mass_term(j: int, r, cums):
+    """A_j = a_j(r) int phi**r, the n**(-j) term of int p_n**r, from the
+    cached exact a_j.  Raises ``ValueError`` when A_j is not finite, and when
+    it is below the normal float range, because int phi**r underflows (r
+    above about 780), while a_j is not 0.
+    """
+    a = a_coefficient(j, float(r), cums)  # rounded once; +-inf beyond floats
+    total = a * gauss_power_mass(r)
+    if not math.isfinite(total):
+        raise ValueError(f"A_{j} is not finite at r={r:g}")
+    if abs(total) < sys.float_info.min and a != 0:
+        raise ValueError(f"int phi**r underflows at r={r:g}; A_{j} is not representable")
+    return total
+
+
 def cmd_coeffs(cfg: ExperimentConfig):
+    """Per-index table: b(r), B1(r), A1 and A2, the N_inf pair and the
+    verdicts.  A1 and A2 are a_1 and a_2 of the once-per-law exact
+    expansion, times int phi**r; the hand formulas
+    :func:`~renyi_clt.expansion.a1_closed_form` and
+    :func:`~renyi_clt.expansion.a2_from_integrals` are independent
+    cross-checks, used by the benchmark and the tests.
+    """
     spec = cfg.build_spec()
     if cfg.moment_order < 4:
         raise ConfigError("coeffs needs moment_order >= 4")
@@ -295,8 +317,8 @@ def cmd_coeffs(cfg: ExperimentConfig):
                 _fmt(r),
                 b,
                 -b,
-                a1_closed_form(r, cums) if finite else None,
-                a2_from_integrals(r, cums) if finite and order >= 6 else None,
+                _mass_term(1, r, cums) if finite else None,
+                _mass_term(2, r, cums) if finite and order >= 6 else None,
                 a_sup,
                 b_sup,
                 "none" if r0 is None else r0,

@@ -284,6 +284,14 @@ def test_laurent_form_matches_composition_sum(law):
             assert a_coefficient(j, r, cums) == pytest.approx(expected, rel=1e-13)
 
 
+@pytest.mark.parametrize("law", ["gamma4", "uniform", "dyadic_mixture"])
+def test_laurent_form_equals_composition_sum_exactly(law):
+    cums = rc.standard_cumulants(ORACLE_LAWS[law], order=8)
+    for r in (F(3, 2), 2, F(7, 2)):
+        for j in (1, 2, 3):
+            assert a_coefficient(j, r, cums) == a_coefficient_by_compositions(j, r, cums)
+
+
 # Gamma(alpha) cumulants (k-1)! alpha**(1 - k/2) at alpha = 4
 SYMPY_GAMMA4 = {k: sp.factorial(k - 1) / sp.Integer(2) ** (k - 2) for k in range(3, 7)}
 R = sp.Symbol("r", positive=True)

@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import renyi_clt as rc
-from renyi_clt import numerics
+from renyi_clt import edgeworth, expansion, numerics
+from renyi_clt.exactpoly import Poly
 from renyi_clt.harness import (
     ConfigError,
     ExperimentConfig,
@@ -274,6 +275,82 @@ def test_coeffs_needs_order4():
     cfg = ExperimentConfig({"distribution": "uniform", "moment_order": 3})
     with pytest.raises(ConfigError):
         cmd_coeffs(cfg)
+
+
+COEFF_LAWS = {
+    "gamma4": {"distribution": "gamma", "alpha": 4},
+    "gamma1": {"distribution": "gamma", "alpha": 1},
+    "uniform": {"distribution": "uniform"},
+    "laplace": {"distribution": "two_sided_exponential"},
+    "dyadic_mixture": {
+        "distribution": "gaussian_mixture",
+        "weights": [0.25, 0.75],
+        "means": [1.5, -0.5],
+        "sigmas": [0.5, 0.5],
+    },
+}
+COEFF_RS = [1.005, 1.25, 1.628, 2, 3.366, 7.9, 100, 500]
+
+
+@pytest.mark.parametrize("law", sorted(COEFF_LAWS))
+def test_coeffs_a1_a2_match_hand_formulas(law):
+    # A_1, A_2 come from the cached exact a_j; the hand formulas check them
+    cfg = ExperimentConfig({**COEFF_LAWS[law], "r_values": COEFF_RS, "moment_order": 6})
+    header, rows = cmd_coeffs(cfg)
+    cums = rc.standard_cumulants(cfg.build_spec(), order=6)
+    for r, row in zip(COEFF_RS, rows):
+        a1, a2 = row[header.index("a1")], row[header.index("a2")]
+        assert a1 == pytest.approx(rc.a1_closed_form(r, cums), rel=1e-13, abs=0)
+        assert a2 == pytest.approx(rc.a2_from_integrals(r, cums), rel=1e-13, abs=0)
+
+
+def _clear_symbolic_caches():
+    expansion._laurent_numerator.cache_clear()
+    expansion._log_polynomials.cache_clear()
+    edgeworth._correction_polynomial.cache_clear()
+
+
+def test_coeffs_builds_once_per_law(tmp_path, monkeypatch):
+    # the polynomial work happens once per law: further indices only evaluate
+    calls = []
+    mul = Poly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    monkeypatch.setattr(Poly, "__rmul__", counting)
+
+    def mul_calls(r_values):
+        _clear_symbolic_caches()
+        path = write_config(
+            tmp_path, distribution="gamma", alpha=4, r_values=r_values, moment_order=8
+        )
+        calls.clear()
+        assert main(["coeffs", "--config", str(path), "--out", str(tmp_path / "c.csv")]) == 0
+        return len(calls)
+
+    mul_calls([2.5])  # fills the Hermite cache
+    one = mul_calls([2.5])
+    assert one > 0 and mul_calls(COEFF_RS) == one
+
+
+def test_coeffs_and_verify_build_each_q_once(tmp_path):
+    _clear_symbolic_caches()
+    path = write_config(
+        tmp_path,
+        distribution="gamma",
+        alpha=4,
+        r_values=[1.5, 2, 1, "inf"],
+        n_values=[16, 32],
+        moment_order=8,
+    )
+    for command in ("coeffs", "verify"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+    # Q_1..Q_6 at moment order 8, each built once and then shared
+    info = edgeworth._correction_polynomial.cache_info()
+    assert info.misses == 6 and info.hits > 0
 
 
 # -- verify -------------------------------------------------------------------

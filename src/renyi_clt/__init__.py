@@ -49,7 +49,6 @@ from .expansion import (
     INCREASING,
     INDETERMINATE,
     ExpansionCoefficients,
-    TruncatedSeries,
     a1_closed_form,
     a2_from_integrals,
     a_coefficient,
@@ -58,8 +57,6 @@ from .expansion import (
     limit_expansion,
     gaussian_entropy_power,
     gaussian_renyi_entropy,
-    kl_rate_coefficient,
-    leading_entropy_coefficient,
     monotonicity_prediction,
     sign_change_threshold,
 )

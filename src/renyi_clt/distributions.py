@@ -53,6 +53,8 @@ __all__ = [
 _SQRT3 = math.sqrt(3.0)
 # most frequencies one chirp z-transform takes at once (bounds its FFT length)
 _CHIRP_BLOCK = 2**17
+# a tabulated law's mass, mean and second moment must be 1, 0, 1 to this
+_STANDARDIZED_TOL = 1e-10
 
 
 def _simpson(y, dx: float) -> float:
@@ -356,7 +358,7 @@ class GridDensity(DistributionSpec):
 
     name = "grid"
 
-    def __init__(self, x, p, n_min: int = 1, check_tol: float = 1e-10):
+    def __init__(self, x, p, n_min: int = 1):
         x = np.asarray(x, dtype=float)
         p = np.asarray(p, dtype=float)
         if x.ndim != 1 or x.shape != p.shape or x.size < 8:
@@ -374,9 +376,9 @@ class GridDensity(DistributionSpec):
         mean = _simpson(p * x, dx=self.h)
         second = _simpson(p * x * x, dx=self.h)
         if (
-            abs(mass - 1) > check_tol
-            or abs(mean) > check_tol
-            or abs(second - 1) > check_tol
+            abs(mass - 1) > _STANDARDIZED_TOL
+            or abs(mean) > _STANDARDIZED_TOL
+            or abs(second - 1) > _STANDARDIZED_TOL
         ):
             raise ValueError(
                 "tabulated density is not standardized: "

@@ -17,7 +17,8 @@ phi_m is exposed as a signed function: it may dip below zero far out in the
 tails and no clipping is applied, so that exact integral identities (unit
 mass, moment matching) survive.
 
-Each Q_k is built once per (k, gamma_3, ..., gamma_{k+2}) and cached, so
+Each Q_k is built once per (k, gamma_3, ..., gamma_{k+2}) and cached, in
+exact arithmetic with float cumulants entering at their binary values, so
 the models and the expansion coefficients of one law share it.
 """
 
@@ -73,19 +74,19 @@ def correction_polynomial(k: int, cumulants: CumulantVector) -> Poly:
     Q_k has degree at most 3k, the parity of k, and vanishes identically when
     gamma_3, ..., gamma_{k+2} all vanish.  It is built once per (k, gamma_3,
     ..., gamma_{k+2}) and cached, so the Edgeworth model, every a_j build and
-    the oracles share one Q_k per law.  Whether each cumulant is a float is
-    part of the key: float cumulants build in floats, and 1/2 == 0.5.
+    the oracles share one Q_k per law.  The key is the ``Fraction`` values
+    of the cumulants: a float cumulant enters at its binary value, so Q_k
+    has exact coefficients for every law and 1/2 and 0.5 share one build.
     """
     if k < 1:
         raise ValueError("correction index must be positive")
     cumulants.require_order(k + 2)
-    gammas = cumulants.values[2 : k + 2]
-    return _correction_polynomial(k, gammas, tuple(isinstance(g, float) for g in gammas))
+    return _correction_polynomial(k, tuple(map(Fraction, cumulants.values[2 : k + 2])))
 
 
 @lru_cache(maxsize=256)
-def _correction_polynomial(k: int, gammas: tuple, floats: tuple) -> Poly:
-    """The partition sum of Q_k; ``floats`` only keys the cache."""
+def _correction_polynomial(k: int, gammas: tuple) -> Poly:
+    """The partition sum of Q_k over exact ``gammas``."""
     total = Poly()
     for parts in compositions(k):
         w = _composition_weight(parts, gammas)
@@ -99,9 +100,10 @@ def _correction_polynomial(k: int, gammas: tuple, floats: tuple) -> Poly:
 class EdgeworthModel:
     """Correction of order m for a law with the given cumulants.
 
-    Holds the polynomials Q_1..Q_{m-2}, taken from the
-    :func:`correction_polynomial` cache.
-    Immutable and safe to share across threads.
+    Holds the exact polynomials Q_1..Q_{m-2}, taken from the
+    :func:`correction_polynomial` cache; evaluation at floats rounds each
+    coefficient once (:meth:`~renyi_clt.exactpoly.Poly.float_coeffs` on
+    arrays).  Immutable and safe to share across threads.
     """
 
     order: int
@@ -109,9 +111,9 @@ class EdgeworthModel:
     q_polys: tuple
 
     @classmethod
-    def from_cumulants(cls, cumulants, order: Optional[int] = None) -> "EdgeworthModel":
-        if not isinstance(cumulants, CumulantVector):
-            cumulants = CumulantVector(tuple(cumulants))
+    def from_cumulants(
+        cls, cumulants: CumulantVector, order: Optional[int] = None
+    ) -> "EdgeworthModel":
         m = cumulants.order if order is None else order
         if m < 2:
             raise ValueError("order must be at least 2")

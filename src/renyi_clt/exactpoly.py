@@ -49,10 +49,6 @@ class Poly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls((c,))
-
-    @classmethod
     def x(cls) -> "Poly":
         return cls((0, 1))
 

@@ -45,14 +45,13 @@ built once per (order, cumulants), and
 
 So one route serves every r in [1, inf], r = 1 (Shannon) and r = inf
 (-log sup p_n) included.  The c-series is taken as exp(2 * b-series), not
-as (a-series)**(-2/(r-1)), because only that form has a limit at r = 1.  In
-particular c_1 = 2 b_1 and
+as (a-series)**(-2/(r-1)), because only that form has a limit at r = 1, so
+c_1 = 2 b_1.  The log and the exp are truncated series compositions on
+plain coefficient lists in powers of 1/n.
 
-    b_1 = b(r) = -(1/r) * [ (2-r)/12 * gamma_3**2 + (r-1)/8 * gamma_4 ],
-
-extended by continuity to b(1) = -gamma_3**2/12 and
-b(inf) = gamma_3**2/12 - gamma_4/8.  The sign of b(r) decides the eventual
-monotonicity of the entropy power sequence N_r(Z_n).
+The first coefficient b(r) = b_1(r), whose sign decides the eventual
+monotonicity of the entropy power sequence N_r(Z_n), is read off the same
+L_1; :func:`sign_change_threshold` is the closed-form root of b_1.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ from .exactpoly import Poly
 from .gaussint import _moment_ratio, double_factorial, gauss_power_mass
 
 __all__ = [
-    "TruncatedSeries",
     "falling_factorial",
     "a_coefficient",
     "a1_closed_form",
@@ -79,8 +77,6 @@ __all__ = [
     "ExpansionCoefficients",
     "entropy_expansion",
     "limit_expansion",
-    "leading_entropy_coefficient",
-    "kl_rate_coefficient",
     "sign_change_threshold",
     "monotonicity_prediction",
     "gaussian_renyi_entropy",
@@ -95,114 +91,44 @@ DECREASING = "eventually_decreasing"
 INDETERMINATE = "indeterminate"
 
 
-class TruncatedSeries:
-    """Formal series in u = n**(-1/2), truncated at a fixed order.
+def _truncated_product(p: list, q: list) -> list:
+    """p * q for coefficient lists of one length, truncated at that length."""
+    out = [0] * len(p)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q[: len(p) - i]):
+            if b != 0:
+                out[i + j] += a * b
+    return out
 
-    ``coeffs[i]`` multiplies u**i.  ``remainder_exponent`` rho tags the
-    o(n**(-rho)) remainder the series carries; arithmetic takes the minimum
-    of the operands' tags and the minimum of their orders, so a result never
-    claims accuracy its inputs did not have.
-    """
 
-    __slots__ = ("coeffs", "remainder_exponent")
+def _compose(y: list, first, weights: list) -> list:
+    """first + sum_i weights[i-1] * y**i for a series y with zero constant
+    term, truncated at its length: the power y**i starts at slot i, so the
+    i <= len(y) - 1 terms are all there are."""
+    out = [first] + [0] * (len(y) - 1)
+    power = y
+    for i, w in enumerate(weights, start=1):
+        out = [o + c * w for o, c in zip(out, power)]
+        if i < len(weights):
+            power = _truncated_product(power, y)
+    return out
 
-    def __init__(self, coeffs, remainder_exponent=math.inf):
-        self.coeffs = tuple(coeffs)
-        if not self.coeffs:
-            raise ValueError("series needs at least the constant coefficient")
-        self.remainder_exponent = remainder_exponent
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
+def _log_series(coeffs: list) -> list:
+    """log(sum_j coeffs[j] t**j) truncated at the same order, for
+    coeffs[0] == 1: the sum over i of (-1)**(i+1) y**i / i, y the rest.
+    Exact over ``Fraction`` or ``Poly`` coefficients."""
+    y = [0, *coeffs[1:]]
+    return _compose(y, 0, [Fraction((-1) ** (i + 1), i) for i in range(1, len(y))])
 
-    def coeff(self, i: int):
-        return self.coeffs[i] if 0 <= i <= self.order else 0
 
-    def __repr__(self):
-        return f"TruncatedSeries({list(self.coeffs)}, rho={self.remainder_exponent})"
-
-    # -- arithmetic ----------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, TruncatedSeries):
-            return other
-        if isinstance(other, (int, float, Fraction)):
-            return TruncatedSeries((other,) + (0,) * self.order, math.inf)
-        return None
-
-    def _meet(self, other):
-        return (
-            min(self.order, other.order),
-            min(self.remainder_exponent, other.remainder_exponent),
-        )
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        m, rho = self._meet(other)
-        return TruncatedSeries(
-            [self.coeff(i) + other.coeff(i) for i in range(m + 1)], rho
-        )
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            return TruncatedSeries(
-                [c * other for c in self.coeffs], self.remainder_exponent
-            )
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        m, rho = self._meet(other)
-        out = [0] * (m + 1)
-        for i, a in enumerate(self.coeffs[: m + 1]):
-            if a == 0:
-                continue
-            for j in range(m + 1 - i):
-                b = other.coeff(j)
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries(out, rho)
-
-    __rmul__ = __mul__
-
-    # -- compositions ----------------------------------------------------
-
-    def log(self) -> "TruncatedSeries":
-        """Truncated composition with log; requires positive constant term."""
-        c0 = self.coeffs[0]
-        if not c0 > 0:
-            raise ValueError("series log needs a positive constant term")
-        # self = c0 (1 + y), y with zero constant term
-        rest = self.coeffs[1:] if c0 == 1 else [c / c0 for c in self.coeffs[1:]]
-        y = TruncatedSeries([0, *rest], self.remainder_exponent)
-        out = TruncatedSeries(
-            (0 if c0 == 1 else math.log(c0),) + (0,) * self.order,
-            self.remainder_exponent,
-        )
-        power = y
-        for i in range(1, self.order + 1):
-            out = out + power * Fraction((-1) ** (i + 1), i)
-            if i < self.order:
-                power = power * y
-        return out
-
-    def exp(self) -> "TruncatedSeries":
-        """Truncated composition with exp; exact when the constant term is 0
-        and the other coefficients are exact."""
-        c0 = self.coeffs[0]
-        y = TruncatedSeries(
-            (0,) + self.coeffs[1:], self.remainder_exponent
-        )
-        out = TruncatedSeries((1,) + (0,) * self.order, self.remainder_exponent)
-        power = y
-        for i in range(1, self.order + 1):
-            out = out + power * Fraction(1, factorial(i))
-            if i < self.order:
-                power = power * y
-        return out if c0 == 0 else out * math.exp(c0)
+def _exp_series(coeffs: list) -> list:
+    """exp(sum_j coeffs[j] t**j) truncated at the same order, for
+    coeffs[0] == 0: the sum over i of y**i / i!.  Exact over exact input, as
+    exp(0) = 1 never enters as a float."""
+    return _compose(coeffs, 1, [Fraction(1, factorial(i)) for i in range(1, len(coeffs))])
 
 
 def falling_factorial(r, k: int):
@@ -241,14 +167,12 @@ def _laurent_numerator(j: int, cumulants: CumulantVector):
     D is the common denominator of the c_{k,i}.  Each Q_i (from the
     :func:`correction_polynomial` cache) enters as q_i / d_i with q_i an
     integer polynomial, so the products multiply integers, and each P_k is
-    gathered over one integer denominator.  Float cumulants enter at their
-    binary values (and gamma_1, gamma_2 as 0, 1, which the Q_k do not
-    read), so the build is exact for every law, keeps the
-    identities a_j(1) = 0 and deg L_j <= 3j + 1 that the limits rely on, and
-    depends only on the values: 1/2 and 0.5 share it.
+    gathered over one integer denominator.  The Q_i are exact, float
+    cumulants entering at their binary values, so the build is exact for
+    every law, keeps the identities a_j(1) = 0 and deg L_j <= 3j + 1 that
+    the limits rely on, and depends only on the values: 1/2 and 0.5 share it.
     """
-    exact = CumulantVector.from_gammas(*map(Fraction, cumulants.values[2:]))
-    qs = [_integer_form(correction_polynomial(i, exact)) for i in range(1, 2 * j + 1)]
+    qs = [_integer_form(correction_polynomial(i, cumulants)) for i in range(1, 2 * j + 1)]
     terms = [[] for _ in range(2 * j + 1)]  # (integer product, its denominator)
     for ks in compositions(2 * j):
         if any(k_i and q.is_zero() for (q, _), k_i in zip(qs, ks)):
@@ -374,42 +298,19 @@ def a2_from_integrals(r: float, cumulants: CumulantVector) -> float:
     return total
 
 
-def b_coefficient(r, cumulants: CumulantVector):
-    """First-order entropy coefficient b(r), including the limit branches:
-
-        b(r)   = -(1/r) [ (2-r)/12 gamma_3**2 + (r-1)/8 gamma_4 ]  (1 < r < inf)
-        b(1)   = -gamma_3**2 / 12
-        b(inf) = gamma_3**2 / 12 - gamma_4 / 8
-
-    Exact (Fraction) when the cumulants and r are rational.
-    """
-    cumulants.require_order(4)
-    g3 = cumulants.gamma(3)
-    g4 = cumulants.gamma(4)
-    third = Fraction(1, 12)
-    eighth = Fraction(1, 8)
-    if r == math.inf:
-        return third * g3**2 - eighth * g4
-    if r == 1:
-        return -third * g3**2
-    if not r > 1:
-        raise ValueError(f"index r must be >= 1 (or inf), got {r}")
-    return -((2 - r) * third * g3**2 + (r - 1) * eighth * g4) / r
-
-
 @lru_cache(maxsize=64)
 def _log_polynomials(terms: int, cumulants: CumulantVector):
     """(L_1, ..., L_J), J = ``terms``: the exact polynomials of the module
     docstring, with log(1 + sum_j a_j n**(-j)) = sum_j L_j(r) v**j,
-    v = 1/(n r**3).  :meth:`TruncatedSeries.log` takes the log over ``Poly``
-    coefficients, slot 2j holding v**j.
+    v = 1/(n r**3).  :func:`_log_series` takes the log of
+    [1, N_1/D_1, ..., N_J/D_J] over ``Poly`` coefficients, slot j holding
+    v**j, at order J.
     """
-    coeffs = [1] + [0] * (2 * terms)
+    coeffs = [1]
     for j in range(1, terms + 1):
         num, den = _laurent_numerator(j, cumulants)
-        coeffs[2 * j] = num * Fraction(1, den)
-    log = TruncatedSeries(coeffs).log()
-    return tuple(Poly() + log.coeff(2 * j) for j in range(1, terms + 1))
+        coeffs.append(num * Fraction(1, den))
+    return tuple(Poly() + lj for lj in _log_series(coeffs)[1:])
 
 
 def _entropy_coefficients(terms: int, r, cumulants: CumulantVector):
@@ -430,9 +331,23 @@ def _entropy_coefficients(terms: int, r, cumulants: CumulantVector):
             x = Fraction(r)
             bj = -poly(x) / ((x - 1) * x ** (3 * j))
         b.append(bj if exact else float(bj))
-    c = (TruncatedSeries([0, *b]) * 2).exp().coeffs[1:]
+    c = _exp_series([0, *(bj * 2 for bj in b)])[1:]
     rounding = Fraction if exact else float
     return tuple(b), tuple(map(rounding, c))
+
+
+def b_coefficient(r, cumulants: CumulantVector):
+    """First-order entropy coefficient b(r) = b_1(r) at any 1 <= r <= inf,
+    read off the cached L_1 of the order-4 head (gamma_3, gamma_4) of the
+    cumulants, so the result type depends on gamma_3, gamma_4 and r only:
+    a ``Fraction`` when r is an int, a Fraction or inf and gamma_3, gamma_4
+    are rational, and otherwise a float rounded once from the exact value.
+    """
+    cumulants.require_order(4)
+    if not r >= 1:
+        raise ValueError(f"index r must be >= 1 (or inf), got {r}")
+    head = CumulantVector(cumulants.values[:4])
+    return _entropy_coefficients(1, r, head)[0][0]
 
 
 def _expansion_order(m: int):
@@ -507,34 +422,11 @@ def limit_expansion(m: int, r, cumulants: CumulantVector) -> ExpansionCoefficien
     )
 
 
-def leading_entropy_coefficient(k: int, r: float, gamma_2k):
-    """Leading entropy coefficient b_{k-1} when the first 2k-1 moments match
-    the Gaussian ones:
-
-        b_{k-1} = gamma_{2k} / (2**k k!) * (1/r - 1)**(k-1).
-    """
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    _require_r(r)
-    if gamma_2k == 0:
-        return 0.0
-    return gamma_2k * Fraction(1, 2**k * factorial(k)) * (1 / r - 1) ** (k - 1)
-
-
-def kl_rate_coefficient(r, cumulants: CumulantVector):
-    """B_1(r) = -b(r): the n**(-1) rate of h_r(Z) - h_r(Z_n).
-
-    Positive B_1 means the Renyi 'distance' to the Gaussian shrinks like a
-    KL divergence would; it turns negative exactly for r beyond
-    :func:`sign_change_threshold` when that threshold exists.
-    """
-    return -b_coefficient(r, cumulants)
-
-
 def sign_change_threshold(cumulants: CumulantVector):
-    """r_0 = (4 gamma_3**2 - 3 gamma_4) / (2 gamma_3**2 - 3 gamma_4), the index
-    above which B_1(r) < 0.  Defined only when gamma_3 != 0 and
-    gamma_4 < (2/3) gamma_3**2; returns None otherwise.
+    """r_0 = (4 gamma_3**2 - 3 gamma_4) / (2 gamma_3**2 - 3 gamma_4), the
+    closed-form root in r of b(r) = b_1(r), above which b(r) > 0.  Defined
+    only when gamma_3 != 0 and gamma_4 < (2/3) gamma_3**2; returns None
+    otherwise.
     """
     cumulants.require_order(4)
     g3 = cumulants.gamma(3)

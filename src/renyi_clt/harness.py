@@ -288,9 +288,10 @@ def _mass_term(j: int, r, cums):
 
 
 def cmd_coeffs(cfg: ExperimentConfig):
-    """Per-index table: b(r), B1(r), A1 and A2, the N_inf pair and the
-    verdicts.  A1 and A2 are a_1 and a_2 of the once-per-law exact
-    expansion, times int phi**r; the hand formulas
+    """Per-index table: b(r), B1(r) = -b(r), A1 and A2, the N_inf pair and
+    the verdicts.  b(r) and the verdicts are read off the cached exact L_1
+    (:func:`~renyi_clt.expansion.b_coefficient`), and A1 and A2 are a_1 and
+    a_2 of the once-per-law exact expansion, times int phi**r; the hand formulas
     :func:`~renyi_clt.expansion.a1_closed_form` and
     :func:`~renyi_clt.expansion.a2_from_integrals` are independent
     cross-checks, used by the benchmark and the tests.

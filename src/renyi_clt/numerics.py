@@ -80,6 +80,9 @@ _EVAL_CAP = 2**27
 # far under the rounding of the samples near the mode (about 5e-17): the grid
 # then matches the full-period one to an ulp, mostly bit for bit
 _BAND_FLOOR = 2.0**-60
+# sup-norm bound on what folding may leave of the tail: the one-period
+# ringing bound, two consecutive Richardson steps, and a band's bound
+_TAIL_BOUND = 5e-9
 
 
 class GridError(RuntimeError):
@@ -207,8 +210,7 @@ def _invert_band(band: np.ndarray, N: int, h: float) -> np.ndarray:
     return _invert_fold(fold, h)
 
 
-def _band_length(spec: DistributionSpec, n: int, N: int, dt: float,
-                 tail_bound: float):
+def _band_length(spec: DistributionSpec, n: int, N: int, dt: float):
     """(M, bound) for the shortest band m < M of the first period that is
     enough, or None.
 
@@ -219,7 +221,7 @@ def _band_length(spec: DistributionSpec, n: int, N: int, dt: float,
     envelope the ringing test assumes, at most M**2 dt/(N pi) times it.
     Together that is below bound = (N dt/pi) E(M dt/sqrt(n))**n, taken in
     log space.  The band is enough once bound is below both ``_BAND_FLOOR``
-    and ``tail_bound``; None when no M qualifies or the law has no envelope.
+    and ``_TAIL_BOUND``; None when no M qualifies or the law has no envelope.
     """
     log_span = math.log(N * dt / math.pi)
     M = 256
@@ -228,14 +230,14 @@ def _band_length(spec: DistributionSpec, n: int, N: int, dt: float,
         if env is None:
             return None
         bound = math.exp(log_span + n * math.log(env)) if env > 0 else 0.0
-        if bound < min(_BAND_FLOOR, tail_bound):
+        if bound < min(_BAND_FLOOR, _TAIL_BOUND):
             return M, bound
         M *= 2
     return None
 
 
 def _folded_density(spec: DistributionSpec, n: int, N: int, dt: float,
-                    h: float, tail_bound: float):
+                    h: float):
     """(samples, folds, cap_hit, ringing_bound, band) of the folded inversion.
 
     The inversion lattice t_m = m*dt aliases with period N: because the grid
@@ -252,17 +254,18 @@ def _folded_density(spec: DistributionSpec, n: int, N: int, dt: float,
     period is evaluated, and it is kept when a conservative bound on its
     residual ringing (the tail integral of |f_n| over its last quarter,
     divided by pi and assuming at worst a 1/t**2 envelope) is below
-    ``tail_bound``.  Otherwise the number of periods K doubles.  Under that envelope the error of the K-period fold S_K falls
-    like 1/K, so two-point Richardson extrapolation R_K = 2 S_2K - S_K
-    cancels its leading term.  After each doubling R_K is inverted; folding
-    stops once two consecutive sup-norm steps max|R_K - R_{K/2}| fall below
-    ``tail_bound`` (a single step can pass early on a still-converging
-    sequence), or when the next doubling would exceed ``_EVAL_CAP`` lattice
-    points.  The reported ringing bound is then the plain one-period bound,
-    or else the last Richardson step (inf if the cap left room for one
-    extrapolant only).  ``band`` is then None.
+    ``_TAIL_BOUND``.  Otherwise the number of periods K doubles.  Under that
+    envelope the error of the K-period fold S_K falls like 1/K, so two-point
+    Richardson extrapolation R_K = 2 S_2K - S_K cancels its leading term.
+    After each doubling R_K is inverted; folding stops once two consecutive
+    sup-norm steps max|R_K - R_{K/2}| fall below ``_TAIL_BOUND`` (a single
+    step can pass early on a still-converging sequence), or when the next
+    doubling would exceed ``_EVAL_CAP`` lattice points.  The reported
+    ringing bound is then the plain one-period bound, or else the last
+    Richardson step (inf if the cap left room for one extrapolant only).
+    ``band`` is then None.
     """
-    band = _band_length(spec, n, N, dt, tail_bound)
+    band = _band_length(spec, n, N, dt)
     if band is not None:
         M, bound = band
         return None, 1, False, bound, _cf_power(spec, n, dt * np.arange(M))
@@ -277,8 +280,8 @@ def _folded_density(spec: DistributionSpec, n: int, N: int, dt: float,
     fold += period(0)
     tail_int = float(np.abs(fold[-quarter:]).sum()) * dt
     ringing = tail_int * (N * dt / (quarter * dt)) / math.pi
-    if ringing < tail_bound or max_periods < 2:
-        return _invert_fold(fold, h), 1, ringing >= tail_bound, ringing, None
+    if ringing < _TAIL_BOUND or max_periods < 2:
+        return _invert_fold(fold, h), 1, ringing >= _TAIL_BOUND, ringing, None
 
     periods, values, step, calm = 1, None, math.inf, 0
     while 2 * periods <= max_periods:
@@ -289,7 +292,7 @@ def _folded_density(spec: DistributionSpec, n: int, N: int, dt: float,
         fold, periods = wider, 2 * periods
         if previous is not None:
             step = float(np.abs(values - previous).max())
-            calm = calm + 1 if step < tail_bound else 0
+            calm = calm + 1 if step < _TAIL_BOUND else 0
             if calm == 2:
                 return values, periods, False, step, None
     return values, periods, True, step, None
@@ -300,7 +303,6 @@ def density_of_normalized_sum(
     n: int,
     npoints: int = DEFAULT_GRID_POINTS,
     extent: float = DEFAULT_GRID_EXTENT,
-    tail_bound: float = 5e-9,
 ) -> DensityGrid:
     """Density p_n of Z_n on [-extent, extent) by Fourier inversion.
 
@@ -308,14 +310,14 @@ def density_of_normalized_sum(
     many frequency periods as the tail needs (see ``_folded_density``) and
     inverted with one real-output inverse FFT per fold tried.  When the
     law's ``cf_envelope`` bounds what lies beyond a band of the first period
-    below 2**-60 and ``tail_bound``, only that band of a few hundred to a few
-    thousand frequencies is evaluated.  Other grids whose characteristic
-    power decays fast enough use the whole first period; slowly decaying
-    ones (small n, laws with kinks or jumps) double the period count under
-    Richardson extrapolation until two consecutive steps fall below
-    ``tail_bound``.  The grid records ``folds``, ``cap_hit`` (the doubling
-    stopped at ``_EVAL_CAP`` cf points before settling), ``ringing_bound``
-    and ``band``.
+    below 2**-60 and ``_TAIL_BOUND`` (5e-9), only that band of a few hundred
+    to a few thousand frequencies is evaluated.  Other grids whose
+    characteristic power decays fast enough use the whole first period;
+    slowly decaying ones (small n, laws with kinks or jumps) double the
+    period count under Richardson extrapolation until two consecutive steps
+    fall below ``_TAIL_BOUND``.  The grid records ``folds``, ``cap_hit``
+    (the doubling stopped at ``_EVAL_CAP`` cf points before settling),
+    ``ringing_bound`` and ``band``.
 
     A band of M values is inverted once at N' = min(N, max(1024, 4M))
     points over the same extent.  The frequency step dt = pi/extent does not
@@ -355,9 +357,7 @@ def density_of_normalized_sum(
     L = float(extent)
     h = 2 * L / N
     dt = 2 * math.pi / (N * h)
-    values, folds, cap_hit, ringing, band = _folded_density(
-        spec, n, N, dt, h, tail_bound
-    )
+    values, folds, cap_hit, ringing, band = _folded_density(spec, n, N, dt, h)
     if band is not None:
         size = min(N, max(1024, 4 * len(band)))
         h = 2 * L / size

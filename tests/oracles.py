@@ -2,13 +2,13 @@
 
 These deliberately avoid the library's computational paths: the Irwin-Hall
 pieces are assembled from first principles with exact rational arithmetic,
-integration is plain antiderivative evaluation, and the sup-norm
-coefficients are the hand-expanded fractions of the maximizer expansion.
+integration is plain antiderivative evaluation, and the entropy and sup-norm
+coefficients are hand-derived formulas.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod, sqrt
+from math import comb, factorial, inf, prod, sqrt
 
 from renyi_clt.cumulants import compositions
 from renyi_clt.edgeworth import EdgeworthModel, correction_polynomial
@@ -91,6 +91,38 @@ def a_coefficient_by_compositions(j: int, r, cumulants):
         )
         total += weight * ratio
     return total
+
+
+# -- entropy coefficients by hand --------------------------------------------
+
+
+def b_closed_form(r, cumulants):
+    """First-order entropy coefficient by hand, with its limit branches:
+
+        b(r)   = -(1/r) [ (2-r)/12 gamma_3**2 + (r-1)/8 gamma_4 ]  (1 < r < inf)
+        b(1)   = -gamma_3**2 / 12
+        b(inf) = gamma_3**2 / 12 - gamma_4 / 8
+
+    Exact (Fraction) when the cumulants and r are rational.
+    """
+    g3, g4 = cumulants.gamma(3), cumulants.gamma(4)
+    third, eighth = Fraction(1, 12), Fraction(1, 8)
+    if r == inf:
+        return third * g3**2 - eighth * g4
+    if r == 1:
+        return -third * g3**2
+    return -((2 - r) * third * g3**2 + (r - 1) * eighth * g4) / r
+
+
+def leading_entropy_coefficient(k: int, r, gamma_2k):
+    """Leading entropy coefficient b_{k-1} when the first 2k-1 moments match
+    the Gaussian ones:
+
+        b_{k-1} = gamma_{2k} / (2**k k!) * (1/r - 1)**(k-1),
+
+    exact when r and gamma_{2k} are rational.
+    """
+    return gamma_2k * Fraction(1, 2**k * factorial(k)) * (1 / Fraction(r) - 1) ** (k - 1)
 
 
 # -- the r = infinity branch by hand ------------------------------------------

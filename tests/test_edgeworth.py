@@ -85,6 +85,17 @@ def test_parity_and_degree():
             assert q.degree == 3 * k
 
 
+def test_float_cumulants_build_one_exact_q():
+    # a float cumulant enters at its binary value: 0.1 and Fraction(0.1)
+    # share one exact build, and 1/2 and 0.5 share another
+    floats = CumulantVector((0.0, 1.0, 0.1, 0.5, 0.3))
+    exact = CumulantVector((0, 1, F(0.1), F(1, 2), F(0.3)))
+    for k in (1, 2, 3):
+        q = correction_polynomial(k, floats)
+        assert q is correction_polynomial(k, exact)
+        assert all(type(c) is F for c in q.coeffs)
+
+
 def test_density_order2_is_normal():
     model = EdgeworthModel.from_cumulants(CumulantVector((0, 1)), order=2)
     x = np.linspace(-5, 5, 11)

@@ -7,13 +7,12 @@ import pytest
 import sympy as sp
 
 import renyi_clt as rc
-from oracles import a_coefficient_by_compositions
+from oracles import a_coefficient_by_compositions, b_closed_form, leading_entropy_coefficient
 from renyi_clt.cumulants import CumulantVector
 from renyi_clt.expansion import (
     DECREASING,
     INCREASING,
     INDETERMINATE,
-    TruncatedSeries,
     a1_closed_form,
     a2_from_integrals,
     a_coefficient,
@@ -22,14 +21,18 @@ from renyi_clt.expansion import (
     falling_factorial,
     gaussian_entropy_power,
     gaussian_renyi_entropy,
-    kl_rate_coefficient,
-    leading_entropy_coefficient,
     limit_expansion,
     monotonicity_prediction,
     sign_change_threshold,
 )
 from renyi_clt.exactpoly import Poly
-from renyi_clt.expansion import _laurent_numerator, _log_polynomials
+from renyi_clt.expansion import (
+    _exp_series,
+    _laurent_numerator,
+    _log_polynomials,
+    _log_series,
+    _truncated_product,
+)
 from renyi_clt.gaussint import gauss_power_integral, gauss_power_mass, hermite_integral
 
 F = Fraction
@@ -43,80 +46,89 @@ def random_cumulants(rng, order=6, scale=1.5):
     return CumulantVector(vals)
 
 
-# -- truncated series -------------------------------------------------------
+# -- truncated log and exp series in 1/n -------------------------------------
 
 
 def test_series_log_golden():
     a1 = 0.7
-    s = TruncatedSeries([1.0, 0.0, a1, 0.0, 0.0])
-    out = s.log()
-    assert out.coeffs[0] == pytest.approx(0.0)
-    assert out.coeff(2) == pytest.approx(a1)
-    assert out.coeff(4) == pytest.approx(-a1 * a1 / 2)
-    assert out.coeff(1) == 0 and out.coeff(3) == 0
+    out = _log_series([1.0, a1, 0.0])
+    assert out[0] == 0
+    assert out[1] == pytest.approx(a1)
+    assert out[2] == pytest.approx(-a1 * a1 / 2)
 
 
 def test_series_log_constant():
-    s = TruncatedSeries([3.0, 0.0, 0.0])
-    assert s.log().coeffs == pytest.approx((math.log(3.0), 0.0, 0.0))
-
-
-def test_series_log_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        TruncatedSeries([0.0, 1.0]).log()
-    with pytest.raises(ValueError):
-        TruncatedSeries([-1.0, 1.0]).log()
+    # log 1 = 0 and exp 0 = 1, exactly and at every order
+    assert _log_series([1, 0, 0]) == [0, 0, 0]
+    assert _exp_series([0, 0, 0]) == [1, 0, 0]
+    assert _log_series([1]) == [0] and _exp_series([0]) == [1]
 
 
 def test_series_exp_log_round_trip():
     rng = np.random.default_rng(21)
     for _ in range(10):
-        coeffs = [1.5] + list(rng.uniform(-0.8, 0.8, size=5))
-        s = TruncatedSeries(coeffs)
-        back = s.log().exp()
-        assert np.allclose(back.coeffs, s.coeffs, rtol=1e-12, atol=1e-12)
+        coeffs = [1.0] + list(rng.uniform(-0.8, 0.8, size=5))
+        back = _exp_series(_log_series(coeffs))
+        assert np.allclose(back, coeffs, rtol=1e-12, atol=1e-12)
+        exact = [F(1)] + [F(int(v)) / 7 for v in rng.integers(-9, 10, size=5)]
+        assert _exp_series(_log_series(exact)) == exact
+        assert _log_series(_exp_series([0, *exact[1:]])) == [0, *exact[1:]]
 
 
 def _pow(s, q):
-    """(1 + y)**q as exp(q log(1 + y)), the composition the library uses."""
-    return (s.log() * q).exp()
+    """(1 + y)**q as exp(q log(1 + y)), composed from the two helpers."""
+    return _exp_series([c * q for c in _log_series(s)])
 
 
 def test_series_pow_goldens():
-    s = TruncatedSeries([1.0, 1.0])
-    assert _pow(s, 1.0).coeffs == pytest.approx((1.0, 1.0))
+    assert _pow([1.0, 1.0], 1.0) == pytest.approx([1.0, 1.0])
     a1 = 0.4
-    t = TruncatedSeries([1.0, 0.0, a1, 0.0, 0.0])
-    out = _pow(t, -2.0)
-    assert out.coeff(2) == pytest.approx(-2 * a1)
-    assert out.coeff(4) == pytest.approx(3 * a1 * a1)
+    out = _pow([1.0, a1, 0.0], -2.0)
+    assert out[1] == pytest.approx(-2 * a1)
+    assert out[2] == pytest.approx(3 * a1 * a1)
 
 
 def test_series_pow_additivity():
     rng = np.random.default_rng(22)
     for _ in range(10):
-        s = TruncatedSeries([2.0] + list(rng.uniform(-0.5, 0.5, size=4)))
+        s = [1.0] + list(rng.uniform(-0.5, 0.5, size=4))
         q1, q2 = rng.uniform(-2, 2, size=2)
         lhs = _pow(s, q1 + q2)
-        rhs = _pow(s, q1) * _pow(s, q2)
-        assert np.allclose(lhs.coeffs, rhs.coeffs, rtol=1e-11, atol=1e-12)
+        rhs = _truncated_product(_pow(s, q1), _pow(s, q2))
+        assert np.allclose(lhs, rhs, rtol=1e-11, atol=1e-12)
 
 
 def test_series_log_and_pow_keep_a_unit_constant_exact():
-    s = TruncatedSeries([1, 0, F(1, 2), 0, F(-1, 3)])
-    assert s.log().coeffs == (0, 0, F(1, 2), 0, F(-11, 24))
+    s = [1, F(1, 2), F(-1, 3)]
+    assert _log_series(s) == [0, F(1, 2), F(-11, 24)]
     # exp of a series with constant term 0 stays exact: no factor exp(0) = 1.0
-    assert _pow(s, F(-2, 3)).coeffs == (1, 0, F(-1, 3), 0, F(13, 36))
-    assert all(type(c) is not float for c in s.log().coeffs + _pow(s, F(-2, 3)).coeffs)
+    assert _pow(s, F(-2, 3)) == [1, F(-1, 3), F(13, 36)]
+    assert all(type(c) is not float for c in _log_series(s) + _pow(s, F(-2, 3)))
 
 
-def test_series_remainder_bookkeeping():
-    a = TruncatedSeries([1.0, 0.5], remainder_exponent=2.0)
-    b = TruncatedSeries([1.0, 0.25, 0.1], remainder_exponent=1.0)
-    assert (a * b).remainder_exponent == 1.0
-    assert (a + b).remainder_exponent == 1.0
-    assert (a * b).order == a.order
-    assert a.log().remainder_exponent == 2.0
+def test_series_log_and_exp_match_sympy():
+    # the truncated compositions against sympy's series, exactly, at order 5
+    t = sp.Symbol("t")
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        y = [F(int(a), int(b)) for a, b in zip(rng.integers(-9, 10, 5), rng.integers(1, 9, 5))]
+        series = sum(
+            sp.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(y, start=1)
+        )
+        for lib, ref in (
+            (_log_series([1, *y]), sp.log(1 + series)),
+            (_exp_series([0, *y]), sp.exp(series)),
+        ):
+            expected = sp.Poly(sp.series(ref, t, 0, 6).removeO(), t).all_coeffs()[::-1]
+            assert [sp.Rational(c.numerator, c.denominator) for c in map(F, lib)] == expected
+
+
+def test_series_over_polynomials_is_exact():
+    # the log the library takes: Poly coefficients, exact Fraction arithmetic
+    y1, y2 = Poly((F(1, 2), 3)), Poly((0, F(-1, 5), 1))
+    out = _log_series([1, y1, y2])
+    assert out[1] == y1 and out[2] == y2 - y1 * y1 * F(1, 2)
+    assert all(type(c) is F for p in out[1:] for c in p.coeffs)
 
 
 def test_falling_factorial():
@@ -225,7 +237,7 @@ def test_a_coefficient_where_gauss_mass_underflows(r):
     assert a_coefficient(1, r, UNIFORM) == pytest.approx(float(a1), rel=1e-15)
     assert math.isfinite(a_coefficient(2, r, UNIFORM))
     b1 = entropy_expansion(4, r, UNIFORM).b[0]
-    assert b1 == pytest.approx(float(b_coefficient(r, UNIFORM)), rel=1e-14)
+    assert b1 == pytest.approx(float(b_closed_form(r, UNIFORM)), rel=1e-14)
 
 
 def test_a1_uniform_r2_value():
@@ -381,7 +393,7 @@ def test_rational_inputs_give_exact_expansion():
     assert rounded.b == tuple(float(v) for v in exact.b)
     uniform = rc.standard_cumulants("uniform", order=8)
     b1 = entropy_expansion(8, 800, uniform).b[0]
-    assert b1 == b_coefficient(800, uniform) == F(2397, 16000)
+    assert b1 == b_closed_form(800, uniform) == F(2397, 16000)
 
 
 @pytest.mark.parametrize(
@@ -397,7 +409,7 @@ def test_limit_expansion_exact_gates(law, b1, binf):
         coeffs = limit_expansion(8, r, cums)
         assert coeffs.b == expected and coeffs.a == ()
         assert all(type(v) is F for v in coeffs.b + coeffs.c)
-        assert coeffs.b[0] == b_coefficient(r, cums)
+        assert coeffs.b[0] == b_closed_form(r, cums)
         # c-series = exp(2 b-series), truncated at n**-3
         b_1, b_2, b_3 = expected
         assert coeffs.c == (
@@ -518,7 +530,7 @@ def test_entropy_expansion_m5():
     c = random_cumulants(rng, 5)
     coeffs = entropy_expansion(5, 2.0, c)
     assert coeffs.terms == 1
-    assert coeffs.b[0] == pytest.approx(float(b_coefficient(2.0, c)), rel=1e-12)
+    assert coeffs.b[0] == pytest.approx(float(b_closed_form(2.0, c)), rel=1e-12)
     assert coeffs.c[0] == pytest.approx(2 * coeffs.b[0], rel=1e-12)
 
 
@@ -540,47 +552,85 @@ def test_entropy_expansion_gaussian_cumulants():
 
 
 def test_entropy_power_series_identity():
-    # 1 + sum c_j n^-j must be the -2/(r-1) power of the a-series
+    # 1 + sum c_j n^-j must be the -2/(r-1) power of the a-series, taken by
+    # sympy's series expansion, exactly on rational cumulants and indexes
+    t = sp.Symbol("t")
     rng = np.random.default_rng(42)
-    c = random_cumulants(rng, 8)
-    for r in (1.5, 2.0, 3.0):
-        coeffs = entropy_expansion(8, r, c)
-        series = TruncatedSeries(
-            [1.0, 0.0, coeffs.a[0], 0.0, coeffs.a[1], 0.0, coeffs.a[2]]
-        )
-        powed = _pow(series, -2.0 / (r - 1))
-        for j, cj in enumerate(coeffs.c, start=1):
-            assert cj == pytest.approx(powed.coeff(2 * j), rel=1e-12, abs=1e-15)
-        assert coeffs.c[0] == pytest.approx(2 * coeffs.b[0], rel=1e-12, abs=1e-15)
+    for _ in range(3):
+        gammas = [F(int(a), 4) for a in rng.integers(-6, 7, size=6)]
+        c = CumulantVector.from_gammas(*gammas)
+        for r in (F(3, 2), 2, 3, F(7, 3)):
+            coeffs = entropy_expansion(8, r, c)
+            a_series = 1 + sum(
+                sp.Rational(a.numerator, a.denominator) * t**j
+                for j, a in enumerate(coeffs.a, start=1)
+            )
+            power = sp.Rational(-2) / (sp.Rational(r.numerator, r.denominator) - 1)
+            expected = sp.series(a_series**power, t, 0, 4).removeO()
+            for j, cj in enumerate(coeffs.c, start=1):
+                assert sp.Rational(cj.numerator, cj.denominator) == expected.coeff(t, j)
+            assert coeffs.c[0] == 2 * coeffs.b[0]
 
 
 def test_matched_moment_consistency():
-    # with gamma_3 = 0 the pipeline reproduces the matched-moment coefficient
+    # when gamma_3 .. gamma_{2k-1} vanish the first k-2 entropy coefficients
+    # vanish and b_{k-1} is the matched-moment coefficient, exactly
     rng = np.random.default_rng(43)
-    for _ in range(5):
-        g4 = float(rng.uniform(-1.5, 1.5))
-        c = CumulantVector((0, 1, 0.0, g4))
-        for r in (1.5, 2.0, 3.0):
-            coeffs = entropy_expansion(4, r, c)
-            assert coeffs.b[0] == pytest.approx(
-                float(leading_entropy_coefficient(2, r, g4)), rel=1e-10, abs=1e-15
-            )
+    for k in (2, 3, 4):
+        for _ in range(5):
+            g = F(int(rng.integers(-12, 13)), int(rng.integers(1, 8)))
+            gammas = [0] * 6
+            gammas[2 * k - 3] = g  # gamma_{2k}
+            c = CumulantVector.from_gammas(*gammas)
+            for r in (F(3, 2), 2, 3, F(7, 2)):
+                b = entropy_expansion(8, r, c).b
+                assert b[: k - 2] == (0,) * (k - 2)
+                assert b[k - 2] == leading_entropy_coefficient(k, r, g)
+    # b_2 = gamma_6/48 (1/r - 1)**2 and b_3 = gamma_8/384 (1/r - 1)**3
+    assert leading_entropy_coefficient(3, 2, 1) == F(1, 192)
+    assert leading_entropy_coefficient(4, 2, 1) == F(-1, 3072)
 
 
 def test_leading_entropy_coefficient():
     assert leading_entropy_coefficient(2, 2.0, 0.8) == pytest.approx(
-        float(b_coefficient(2.0, CumulantVector((0, 1, 0.0, 0.8))))
+        float(b_closed_form(2.0, CumulantVector((0, 1, 0.0, 0.8))))
+    )
+    assert leading_entropy_coefficient(2, 2, F(4, 5)) == b_coefficient(
+        2, CumulantVector((0, 1, 0, F(4, 5)))
     )
     assert leading_entropy_coefficient(3, 2.0, 0.0) == 0.0
     assert leading_entropy_coefficient(3, 2.0, 1) == pytest.approx(1 / 192)
 
 
 def test_kl_rate_limit_and_uniform():
+    # B_1(r) = -b(r), the n**-1 rate of h_r(Z) - h_r(Z_n)
     c = CumulantVector((0, 1, 0.9, 0.1))
-    assert float(kl_rate_coefficient(1 + 1e-6, c)) == pytest.approx(
-        0.9**2 / 12, abs=1e-4
-    )
-    assert kl_rate_coefficient(2, UNIFORM) == -F(3, 40)
+    assert float(-b_coefficient(1 + 1e-6, c)) == pytest.approx(0.9**2 / 12, abs=1e-4)
+    assert -b_coefficient(2, UNIFORM) == -F(3, 40)
+
+
+def test_b_coefficient_is_the_closed_form_exactly():
+    # the derived b_1 equals the hand formula as a Fraction, and vanishes at
+    # the closed-form threshold r_0
+    rng = np.random.default_rng(45)
+    roots = 0
+    for _ in range(20):
+        g3, g4 = (F(int(rng.integers(-12, 13)), int(rng.integers(1, 8))) for _ in range(2))
+        c = CumulantVector.from_gammas(g3, g4)
+        for r in (1, F(3, 2), 2, F(7, 2), math.inf):
+            b = b_coefficient(r, c)
+            assert type(b) is F and b == b_closed_form(r, c)
+        r0 = sign_change_threshold(c)
+        if r0 is not None:
+            roots += 1
+            assert b_coefficient(r0, c) == 0
+    assert roots > 0
+
+
+def test_b_coefficient_rejects_r_below_1():
+    for r in (0.5, F(1, 2), math.nan, -math.inf):
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            b_coefficient(r, UNIFORM)
 
 
 def test_sign_change_threshold_bisection():
@@ -589,7 +639,7 @@ def test_sign_change_threshold_bisection():
     r0 = sign_change_threshold(c)
     assert r0 is not None
     lo, hi = 1.0 + 1e-9, 1e6
-    f = lambda r: float(kl_rate_coefficient(r, c))
+    f = lambda r: float(-b_coefficient(r, c))
     assert f(lo) > 0 > f(hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)

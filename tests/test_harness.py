@@ -280,6 +280,7 @@ def test_coeffs_needs_order4():
 COEFF_LAWS = {
     "gamma4": {"distribution": "gamma", "alpha": 4},
     "gamma1": {"distribution": "gamma", "alpha": 1},
+    "gamma2.5": {"distribution": "gamma", "alpha": 2.5},
     "uniform": {"distribution": "uniform"},
     "laplace": {"distribution": "two_sided_exponential"},
     "dyadic_mixture": {

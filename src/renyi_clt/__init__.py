@@ -8,11 +8,9 @@ Z_n = (X_1 + ... + X_n)/sqrt(n):
 * moment/cumulant conversion via the partition formula
   (:mod:`renyi_clt.cumulants`),
 * Edgeworth corrections of the normal density (:mod:`renyi_clt.edgeworth`),
-* closed-form integrals of polynomials against powers of the normal density
-  (:mod:`renyi_clt.gaussint`),
 * expansion coefficients for L^r norms, Renyi entropies and entropy powers
-  at every index 1 <= r <= inf, with eventual-monotonicity verdicts
-  (:mod:`renyi_clt.expansion`),
+  at every index 1 <= r <= inf, with eventual-monotonicity verdicts, and the
+  Gaussian mass int phi**r they scale by (:mod:`renyi_clt.expansion`),
 * actual densities of Z_n by characteristic-function powering and Fourier
   inversion, with entropies computed on the resulting grids
   (:mod:`renyi_clt.numerics` and :mod:`renyi_clt.distributions`),
@@ -38,9 +36,7 @@ from .distributions import (
 )
 from .edgeworth import (
     EdgeworthModel,
-    LeadingTerm,
     correction_polynomial,
-    leading_term,
     normal_pdf,
 )
 from .exactpoly import Poly, hermite
@@ -54,23 +50,17 @@ from .expansion import (
     a_coefficient,
     b_coefficient,
     entropy_expansion,
+    gauss_power_mass,
     limit_expansion,
     gaussian_entropy_power,
     gaussian_renyi_entropy,
     monotonicity_prediction,
     sign_change_threshold,
 )
-from .gaussint import (
-    gauss_power_integral,
-    gauss_power_mass,
-    gauss_power_moment,
-    hermite_integral,
-)
 from .numerics import (
     DensityGrid,
     GridError,
     SmoothingResult,
-    characteristic_power,
     density_of_normalized_sum,
     entropy_power,
     kl_to_gaussian,

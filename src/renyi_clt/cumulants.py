@@ -28,12 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 __all__ = [
     "MomentVector",
     "CumulantVector",
     "compositions",
+    "double_factorial",
     "cumulants_from_moments",
     "moments_from_cumulants",
     "standard_cumulants",
@@ -142,6 +143,13 @@ def compositions(k: int):
     return tuple(out)
 
 
+def double_factorial(k: int) -> int:
+    """k!! as an exact integer, with (-1)!! = 0!! = 1."""
+    if k < -1:
+        raise ValueError("double factorial needs k >= -1")
+    return prod(range(k, 0, -2))
+
+
 def cumulants_from_moments(moments) -> CumulantVector:
     """Convert standardized raw moments to cumulants (exact for rationals)."""
     alpha = _as_values(moments, MomentVector)
@@ -197,7 +205,8 @@ def standard_cumulants(spec, order: int = 6, **params) -> CumulantVector:
     ``spec`` is either a distribution name understood by
     :func:`renyi_clt.distributions.from_name` (e.g. ``"uniform"``,
     ``"gamma"`` with ``alpha=...``) or an already-built spec object exposing
-    ``moments(order)``.  Moments are exact where the law allows it, so the
+    ``moments(order)``, such as the ``GridDensity`` of a tabulated law (it has
+    no name).  Moments are exact where the law allows it, so the
     resulting cumulants are exact rationals in those cases.
     """
     from . import distributions  # deferred: distributions imports this module

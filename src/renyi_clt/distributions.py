@@ -38,7 +38,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .gaussint import double_factorial
+from .cumulants import double_factorial, moments_from_cumulants
 
 __all__ = [
     "DistributionSpec",
@@ -196,22 +196,12 @@ class StandardizedGamma(DistributionSpec):
             else:
                 g = factorial(k - 1) * float(self.alpha) ** (1 - k / 2)
             gammas.append(g)
-        return gammas[:order]
+        return gammas
 
     def moments(self, order: int):
         self._check_order(order)
-        gammas = self._cumulants(order)
-        # alpha_n = sum_j C(n-1, j-1) gamma_j alpha_{n-j}, alpha_0 = 1
-        alpha = [1]
-        for n in range(1, order + 1):
-            alpha.append(
-                sum(
-                    comb(n - 1, j - 1) * gammas[j - 1] * alpha[n - j]
-                    for j in range(1, n + 1)
-                    if gammas[j - 1] != 0
-                )
-            )
-        return alpha[1:]
+        alphas = moments_from_cumulants(self._cumulants(order)).values
+        return list(alphas[:order])
 
 
 class TwoSidedExponential(DistributionSpec):
@@ -352,13 +342,14 @@ class GridDensity(DistributionSpec):
 
     The tabulation must describe a standardized law: unit mass, zero mean and
     unit variance are verified by Simpson quadrature to 1e-10 at
-    construction.  ``n_min`` defaults to 1 and must be supplied by the caller
-    when the tabulated law needs more smoothing.
+    construction.  ``n_min`` is 1 for every table: the interpolant's cf
+    carries the factor sinc(t*h/(2*pi))**2, so |cf(t)| = O(t**-2) is
+    integrable and Z_1 already inverts.
     """
 
     name = "grid"
 
-    def __init__(self, x, p, n_min: int = 1):
+    def __init__(self, x, p):
         x = np.asarray(x, dtype=float)
         p = np.asarray(p, dtype=float)
         if x.ndim != 1 or x.shape != p.shape or x.size < 8:
@@ -371,7 +362,6 @@ class GridDensity(DistributionSpec):
         self.x = x
         self.p = p
         self.h = float(steps.mean())
-        self.n_min = int(n_min)
         mass = _simpson(p, dx=self.h)
         mean = _simpson(p * x, dx=self.h)
         second = _simpson(p * x * x, dx=self.h)
@@ -464,14 +454,15 @@ def from_name(name: str, **params) -> DistributionSpec:
 
     ``uniform``, ``gamma`` (param ``alpha``), ``two_sided_exponential``,
     ``gaussian_mixture`` (params ``weights``, ``means``, ``sigmas``),
-    ``gaussian`` (degenerate mixture), ``grid`` (params ``x``, ``p``,
-    optional ``n_min``).
+    ``gaussian`` (degenerate mixture).  A tabulated law has no name here:
+    build its :class:`GridDensity` from the table, as the harness does for
+    ``distribution: "grid"``.
     """
     key = name.strip().lower()
     if key == "uniform":
         _require_params(params, set())
         return Uniform()
-    if key in ("gamma", "standardized_gamma"):
+    if key == "gamma":
         _require_params(params, {"alpha"})
         return StandardizedGamma(params["alpha"])
     if key == "two_sided_exponential":
@@ -483,13 +474,6 @@ def from_name(name: str, **params) -> DistributionSpec:
     if key == "gaussian":
         _require_params(params, set())
         return GaussianMixture.standard_normal()
-    if key == "grid":
-        allowed = {"x", "p", "n_min"}
-        missing = {"x", "p"} - set(params)
-        extra = set(params) - allowed
-        if missing or extra:
-            raise ValueError(f"grid spec needs x, p (and optional n_min); got {sorted(params)}")
-        return GridDensity(params["x"], params["p"], n_min=params.get("n_min", 1))
     raise ValueError(f"unsupported distribution {name!r}")
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -40,8 +40,6 @@ __all__ = [
     "normal_pdf",
     "correction_polynomial",
     "EdgeworthModel",
-    "LeadingTerm",
-    "leading_term",
 ]
 
 _SQRT_2PI = math.sqrt(2 * math.pi)
@@ -138,25 +136,3 @@ class EdgeworthModel:
     def density(self, n: int, x):
         """Signed corrected density phi_m(x) for the given n."""
         return normal_pdf(x) * self.correction_factor(n, x)
-
-
-class LeadingTerm(NamedTuple):
-    """Index and value of the first non-vanishing correction."""
-
-    k: int
-    gamma_lead: object
-
-
-def leading_term(model: EdgeworthModel) -> Optional[LeadingTerm]:
-    """The unique k in [1, m-2] with gamma_3 = ... = gamma_{k+1} = 0 and
-    gamma_{k+2} != 0, or None when all cumulants up to order m vanish
-    (Gaussian-matching case).
-
-    With the lower cumulants vanishing, gamma_{k+2} equals the difference
-    between the (k+2)-nd moments of X and of the standard normal.
-    """
-    c = model.cumulants
-    for j in range(3, model.order + 1):
-        if c.gamma(j) != 0:
-            return LeadingTerm(k=j - 2, gamma_lead=c.gamma(j))
-    return None

@@ -63,13 +63,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .cumulants import CumulantVector, compositions
+from .cumulants import CumulantVector, compositions, double_factorial
 from .edgeworth import correction_polynomial
 from .exactpoly import Poly
-from .gaussint import _moment_ratio, double_factorial, gauss_power_mass
 
 __all__ = [
     "falling_factorial",
+    "gauss_power_mass",
     "a_coefficient",
     "a1_closed_form",
     "a2_from_integrals",
@@ -137,6 +137,14 @@ def falling_factorial(r, k: int):
     for i in range(k):
         out = out * (r - i)
     return out
+
+
+def gauss_power_mass(r: float) -> float:
+    """int phi(x)**r dx = (2*pi)**(-(r-1)/2) / sqrt(r) for r > 0, taken in
+    log space so that large r underflows instead of overflowing."""
+    if not r > 0:
+        raise ValueError(f"power r must be positive, got {r}")
+    return math.exp(-0.5 * (r - 1) * math.log(2 * math.pi) - 0.5 * math.log(r))
 
 
 def _require_r(r) -> None:
@@ -276,6 +284,8 @@ def a2_from_integrals(r: float, cumulants: CumulantVector) -> float:
     """
     _require_r(r)
     cumulants.require_order(6)
+    if r == math.inf:
+        raise ValueError(f"power r must be finite, got {r}")
     q1 = correction_polynomial(1, cumulants)
     q2 = correction_polynomial(2, cumulants)
     q3 = correction_polynomial(3, cumulants)
@@ -286,7 +296,13 @@ def a2_from_integrals(r: float, cumulants: CumulantVector) -> float:
         (falling_factorial(r, 3) / 2, q1 * q1 * q2),
         (falling_factorial(r, 4) / 24, q1**4),
     )
-    a2 = sum(weight * float(_moment_ratio(poly, r)) for weight, poly in terms)
+    x = Fraction(r)
+    a2 = 0
+    for weight, poly in terms:  # every P here is even
+        # int P phi**r / int phi**r = sum_i coeff_2i(P) (2i-1)!! r**(-i), exactly
+        evens = enumerate(poly.coeffs[::2])
+        ratio = sum(c * double_factorial(2 * i - 1) / x**i for i, c in evens if c != 0)
+        a2 += weight * float(ratio)
     total = a2 * gauss_power_mass(r)
     if not math.isfinite(total):
         raise ValueError(

@@ -49,18 +49,21 @@ from . import distributions, numerics
 from .cumulants import standard_cumulants
 from .edgeworth import EdgeworthModel
 from .expansion import (
+    DECREASING,
+    INCREASING,
+    INDETERMINATE,
     a_coefficient,
     b_coefficient,
     entropy_expansion,
+    gauss_power_mass,
     gaussian_entropy_power,
     gaussian_renyi_entropy,
     limit_expansion,
     monotonicity_prediction,
     sign_change_threshold,
 )
-from .gaussint import gauss_power_mass
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "main", "richardson"]
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "main"]
 
 _CONFIG_KEYS = {
     "distribution",
@@ -205,12 +208,6 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig(data)
 
 
-def richardson(estimate_n: float, estimate_2n: float) -> float:
-    """Two-point Richardson extrapolation for first-order-in-1/n estimators:
-    2*E(2n) - E(n) removes the 1/n contamination."""
-    return 2.0 * estimate_2n - estimate_n
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -291,7 +288,8 @@ def cmd_coeffs(cfg: ExperimentConfig):
     """Per-index table: b(r), B1(r) = -b(r), A1 and A2, the N_inf pair and
     the verdicts.  b(r) and the verdicts are read off the cached exact L_1
     (:func:`~renyi_clt.expansion.b_coefficient`), and A1 and A2 are a_1 and
-    a_2 of the once-per-law exact expansion, times int phi**r; the hand formulas
+    a_2 of the once-per-law exact expansion, times int phi**r
+    (:func:`~renyi_clt.expansion.gauss_power_mass`); the hand formulas
     :func:`~renyi_clt.expansion.a1_closed_form` and
     :func:`~renyi_clt.expansion.a2_from_integrals` are independent
     cross-checks, used by the benchmark and the tests.
@@ -417,12 +415,7 @@ def cmd_monotonicity(cfg: ExperimentConfig, dump_dir=None):
         diffs = [b - a for a, b in zip(values, values[1:])]
         signs = [0 if abs(d) <= noise else (1 if d > 0 else -1) for d in diffs]
         final = signs[-1] if signs else 0
-        if final == 0:
-            verdict = "indeterminate"
-        else:
-            verdict = (
-                "eventually_increasing" if final > 0 else "eventually_decreasing"
-            )
+        verdict = {0: INDETERMINATE, 1: INCREASING, -1: DECREASING}[final]
         # empirical n0: start of the longest suffix with the final sign
         idx = len(signs)
         while idx > 0 and signs[idx - 1] == final:

@@ -49,7 +49,6 @@ __all__ = [
     "DEFAULT_GRID_POINTS",
     "DEFAULT_GRID_EXTENT",
     "MAX_N",
-    "characteristic_power",
     "density_of_normalized_sum",
     "tabulate_density",
     "lr_integral",
@@ -171,18 +170,6 @@ class DensityGrid:
 def _cf_power(spec: DistributionSpec, n: int, t) -> np.ndarray:
     """f(t/sqrt(n))**n, the principal power (exact for integer n)."""
     return np.asarray(spec.cf(t / math.sqrt(n)), dtype=complex) ** n
-
-
-def characteristic_power(spec: DistributionSpec, n: int, t):
-    """Characteristic function of Z_n at t: f(t/sqrt(n))**n.
-
-    ``t`` may be a scalar (a complex is returned) or an array of any order.
-    """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    t_arr = np.asarray(t, dtype=float)
-    vals = _cf_power(spec, n, t_arr)
-    return complex(vals.item()) if t_arr.ndim == 0 else vals
 
 
 def _invert_fold(fold: np.ndarray, h: float) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's computational paths: the Irwin-Hall
 pieces are assembled from first principles with exact rational arithmetic,
-integration is plain antiderivative evaluation, and the entropy and sup-norm
-coefficients are hand-derived formulas.
+integration is plain antiderivative evaluation, the integrals against powers
+of the normal density are Gaussian moments and closed forms, and the entropy
+and sup-norm coefficients are hand-derived formulas.
 """
 
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ from math import comb, factorial, inf, prod, sqrt
 from renyi_clt.cumulants import compositions
 from renyi_clt.edgeworth import EdgeworthModel, correction_polynomial
 from renyi_clt.exactpoly import Poly
+from renyi_clt.expansion import gauss_power_mass
 
 
 def poly_integral(p: Poly, a, b):
@@ -63,6 +65,36 @@ def normalized_uniform_sum_density(n: int, x):
         if mask.any():
             out[mask] = piece(y[mask])
     return a * np.maximum(out, 0.0)
+
+
+def richardson(estimate_n: float, estimate_2n: float) -> float:
+    """Two-point Richardson extrapolation for first-order-in-1/n estimators:
+    2*E(2n) - E(n) removes the 1/n contamination."""
+    return 2.0 * estimate_2n - estimate_n
+
+
+def gauss_moment_exact(k: int) -> int:
+    """int x**k phi(x) dx exactly: (k-1)!! for even k, 0 for odd k."""
+    return 0 if k % 2 else prod(range(k - 1, 0, -2))
+
+
+def gauss_power_integral(p: Poly, r) -> float:
+    """int P(x) phi(x)**r dx: phi**r is int phi**r times the N(0, 1/r)
+    density, so the moment ratio sum_k c_k (k-1)!! r**(-k/2) is summed
+    exactly and int phi**r enters once at the end."""
+    mass, x = gauss_power_mass(r), Fraction(r)
+    ratio = sum(Fraction(c) * gauss_moment_exact(k) / x ** (k // 2)
+                for k, c in enumerate(p.coeffs))
+    return float(ratio) * mass
+
+
+def hermite_integral(k: int, r) -> float:
+    """int H_k(x) phi(x)**r dx by the closed form: 0 for odd k and, for k = 2j,
+    (2j-1)!! (1-r)**j / (r**((2j+1)/2) (2 pi)**((r-1)/2)), the rational
+    factor (1-r)**j / r**j taken exactly."""
+    mass, x = gauss_power_mass(r), Fraction(r)
+    j = k // 2
+    return 0.0 if k % 2 else float(gauss_moment_exact(k) * (1 - x) ** j / x**j) * mass
 
 
 def a_coefficient_by_compositions(j: int, r, cumulants):

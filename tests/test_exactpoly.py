@@ -3,8 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from renyi_clt.cumulants import double_factorial
 from renyi_clt.exactpoly import Poly, hermite
-from renyi_clt.gaussint import double_factorial
 
 X = Poly.x()
 

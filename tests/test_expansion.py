@@ -8,6 +8,7 @@ import sympy as sp
 
 import renyi_clt as rc
 from oracles import a_coefficient_by_compositions, b_closed_form, leading_entropy_coefficient
+from oracles import gauss_power_integral, hermite_integral
 from renyi_clt.cumulants import CumulantVector
 from renyi_clt.expansion import (
     DECREASING,
@@ -19,6 +20,7 @@ from renyi_clt.expansion import (
     b_coefficient,
     entropy_expansion,
     falling_factorial,
+    gauss_power_mass,
     gaussian_entropy_power,
     gaussian_renyi_entropy,
     limit_expansion,
@@ -33,7 +35,6 @@ from renyi_clt.expansion import (
     _log_series,
     _truncated_product,
 )
-from renyi_clt.gaussint import gauss_power_integral, gauss_power_mass, hermite_integral
 
 F = Fraction
 UNIFORM = CumulantVector((0, 1, 0, F(-6, 5), 0, F(48, 7)))

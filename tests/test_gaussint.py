@@ -1,3 +1,6 @@
+"""Integrals against powers of the normal density: the library's mass and
+double factorial, and the reference integrals of ``oracles.py``."""
+
 import math
 from fractions import Fraction
 
@@ -5,15 +8,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import gauss_moment_exact, gauss_power_integral, hermite_integral
+from renyi_clt.cumulants import double_factorial
 from renyi_clt.exactpoly import Poly, hermite
-from renyi_clt.gaussint import (
-    double_factorial,
-    gauss_moment_exact,
-    gauss_power_integral,
-    gauss_power_mass,
-    gauss_power_moment,
-    hermite_integral,
-)
+from renyi_clt.expansion import gauss_power_mass
 
 R_GRID = [1.1, 1.5, 2.0, 3.0, 10.0]
 
@@ -44,21 +42,6 @@ def test_mass():
     # int phi^2 = 1/(2 sqrt(pi))
     assert gauss_power_mass(2) == pytest.approx(1 / (2 * math.sqrt(math.pi)), rel=1e-14)
     assert gauss_power_mass(1000.0) >= 0.0  # underflows, never overflows
-
-
-def test_moment_basics():
-    assert gauss_power_moment(0, 1) == pytest.approx(1.0)
-    for r in R_GRID:
-        assert gauss_power_moment(1, r) == 0.0
-        assert gauss_power_moment(7, r) == 0.0
-
-
-def test_moment_k2_r2():
-    val = gauss_power_moment(2, 2)
-    # (2 pi)^(-1/2) * 2^(-1/2) * (1/2) = 1/(4 sqrt(pi))
-    assert val == pytest.approx(1 / (4 * math.sqrt(math.pi)), rel=1e-14)
-    oracle, _ = quad(lambda x: x * x * phi(x) ** 2, -40, 40, epsabs=1e-12)
-    assert val == pytest.approx(oracle, abs=1e-10)
 
 
 def h3_squared_closed_form(r):
@@ -125,7 +108,7 @@ def test_quadrature_oracle_random_polys():
 
 def test_rejects_nonpositive_r():
     with pytest.raises(ValueError):
-        gauss_power_moment(2, 0.0)
+        gauss_power_integral(Poly((0, 0, 1)), 0.0)
     with pytest.raises(ValueError):
         hermite_integral(2, -1.0)
     with pytest.raises(ValueError):

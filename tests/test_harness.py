@@ -25,8 +25,8 @@ from renyi_clt.harness import (
     cmd_verify,
     load_config,
     main,
-    richardson,
 )
+from oracles import richardson
 
 FAST_GRID = {"grid_points": 2**14, "grid_extent": 12.0}
 

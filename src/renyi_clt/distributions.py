@@ -3,7 +3,8 @@
 Every spec describes a law with mean 0 and variance 1 and exposes
 
     density(x)   -- vectorized pdf
-    cf(t)        -- vectorized characteristic function E exp(itX) (complex)
+    cf(t)        -- vectorized characteristic function E exp(itX): complex,
+                    or a float array for a law whose cf is real
     cf_envelope(t)
                  -- a non-increasing bound on |cf| over [t, inf) for t >= 0,
                     or None when the law has none (the inversion then
@@ -95,6 +96,13 @@ class DistributionSpec:
         raise NotImplementedError
 
     def cf(self, t):
+        """E exp(itX) at each point of ``t``, as an array.
+
+        A law with a real cf (a symmetric law) may return a float array:
+        ``numerics`` then powers and folds it in real arithmetic, which is
+        cheaper than complex and, for n >= 3, closer to the exact power.
+        Other laws return complex arrays.
+        """
         raise NotImplementedError
 
     def cf_envelope(self, t: float):
@@ -130,7 +138,7 @@ class Uniform(DistributionSpec):
     def cf(self, t):
         t = np.asarray(t, dtype=float)
         # sin(sqrt(3) t) / (sqrt(3) t) with the removable singularity at 0
-        return np.sinc(_SQRT3 * t / np.pi).astype(complex)
+        return np.sinc(_SQRT3 * t / np.pi)
 
     def cf_envelope(self, t: float):
         """min(1, 1/(sqrt(3) t)), since |sin(u)/u| <= min(1, 1/u)."""
@@ -218,7 +226,7 @@ class TwoSidedExponential(DistributionSpec):
 
     def cf(self, t):
         t = np.asarray(t, dtype=float)
-        return (1.0 / (1.0 + t * t / 2.0)).astype(complex)
+        return 1.0 / (1.0 + t * t / 2.0)
 
     def cf_envelope(self, t: float):
         """|cf(t)| = 1/(1 + t**2/2) exactly."""

@@ -18,6 +18,13 @@ bins: their count K doubles, and two-point Richardson extrapolation
 Doubling stops after two consecutive sup-norm steps between extrapolants
 fall below the tail bound, or at a fixed cap on cf evaluations.  Each grid
 records its fold count, whether the cap stopped it, and its ringing bound.
+Periods are added in blocks of 2**14 bins, each block taking every new
+period in turn, so that a block's cf values, their power and its slice of
+the fold stay in cache.  Every bin still sums its terms in period order, so
+the grid does not depend on the blocking wherever the cf is computed point
+by point (a table's chirp z-transform cf moves by rounding with the block it
+is given).  The fold takes the dtype of the law's cf: real for a symmetric
+law, complex otherwise.
 
 A band grid is a trigonometric polynomial of M terms, M of 256 to 8192,
 periodic over the grid's extent.  The trapezoid and Simpson sums of such a
@@ -75,6 +82,9 @@ _NEGATIVE_CLIP = 1e-8
 _MASS_DEFECT_LIMIT = 1e-6
 # most cf lattice points one inversion may fold (2**10 periods at 2**17 points)
 _EVAL_CAP = 2**27
+# bins per block of the fold: the block's cf values, their power and its
+# slice of the fold stay in cache while every period is added to it
+_FOLD_BLOCK = 2**14
 # a band may drop the rest of the period only when its bound is below this,
 # far under the rounding of the samples near the mode (about 5e-17): the grid
 # then matches the full-period one to an ulp, mostly bit for bit
@@ -168,8 +178,10 @@ class DensityGrid:
 
 
 def _cf_power(spec: DistributionSpec, n: int, t) -> np.ndarray:
-    """f(t/sqrt(n))**n, the principal power (exact for integer n)."""
-    return np.asarray(spec.cf(t / math.sqrt(n)), dtype=complex) ** n
+    """f(t/sqrt(n))**n, the principal power (exact for integer n), in the
+    dtype of the law's cf: real for a real cf, where libm ``pow`` is within
+    an ulp of the exact power, and complex otherwise."""
+    return np.asarray(spec.cf(t / math.sqrt(n))) ** n
 
 
 def _invert_fold(fold: np.ndarray, h: float) -> np.ndarray:
@@ -192,7 +204,7 @@ def _invert_fold(fold: np.ndarray, h: float) -> np.ndarray:
 def _invert_band(band: np.ndarray, N: int, h: float) -> np.ndarray:
     """Density samples at N points of spacing h from f_n on the band m < M,
     M < N/2: the fold of a band grid, zero beyond the band."""
-    fold = np.zeros(N, dtype=complex)
+    fold = np.zeros(N, dtype=band.dtype)
     fold[: len(band)] = band
     return _invert_fold(fold, h)
 
@@ -223,6 +235,29 @@ def _band_length(spec: DistributionSpec, n: int, N: int, dt: float):
     return None
 
 
+def _add_periods(fold, spec: DistributionSpec, n: int, N: int, dt: float,
+                 k0: int, k1: int) -> np.ndarray:
+    """``fold`` plus the frequency periods k0..k1-1 of f_n, added in place.
+
+    Bin b of period k is f_n((k*N + b)*dt).  The N bins are walked in blocks
+    of ``_FOLD_BLOCK``, and each block takes its periods in increasing k, so
+    every bin receives the same terms in the same order as when whole
+    periods are added one after the other; only the working set shrinks to
+    a block.  The sums are bit for bit those of whole periods whenever the
+    cf of a point does not depend on the other points of the call.
+    ``fold`` None starts a zero fold in the dtype of the first block's cf
+    power.
+    """
+    for lo in range(0, N, _FOLD_BLOCK):
+        hi = min(lo + _FOLD_BLOCK, N)
+        for k in range(k0, k1):
+            terms = _cf_power(spec, n, dt * np.arange(k * N + lo, k * N + hi))
+            if fold is None:
+                fold = np.zeros(N, dtype=terms.dtype)
+            fold[lo:hi] += terms
+    return fold
+
+
 def _folded_density(spec: DistributionSpec, n: int, N: int, dt: float,
                     h: float):
     """(samples, folds, cap_hit, ringing_bound, band) of the folded inversion.
@@ -250,7 +285,9 @@ def _folded_density(spec: DistributionSpec, n: int, N: int, dt: float,
     doubling would exceed ``_EVAL_CAP`` lattice points.  The reported
     ringing bound is then the plain one-period bound, or else the last
     Richardson step (inf if the cap left room for one extrapolant only).
-    ``band`` is then None.
+    ``band`` is then None.  Every period, the first and those of each
+    doubling, is added by ``_add_periods``, block by block in period order,
+    in the dtype of the law's cf.
     """
     band = _band_length(spec, n, N, dt)
     if band is not None:
@@ -259,12 +296,7 @@ def _folded_density(spec: DistributionSpec, n: int, N: int, dt: float,
 
     quarter = N // 4
     max_periods = max(1, _EVAL_CAP // N)
-
-    def period(k):
-        return _cf_power(spec, n, dt * np.arange(k * N, (k + 1) * N))
-
-    fold = np.zeros(N, dtype=complex)
-    fold += period(0)
+    fold = _add_periods(None, spec, n, N, dt, 0, 1)
     tail_int = float(np.abs(fold[-quarter:]).sum()) * dt
     ringing = tail_int * (N * dt / (quarter * dt)) / math.pi
     if ringing < _TAIL_BOUND or max_periods < 2:
@@ -272,9 +304,7 @@ def _folded_density(spec: DistributionSpec, n: int, N: int, dt: float,
 
     periods, values, step, calm = 1, None, math.inf, 0
     while 2 * periods <= max_periods:
-        wider = fold.copy()
-        for k in range(periods, 2 * periods):
-            wider += period(k)
+        wider = _add_periods(fold.copy(), spec, n, N, dt, periods, 2 * periods)
         previous, values = values, _invert_fold(2.0 * wider - fold, h)
         fold, periods = wider, 2 * periods
         if previous is not None:

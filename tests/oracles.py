@@ -3,13 +3,14 @@
 These deliberately avoid the library's computational paths: the Irwin-Hall
 pieces are assembled from first principles with exact rational arithmetic,
 integration is plain antiderivative evaluation, the integrals against powers
-of the normal density are Gaussian moments and closed forms, and the entropy
-and sup-norm coefficients are hand-derived formulas.
+of the normal density are Gaussian moments and closed forms, the entropy
+and sup-norm coefficients are hand-derived formulas, and the density fold
+adds whole frequency periods in complex arithmetic, as it was first written.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, inf, prod, sqrt
+from math import comb, factorial, inf, pi, prod, sqrt
 
 from renyi_clt.cumulants import compositions
 from renyi_clt.edgeworth import EdgeworthModel, correction_polynomial
@@ -65,6 +66,51 @@ def normalized_uniform_sum_density(n: int, x):
         if mask.any():
             out[mask] = piece(y[mask])
     return a * np.maximum(out, 0.0)
+
+
+def period_at_a_time_fold(spec, n: int, N: int, dt: float, h: float):
+    """(samples, folds, cap_hit, ringing_bound) of the full-period fold as it
+    was first written: whole periods of f_n added one after the other, in
+    complex arithmetic, then inverted as ``numerics._invert_fold`` does.  The
+    stopping rule is the library's, with its ``_TAIL_BOUND`` and
+    ``_EVAL_CAP`` read at call time."""
+    import numpy as np
+    from renyi_clt import numerics
+
+    def period(k):
+        t = dt * np.arange(k * N, (k + 1) * N)
+        return np.asarray(spec.cf(t / sqrt(n)), dtype=complex) ** n
+
+    def invert(fold):
+        b = np.arange(N // 2 + 1)
+        fn = fold[b] + np.conj(fold[-b])
+        fn[0] -= 1.0
+        fn[1::2] *= -1.0
+        return np.fft.irfft(np.conj(fn), n=N) / h
+
+    bound = numerics._TAIL_BOUND
+    max_periods = max(1, numerics._EVAL_CAP // N)
+    quarter = N // 4
+    fold = np.zeros(N, dtype=complex)
+    fold += period(0)
+    tail_int = float(np.abs(fold[-quarter:]).sum()) * dt
+    ringing = tail_int * (N * dt / (quarter * dt)) / pi
+    if ringing < bound or max_periods < 2:
+        return invert(fold), 1, ringing >= bound, ringing
+
+    periods, values, step, calm = 1, None, inf, 0
+    while 2 * periods <= max_periods:
+        wider = fold.copy()
+        for k in range(periods, 2 * periods):
+            wider += period(k)
+        previous, values = values, invert(2.0 * wider - fold)
+        fold, periods = wider, 2 * periods
+        if previous is not None:
+            step = float(np.abs(values - previous).max())
+            calm = calm + 1 if step < bound else 0
+            if calm == 2:
+                return values, periods, False, step
+    return values, periods, True, step
 
 
 def richardson(estimate_n: float, estimate_2n: float) -> float:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -800,10 +801,15 @@ def test_huge_n_exits_at_once(tmp_path, capsys, command, law):
 
 
 def test_cli_help_mentions_config_keys():
+    # the child process finds the package under test without an install
+    src = str(Path(rc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "renyi_clt.harness", "verify", "--help"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     for key in ("distribution", "r_values", "n_values", "moment_order",

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from renyi_clt.numerics import _cf_power
 from oracles import (
     normalized_uniform_sum_density,
     normalized_uniform_sum_lr,
+    period_at_a_time_fold,
 )
 
 F = Fraction
@@ -198,8 +200,8 @@ def test_grid_cf_scalar_and_scattered_t():
 
 
 def test_grid_density_inverts_at_default_grid():
-    # each fold period is one chirp z-transform, so the default 2**17-point
-    # grid is affordable for a tabulated law
+    # each block of a fold period is one chirp z-transform, so the default
+    # 2**17-point grid is affordable for a tabulated law
     spec = _table(20001, 12.0, rc.normal_pdf)
     for n in (1, 2, 4):
         g = rc.density_of_normalized_sum(spec, n)
@@ -270,6 +272,36 @@ def test_characteristic_power_negative_and_unordered_t():
     assert _cf_power(spec, 3, -7.5) == pytest.approx(
         np.conj(got[0]), abs=1e-15
     )
+
+
+@pytest.mark.parametrize("spec", [rc.Uniform(), rc.TwoSidedExponential()],
+                         ids=["uniform", "laplace"])
+def test_real_cf_power_is_real_and_correctly_rounded(spec):
+    # a real cf powers in real arithmetic: n = 1, 2 give the complex path's
+    # bits, and larger n libm pow, within 2 ulp of the exact power of the
+    # float cf value and, over the sample, never further off than complex
+    # multiplication (at single points either may be the closer one)
+    t = np.r_[np.linspace(0.0, 30.0, 61), 47.3, 101.0, 555.5, 1234.5]
+    for n in (1, 2, 3, 8, 64, 2048):
+        base = np.asarray(spec.cf(t / math.sqrt(n)))
+        got = _cf_power(spec, n, t)
+        complex_path = base.astype(complex) ** n
+        assert base.dtype == got.dtype == np.float64
+        if n <= 2:
+            assert np.array_equal(got, complex_path.real)
+            assert not complex_path.imag.any()
+            continue
+        with mpmath.workdps(30):
+            exact = [mpmath.mpf(float(b)) ** n for b in base]
+            ulp = np.spacing(np.abs([float(e) for e in exact]))
+
+            def ulps(values):
+                return np.array([float(abs(mpmath.mpf(float(v)) - e))
+                                 for v, e in zip(values, exact)]) / ulp
+
+            err, err_complex = ulps(got), ulps(complex_path.real)
+        assert err.max() <= 2, (n, err.max())
+        assert err.max() <= err_complex.max(), n
 
 
 class _PokedUniform(rc.Uniform):
@@ -440,6 +472,48 @@ def test_slow_envelopes_keep_full_period(key, n, kwargs):
     assert np.array_equal(grid.values, full.values)
     assert grid.ringing_bound == full.ringing_bound
     assert grid.band == full.band == 0
+
+
+def _fold_pair(spec, n, npoints, extent):
+    """The library's folded inversion and the period-at-a-time oracle's."""
+    h = 2 * extent / npoints
+    dt = 2 * math.pi / (npoints * h)
+    values, folds, cap_hit, ringing, band = rc.numerics._folded_density(
+        spec, n, npoints, dt, h
+    )
+    assert band is None
+    return (values, folds, cap_hit, ringing), period_at_a_time_fold(spec, n, npoints, dt, h)
+
+
+@pytest.mark.parametrize(
+    "spec,n,npoints,periods",
+    [(rc.Uniform(), 2, 2**15, None), (rc.TwoSidedExponential(), 1, 2**15, None),
+     (rc.StandardizedGamma(1), 2, 2**15, 8), (_table(4001, 12.0, _dyadic_mixture_pdf), 1, 2**14, 8)],
+    ids=["uniform", "laplace", "gamma1", "table"],
+)
+def test_blocked_fold_is_bit_identical(monkeypatch, spec, n, npoints, periods):
+    # the bins are folded in blocks, each taking its periods in order, and a
+    # real cf folds in real arithmetic: every sample, the fold count, the cap
+    # flag and the ringing bound are those of whole complex periods added one
+    # after the other.  Gamma(1) and the table stop at a cap of 8 periods
+    # (three doublings), the table also with no tail bound to settle under.
+    if periods is not None:
+        monkeypatch.setattr(rc.numerics, "_EVAL_CAP", periods * npoints)
+        monkeypatch.setattr(rc.numerics, "_TAIL_BOUND", 0.0)
+    (values, *record), (expected, *expected_record) = _fold_pair(spec, n, npoints, 12.0)
+    assert np.array_equal(values, expected)
+    assert record == expected_record
+    assert record[0] == (periods or 64) and record[1] == (periods is not None)
+
+
+def test_blocked_table_fold_follows_its_chirp_blocks(monkeypatch):
+    # a table's cf is a chirp z-transform of the block of frequencies it is
+    # given, so over two blocks its values, and the fold, move by rounding
+    spec = _table(4001, 12.0, _dyadic_mixture_pdf)
+    monkeypatch.setattr(rc.numerics, "_EVAL_CAP", 4 * 2**15)
+    (values, *record), (expected, *expected_record) = _fold_pair(spec, 1, 2**15, 12.0)
+    assert np.abs(values - expected).max() < 1e-12
+    assert record[:2] == expected_record[:2] == [4, True]
 
 
 def test_tabulated_law_keeps_full_period():

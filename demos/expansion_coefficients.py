@@ -16,7 +16,7 @@ print("Chebyshev-Hermite polynomials (monic, normal-weight orthogonal):")
 for k in range(7):
     print(f"  H_{k} = {rc.hermite(k)}")
 
-print("\nCumulants from moments (partition formula), uniform base law:")
+print("\nCumulants from moments (log of the moment series), uniform base law:")
 uniform_moments = rc.Uniform().moments(8)
 print("  raw moments alpha_1..alpha_8:", uniform_moments)
 cums = rc.cumulants_from_moments(rc.MomentVector(tuple(uniform_moments)))

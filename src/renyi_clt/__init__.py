@@ -5,8 +5,8 @@ Z_n = (X_1 + ... + X_n)/sqrt(n):
 
 * exact rational polynomial algebra and Chebyshev-Hermite polynomials
   (:mod:`renyi_clt.exactpoly`),
-* moment/cumulant conversion via the partition formula
-  (:mod:`renyi_clt.cumulants`),
+* moment/cumulant conversion as the log and exp of exponential generating
+  series (:mod:`renyi_clt.cumulants`),
 * Edgeworth corrections of the normal density (:mod:`renyi_clt.edgeworth`),
 * expansion coefficients for L^r norms, Renyi entropies and entropy powers
   at every index 1 <= r <= inf, with eventual-monotonicity verdicts, and the
@@ -20,7 +20,6 @@ Z_n = (X_1 + ... + X_n)/sqrt(n):
 from .cumulants import (
     CumulantVector,
     MomentVector,
-    compositions,
     cumulants_from_moments,
     moments_from_cumulants,
     standard_cumulants,

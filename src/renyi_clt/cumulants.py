@@ -2,17 +2,15 @@
 
 A standardized law has mean 0 and variance 1, so the moment sequence starts
 with alpha_1 = 0, alpha_2 = 1 and the cumulant sequence with gamma_1 = 0,
-gamma_2 = 1.  The conversion in both directions is exact when the inputs are
-rational.
+gamma_2 = 1.  The cumulant generating function is the log of the moment
+generating function, so in exponential generating series
 
-The cumulant of order k is obtained from the moments by the partition sum
+    sum_k gamma_k t**k / k! = log(1 + sum_k alpha_k t**k / k!),
 
-    gamma_k = k! * sum (-1)**(j-1) * (j-1)!
-              * prod_i (alpha_i / i!)**r_i / r_i!
-
-running over all tuples (r_1, ..., r_k) of non-negative integers with
-r_1 + 2 r_2 + ... + k r_k = k, where j = r_1 + ... + r_k.  For standardized
-inputs this yields the familiar low-order identities
+and the moments are the exp of the cumulant series.  Both directions are
+one truncated series log or exp, taken exactly: float inputs enter at their
+binary values and each result is rounded once.  For standardized inputs
+this yields the familiar low-order identities
 
     gamma_3 = alpha_3
     gamma_4 = alpha_4 - 3
@@ -27,13 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial, prod
+from math import factorial, prod
+
+from .exactpoly import _exp_series, _log_series
 
 __all__ = [
     "MomentVector",
     "CumulantVector",
-    "compositions",
     "double_factorial",
     "cumulants_from_moments",
     "moments_from_cumulants",
@@ -45,7 +43,7 @@ def _check_standardized(v1, v2, labels):
     # float inputs are typically measured (quadrature) values; allow jitter
     exact = not (isinstance(v1, float) or isinstance(v2, float))
     tol = 0 if exact else 1e-7
-    if abs(v1) > tol or abs(v2 - 1) > tol:
+    if not (abs(v1) <= tol and abs(v2 - 1) <= tol):  # NaN fails
         raise ValueError(
             f"{labels[0]} must be 0 and {labels[1]} must be 1 "
             f"(got {v1!r}, {v2!r})"
@@ -117,32 +115,6 @@ def _as_values(obj, cls):
     return cls(tuple(obj)).values
 
 
-@lru_cache(maxsize=None)
-def compositions(k: int):
-    """All tuples (r_1, ..., r_k) of non-negative integers with
-    r_1 + 2 r_2 + ... + k r_k = k, in ascending lexicographic order.
-
-    The number of solutions equals the number of integer partitions of k.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    out = []
-    r = [0] * k
-
-    def rec(size, remaining):
-        if size > k:
-            if remaining == 0:
-                out.append(tuple(r))
-            return
-        for cnt in range(remaining // size + 1):
-            r[size - 1] = cnt
-            rec(size + 1, remaining - size * cnt)
-        r[size - 1] = 0
-
-    rec(1, k)
-    return tuple(out)
-
-
 def double_factorial(k: int) -> int:
     """k!! as an exact integer, with (-1)!! = 0!! = 1."""
     if k < -1:
@@ -150,53 +122,40 @@ def double_factorial(k: int) -> int:
     return prod(range(k, 0, -2))
 
 
+def _egf(values) -> list:
+    """[1, v_1/1!, v_2/2!, ...]: the exponential generating series, each
+    value read exactly (a float at its binary value)."""
+    return [1] + [Fraction(v) / factorial(k) for k, v in enumerate(values, start=1)]
+
+
+def _rounded(values, series) -> list:
+    """k! series[k] for k = 1..len(values): an int when integral, else a
+    ``Fraction``, when every input value is an int or a Fraction; a float,
+    rounded once, otherwise."""
+    exact = all(isinstance(v, (int, Fraction)) for v in values)
+    out = [factorial(k) * series[k] for k in range(1, len(values) + 1)]
+    if not exact:
+        return [float(v) for v in out]
+    return [v.numerator if v.denominator == 1 else v for v in out]
+
+
 def cumulants_from_moments(moments) -> CumulantVector:
-    """Convert standardized raw moments to cumulants (exact for rationals)."""
+    """Convert standardized raw moments to cumulants, the log of the moment
+    series (exact for rationals).  gamma_1 and gamma_2 are alpha_1 and
+    alpha_2 as given."""
     alpha = _as_values(moments, MomentVector)
-    m = len(alpha)
-    gammas = [alpha[0], alpha[1]]  # gamma_1 = 0, gamma_2 = 1 by standardization
-    for k in range(3, m + 1):
-        total = 0
-        for parts in compositions(k):
-            j = sum(parts)
-            term = (-1) ** (j - 1) * Fraction(factorial(j - 1))
-            for i, r_i in enumerate(parts, start=1):
-                if r_i == 0:
-                    continue
-                base = alpha[i - 1]
-                if base == 0:
-                    term = 0
-                    break
-                term *= (Fraction(1, factorial(i)) * base) ** r_i
-                term *= Fraction(1, factorial(r_i))
-            if term == 0:
-                continue
-            total += term
-        g = factorial(k) * total
-        if isinstance(g, Fraction) and g.denominator == 1:
-            g = g.numerator
-        gammas.append(g)
-    return CumulantVector(tuple(gammas))
+    gammas = _rounded(alpha, _log_series(_egf(alpha)))
+    return CumulantVector((alpha[0], alpha[1], *gammas[2:]))
 
 
 def moments_from_cumulants(cumulants) -> MomentVector:
-    """Convert cumulants back to raw moments.
+    """Convert cumulants back to raw moments, the exp of the cumulant series.
 
     Inverse of :func:`cumulants_from_moments` (exactly so on rational
-    inputs), via the recursion
-    alpha_n = sum_j C(n-1, j-1) * gamma_j * alpha_{n-j} with alpha_0 = 1.
+    inputs).
     """
     gamma = _as_values(cumulants, CumulantVector)
-    m = len(gamma)
-    alpha = [1]  # alpha_0
-    for n in range(1, m + 1):
-        a = 0
-        for j in range(1, n + 1):
-            if gamma[j - 1] == 0:
-                continue
-            a += comb(n - 1, j - 1) * gamma[j - 1] * alpha[n - j]
-        alpha.append(a)
-    return MomentVector(tuple(alpha[1:]))
+    return MomentVector(tuple(_rounded(gamma, _exp_series([0, *_egf(gamma)[1:]]))))
 
 
 def standard_cumulants(spec, order: int = 6, **params) -> CumulantVector:

@@ -243,7 +243,8 @@ class TwoSidedExponential(DistributionSpec):
 class GaussianMixture(DistributionSpec):
     """Finite normal mixture sum_i w_i N(mu_i, sigma_i**2), standardized.
 
-    Construction enforces sum w = 1, sum w mu = 0 and
+    Construction requires finite weights w >= 0, finite means and positive
+    sigmas, and enforces sum w = 1, sum w mu = 0 and
     sum w (mu**2 + sigma**2) = 1, to 1e-10.  Parameters that meet these
     exactly when read as Fractions (integers, Fractions, dyadic floats) give
     exact moments; all others give float moments.
@@ -257,6 +258,11 @@ class GaussianMixture(DistributionSpec):
             raise ValueError("weights, means, sigmas must be equal-length, non-empty")
         if any(not s > 0 for s in sigmas):
             raise ValueError("all sigmas must be positive")
+        # written so that NaN fails every check
+        if any(not 0 <= w < math.inf for w in weights):
+            raise ValueError("mixture weights must be finite and non-negative")
+        if any(not abs(m) < math.inf for m in means):
+            raise ValueError("mixture means must be finite")
         self.weights = tuple(weights)
         self.means = tuple(means)
         self.sigmas = tuple(sigmas)
@@ -266,7 +272,7 @@ class GaussianMixture(DistributionSpec):
             w * (m * m + s * s)
             for w, m, s in zip(self.weights, self.means, self.sigmas)
         )
-        if abs(total - 1) > 1e-10 or abs(mean) > 1e-10 or abs(second - 1) > 1e-10:
+        if not (abs(total - 1) <= 1e-10 and abs(mean) <= 1e-10 and abs(second - 1) <= 1e-10):
             raise ValueError(
                 "mixture is not standardized: "
                 f"mass={total}, mean={mean}, second moment={second}"

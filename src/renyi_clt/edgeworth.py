@@ -5,21 +5,23 @@ standardized i.i.d. variables is the signed density
 
     phi_m(x) = phi(x) * (1 + sum_{k=1}^{m-2} Q_k(x) * n**(-k/2)),
 
-where each correction polynomial is the partition sum
+where the correction polynomials come from one generating function in a
+formal D,
 
-    Q_k(x) = sum 1/(r_1! ... r_k!) * prod_i (gamma_{i+2}/(i+2)!)**r_i
-             * H_{k+2j}(x),
+    sum_k Q_k eps**k = exp(sum_{k>=1} gamma_{k+2}/(k+2)! * D**(k+2) eps**k),
 
-running over non-negative (r_1, ..., r_k) with r_1 + 2 r_2 + ... + k r_k = k
-and j = r_1 + ... + r_k.
+with every D**m read as the Chebyshev-Hermite polynomial H_m, as
+(-d/dx)**m phi = H_m phi.  So Q_1 = gamma_3/6 H_3 and
+Q_2 = gamma_3**2/72 H_6 + gamma_4/24 H_4.
 
 phi_m is exposed as a signed function: it may dip below zero far out in the
 tails and no clipping is applied, so that exact integral identities (unit
 mass, moment matching) survive.
 
-Each Q_k is built once per (k, gamma_3, ..., gamma_{k+2}) and cached, in
-exact arithmetic with float cumulants entering at their binary values, so
-the models and the expansion coefficients of one law share it.
+All the Q_k of one cumulant vector are built together, from one truncated
+exp series, and cached, in exact arithmetic with float cumulants entering
+at their binary values, so the models and the expansion coefficients of one
+law share them.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cumulants import CumulantVector, compositions
-from .exactpoly import Poly, hermite
+from .cumulants import CumulantVector
+from .exactpoly import Poly, _exp_series, hermite
 
 __all__ = [
     "normal_pdf",
@@ -50,48 +52,37 @@ def normal_pdf(x):
     return np.exp(-0.5 * np.asarray(x, dtype=float) ** 2) / _SQRT_2PI
 
 
-def _composition_weight(parts, gammas):
-    """prod_i (gamma_{i+2}/(i+2)!)**r_i / r_i! for one tuple (r_1..r_k), with
-    ``gammas`` = (gamma_3, ..., gamma_{k+2})."""
-    w = Fraction(1)
-    for i, r_i in enumerate(parts, start=1):
-        if r_i == 0:
-            continue
-        g = gammas[i - 1]
-        if g == 0:
-            return 0
-        w *= (Fraction(1, factorial(i + 2)) * g) ** r_i
-        w *= Fraction(1, factorial(r_i))
-    return w
-
-
 def correction_polynomial(k: int, cumulants: CumulantVector) -> Poly:
     """Density-correction polynomial Q_k (exact for rational cumulants): the
-    sum over (r_1..r_k) of the composition weight times H_{k+2j}.
+    eps**k coefficient of the module docstring's exp series, D**m read as H_m.
 
     Q_k has degree at most 3k, the parity of k, and vanishes identically when
-    gamma_3, ..., gamma_{k+2} all vanish.  It is built once per (k, gamma_3,
-    ..., gamma_{k+2}) and cached, so the Edgeworth model, every a_j build and
-    the oracles share one Q_k per law.  The key is the ``Fraction`` values
-    of the cumulants: a float cumulant enters at its binary value, so Q_k
-    has exact coefficients for every law and 1/2 and 0.5 share one build.
+    gamma_3, ..., gamma_{k+2} all vanish.  Q_1, ..., Q_{m-2} of an order-m
+    cumulant vector are built together once and cached, so the Edgeworth
+    model, every a_j build and the oracles share one Q_k per law.  The key is
+    the ``Fraction`` values of the cumulants: a float cumulant enters at its
+    binary value, so Q_k has exact coefficients for every law and 1/2 and 0.5
+    share one build.
     """
     if k < 1:
         raise ValueError("correction index must be positive")
     cumulants.require_order(k + 2)
-    return _correction_polynomial(k, tuple(map(Fraction, cumulants.values[2 : k + 2])))
+    return _correction_polynomials(tuple(map(Fraction, cumulants.values[2:])))[k - 1]
 
 
-@lru_cache(maxsize=256)
-def _correction_polynomial(k: int, gammas: tuple) -> Poly:
-    """The partition sum of Q_k over exact ``gammas``."""
-    total = Poly()
-    for parts in compositions(k):
-        w = _composition_weight(parts, gammas)
-        if w == 0:
-            continue
-        total = total + w * hermite(k + 2 * sum(parts))
-    return total
+@lru_cache(maxsize=64)
+def _correction_polynomials(gammas: tuple) -> tuple:
+    """(Q_1, ..., Q_K) for exact ``gammas`` = (gamma_3, ..., gamma_{K+2}):
+    the exp of the cumulant series in eps, whose coefficients are
+    polynomials in D, truncated at eps**K."""
+    cgf = [0] + [
+        Poly([0] * (k + 2) + [g * Fraction(1, factorial(k + 2))])
+        for k, g in enumerate(gammas, start=1)
+    ]
+    return tuple(
+        sum((c * hermite(m) for m, c in enumerate((Poly() + series).coeffs) if c), Poly())
+        for series in _exp_series(cgf)[1:]  # a zero term may be a number
+    )
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,12 @@ family orthogonal under the standard normal weight, generated by
 
 with H_k' = k * H_{k-1} and the Appell-type relation
 H_k'(x) - x * H_k(x) = -H_{k+1}(x).
+
+The private truncated power-series engine (:func:`_truncated_product`,
+:func:`_log_series`, :func:`_exp_series`) works on coefficient lists over
+int, ``Fraction`` and ``Poly`` coefficients; every partition sum of the
+library (cumulants, Edgeworth polynomials, expansion coefficients) is a log,
+an exp or a power of such a series.
 """
 
 from __future__ import annotations
@@ -192,3 +198,45 @@ def hermite(k: int) -> Poly:
         m = len(_HERMITE_CACHE) - 1
         _HERMITE_CACHE.append(x * _HERMITE_CACHE[m] - m * _HERMITE_CACHE[m - 1])
     return _HERMITE_CACHE[k]
+
+
+def _truncated_product(p: list, q: list) -> list:
+    """p * q for coefficient lists of one length, truncated at that length."""
+    out = [0] * len(p)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q[: len(p) - i]):
+            if b != 0:
+                out[i + j] += a * b
+    return out
+
+
+def _exp_series(coeffs: list) -> list:
+    """exp(sum_k coeffs[k] t**k) truncated at the same order, for
+    coeffs[0] == 0, by the derivative recursion
+
+        k e_k = sum_{i=1}^{k} (i b_i) e_{k-i},    e_0 = 1.
+
+    Exact over exact input, as exp(0) = 1 never enters as a float."""
+    slopes = [i * c for i, c in enumerate(coeffs)]
+    out = [1]
+    for k in range(1, len(coeffs)):
+        terms = (slopes[i] * out[k - i] for i in range(1, k + 1) if slopes[i] != 0)
+        out.append(sum(terms, 0) * Fraction(1, k))
+    return out
+
+
+def _log_series(coeffs: list) -> list:
+    """log(sum_k coeffs[k] t**k) truncated at the same order, for
+    coeffs[0] == 1, by the derivative recursion
+
+        k l_k = k a_k - sum_{i=1}^{k-1} (i l_i) a_{k-i},    l_0 = 0.
+    """
+    out = [0]
+    slopes = [0]
+    for k in range(1, len(coeffs)):
+        terms = (slopes[i] * coeffs[k - i] for i in range(1, k) if slopes[i] != 0)
+        out.append((k * coeffs[k] - sum(terms, 0)) * Fraction(1, k))
+        slopes.append(k * out[k])
+    return out

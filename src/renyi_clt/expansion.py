@@ -7,18 +7,18 @@ has enough moments (s >= 2, m = [s]):
     int p_n(x)**r dx = int phi(x)**r dx * (1 + sum_{j<=J} a_j n**(-j))
                        + o(n**(-(s-2)/2)),        J = [(m-2)/2],
 
-with coefficients
+with coefficients from one generating function: with U = sum_k Q_k s**k,
 
-    a_j * int phi**r = sum (r)_{k_1+...+k_{2j}} / (k_1! ... k_{2j}!)
-                       * int Q_1**k_1 ... Q_{2j}**k_{2j} phi**r dx
+    a_j * int phi**r = int [s**(2j)] (1 + U)**r phi**r dx
+                     = sum_k (r)_k / k! * int [s**(2j)] U**k phi**r dx,
 
-over non-negative k_1..k_{2j} with k_1 + 2 k_2 + ... + 2j k_{2j} = 2j, where
-(r)_k = r (r-1) ... (r-k+1) is the falling factorial.  Odd half-powers drop
-out by parity, so the series runs over integer powers of 1/n.
+where (r)_k = r (r-1) ... (r-k+1) is the falling factorial and s stands for
+n**(-1/2).  Odd half-powers drop out by parity, so the series runs over
+integer powers of 1/n.
 
 Dividing by int phi**r turns each integral into moments of N(0, 1/r), and
-int x**(2i) phi**r / int phi**r = (2i-1)!! r**(-i).  Collecting the products
-by k = k_1 + ... + k_{2j} into one polynomial P_k gives
+int x**(2i) phi**r / int phi**r = (2i-1)!! r**(-i).  With the polynomial
+P_k = [s**(2j)] U**k / k!, a truncated power of one series,
 
     a_j(r) = sum_k (r)_k sum_i c_{k,i} r**(-i),   c_{k,i} = coeff_{2i}(P_k) (2i-1)!!,
 
@@ -46,8 +46,8 @@ built once per (order, cumulants), and
 So one route serves every r in [1, inf], r = 1 (Shannon) and r = inf
 (-log sup p_n) included.  The c-series is taken as exp(2 * b-series), not
 as (a-series)**(-2/(r-1)), because only that form has a limit at r = 1, so
-c_1 = 2 b_1.  The log and the exp are truncated series compositions on
-plain coefficient lists in powers of 1/n.
+c_1 = 2 b_1.  The log, the exp and the powers are the exact truncated
+power series of :mod:`renyi_clt.exactpoly`.
 
 The first coefficient b(r) = b_1(r), whose sign decides the eventual
 monotonicity of the entropy power sequence N_r(Z_n), is read off the same
@@ -63,9 +63,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .cumulants import CumulantVector, compositions, double_factorial
+from .cumulants import CumulantVector, double_factorial
 from .edgeworth import correction_polynomial
-from .exactpoly import Poly
+from .exactpoly import Poly, _exp_series, _log_series, _truncated_product
 
 __all__ = [
     "falling_factorial",
@@ -89,46 +89,6 @@ __all__ = [
 INCREASING = "eventually_increasing"
 DECREASING = "eventually_decreasing"
 INDETERMINATE = "indeterminate"
-
-
-def _truncated_product(p: list, q: list) -> list:
-    """p * q for coefficient lists of one length, truncated at that length."""
-    out = [0] * len(p)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q[: len(p) - i]):
-            if b != 0:
-                out[i + j] += a * b
-    return out
-
-
-def _compose(y: list, first, weights: list) -> list:
-    """first + sum_i weights[i-1] * y**i for a series y with zero constant
-    term, truncated at its length: the power y**i starts at slot i, so the
-    i <= len(y) - 1 terms are all there are."""
-    out = [first] + [0] * (len(y) - 1)
-    power = y
-    for i, w in enumerate(weights, start=1):
-        out = [o + c * w for o, c in zip(out, power)]
-        if i < len(weights):
-            power = _truncated_product(power, y)
-    return out
-
-
-def _log_series(coeffs: list) -> list:
-    """log(sum_j coeffs[j] t**j) truncated at the same order, for
-    coeffs[0] == 1: the sum over i of (-1)**(i+1) y**i / i, y the rest.
-    Exact over ``Fraction`` or ``Poly`` coefficients."""
-    y = [0, *coeffs[1:]]
-    return _compose(y, 0, [Fraction((-1) ** (i + 1), i) for i in range(1, len(y))])
-
-
-def _exp_series(coeffs: list) -> list:
-    """exp(sum_j coeffs[j] t**j) truncated at the same order, for
-    coeffs[0] == 0: the sum over i of y**i / i!.  Exact over exact input, as
-    exp(0) = 1 never enters as a float."""
-    return _compose(coeffs, 1, [Fraction(1, factorial(i)) for i in range(1, len(coeffs))])
 
 
 def falling_factorial(r, k: int):
@@ -159,44 +119,31 @@ def _is_exact(r, cumulants: CumulantVector) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in (*index, *cumulants.values))
 
 
-def _integer_form(q: Poly):
-    """(q, d) with Q = q / d, q an integer polynomial and d > 0."""
-    d = math.lcm(*(Fraction(c).denominator for c in q.coeffs))
-    return Poly([int(c * d) for c in q.coeffs]), d
-
-
 @lru_cache(maxsize=64)
 def _laurent_numerator(j: int, cumulants: CumulantVector):
     """(N_j, D) with a_j(r) = N_j(r) / (D r**(3j)), N_j an integer polynomial.
 
-    Runs the composition sum once: the products Q_1**k_1 ... Q_{2j}**k_{2j}
-    / (k_1! ... k_{2j}!) are gathered into one P_k per k = sum k_i, and each
-    P_k, of degree at most 6j, contributes (r)_k sum_i c_{k,i} r**(3j-i);
-    D is the common denominator of the c_{k,i}.  Each Q_i (from the
-    :func:`correction_polynomial` cache) enters as q_i / d_i with q_i an
-    integer polynomial, so the products multiply integers, and each P_k is
-    gathered over one integer denominator.  The Q_i are exact, float
-    cumulants entering at their binary values, so the build is exact for
-    every law, keeps the identities a_j(1) = 0 and deg L_j <= 3j + 1 that
-    the limits rely on, and depends only on the values: 1/2 and 0.5 share it.
+    With U = sum_{i<=2j} Q_i s**i, the n**(-j) term of (1 + U)**r is
+    sum_k (r)_k [s**(2j)] U**k / k!, so P_k = [s**(2j)] U**k / k!.  With d the
+    common denominator of the Q_i (from the :func:`correction_polynomial`
+    cache), Y = d U is a series of integer polynomials, and its truncated
+    powers give P_k = [s**(2j)] Y**k / (k! d**k).  Each P_k, of degree at
+    most 6j, contributes (r)_k sum_i c_{k,i} r**(3j-i); D is the common
+    denominator of the c_{k,i}.  The Q_i are exact, float cumulants entering
+    at their binary values, so the build is exact for every law, keeps the
+    identities a_j(1) = 0 and deg L_j <= 3j + 1 that the limits rely on, and
+    depends only on the values: 1/2 and 0.5 share it.
     """
-    qs = [_integer_form(correction_polynomial(i, cumulants)) for i in range(1, 2 * j + 1)]
-    terms = [[] for _ in range(2 * j + 1)]  # (integer product, its denominator)
-    for ks in compositions(2 * j):
-        if any(k_i and q.is_zero() for (q, _), k_i in zip(qs, ks)):
-            continue
-        prod = Poly((1,))
-        scale = 1
-        for (q, d), k_i in zip(qs, ks):
-            if k_i:
-                prod = prod * q**k_i
-                scale *= factorial(k_i) * d**k_i
-        terms[sum(ks)].append((prod, scale))
+    qs = [correction_polynomial(i, cumulants) for i in range(1, 2 * j + 1)]
+    d = math.lcm(*(c.denominator for q in qs for c in q.coeffs))
+    y = [0] + [Poly([c.numerator * (d // c.denominator) for c in q.coeffs]) for q in qs]
+    power = [1] + [0] * (2 * j)
     rows = []
-    for group in terms[1:]:
-        common = math.lcm(*(scale for _, scale in group))
-        p = sum((prod * (common // scale) for prod, scale in group), Poly())
-        rows.append([Fraction(p.coeff(2 * i), common) for i in range(3 * j + 1)])
+    for k in range(1, 2 * j + 1):
+        power = _truncated_product(power, y)  # Y**k
+        p = Poly() + power[2 * j]
+        scale = factorial(k) * d**k
+        rows.append([Fraction(p.coeff(2 * i), scale) for i in range(3 * j + 1)])
     den = math.lcm(*(c.denominator for row in rows for c in row))
     num = Poly()
     falling = Poly((1,))
@@ -331,39 +278,41 @@ def _log_polynomials(terms: int, cumulants: CumulantVector):
 
 def _entropy_coefficients(terms: int, r, cumulants: CumulantVector):
     """(b, c) through order ``terms`` at any 1 <= r <= inf from the cached
-    L_j, with c-series = exp(2 * b-series).  Each b_j is exact: a
-    ``Fraction`` when r is an int, a Fraction or inf and every cumulant is
-    rational, and otherwise a float rounded once, from which the c_j follow
-    in floats.
+    L_j, with c-series = exp(2 * b-series) taken exactly.  Each b_j and c_j
+    is a ``Fraction`` when r is an int, a Fraction or inf and every cumulant
+    is rational, and otherwise a float rounded once from the exact value.
     """
-    exact = _is_exact(r, cumulants)
-    b = []
-    for j, poly in enumerate(_log_polynomials(terms, cumulants), start=1):
-        if r == math.inf:
-            bj = -Fraction(poly.coeff(3 * j + 1))
-        elif r == 1:
-            bj = -Fraction(poly.derivative()(1))
-        else:
-            x = Fraction(r)
-            bj = -poly(x) / ((x - 1) * x ** (3 * j))
-        b.append(bj if exact else float(bj))
+    polys = _log_polynomials(terms, cumulants)
+    b = [_b_exact(j, poly, r) for j, poly in enumerate(polys, start=1)]
     c = _exp_series([0, *(bj * 2 for bj in b)])[1:]
-    rounding = Fraction if exact else float
-    return tuple(b), tuple(map(rounding, c))
+    rounding = Fraction if _is_exact(r, cumulants) else float
+    return tuple(map(rounding, b)), tuple(map(rounding, c))
+
+
+def _b_exact(j: int, poly: Poly, r) -> Fraction:
+    """b_j(r) = -L_j(r) / ((r - 1) r**(3j)) exactly, with its limits at
+    r = 1 (-L_j'(1)) and r = inf (minus the r**(3j+1) coefficient)."""
+    if r == math.inf:
+        return -Fraction(poly.coeff(3 * j + 1))
+    if r == 1:
+        return -Fraction(poly.derivative()(1))
+    x = Fraction(r)
+    return -poly(x) / ((x - 1) * x ** (3 * j))
 
 
 def b_coefficient(r, cumulants: CumulantVector):
     """First-order entropy coefficient b(r) = b_1(r) at any 1 <= r <= inf,
-    read off the cached L_1 of the order-4 head (gamma_3, gamma_4) of the
-    cumulants, so the result type depends on gamma_3, gamma_4 and r only:
-    a ``Fraction`` when r is an int, a Fraction or inf and gamma_3, gamma_4
-    are rational, and otherwise a float rounded once from the exact value.
+    read off the cached L_1 of the law's own cumulants (built from the same
+    Q_1, Q_2 as every a_j).  L_1 depends on gamma_3 and gamma_4 only, and so
+    does the result type: a ``Fraction`` when r is an int, a Fraction or inf
+    and gamma_3, gamma_4 are rational, and otherwise a float rounded once
+    from the exact value.
     """
     cumulants.require_order(4)
     if not r >= 1:
         raise ValueError(f"index r must be >= 1 (or inf), got {r}")
-    head = CumulantVector(cumulants.values[:4])
-    return _entropy_coefficients(1, r, head)[0][0]
+    b = _b_exact(1, _log_polynomials(1, cumulants)[0], r)
+    return b if _is_exact(r, CumulantVector(cumulants.values[:4])) else float(b)
 
 
 def _expansion_order(m: int):

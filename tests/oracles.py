@@ -3,18 +3,18 @@
 These deliberately avoid the library's computational paths: the Irwin-Hall
 pieces are assembled from first principles with exact rational arithmetic,
 integration is plain antiderivative evaluation, the integrals against powers
-of the normal density are Gaussian moments and closed forms, the entropy
-and sup-norm coefficients are hand-derived formulas, and the density fold
-adds whole frequency periods in complex arithmetic, as it was first written.
+of the normal density are Gaussian moments and closed forms, the cumulants,
+the Edgeworth polynomials and the a_j are partition sums, the entropy and
+sup-norm coefficients are hand-derived formulas, and the density fold adds
+whole frequency periods in complex arithmetic, as it was first written.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, inf, pi, prod, sqrt
 
-from renyi_clt.cumulants import compositions
 from renyi_clt.edgeworth import EdgeworthModel, correction_polynomial
-from renyi_clt.exactpoly import Poly
+from renyi_clt.exactpoly import Poly, hermite
 from renyi_clt.expansion import gauss_power_mass
 
 
@@ -141,6 +141,65 @@ def hermite_integral(k: int, r) -> float:
     mass, x = gauss_power_mass(r), Fraction(r)
     j = k // 2
     return 0.0 if k % 2 else float(gauss_moment_exact(k) * (1 - x) ** j / x**j) * mass
+
+
+# -- partition sums ------------------------------------------------------------
+
+
+def compositions(k: int):
+    """All tuples (r_1, ..., r_k) of non-negative integers with
+    r_1 + 2 r_2 + ... + k r_k = k, in ascending lexicographic order.
+
+    The number of solutions equals the number of integer partitions of k.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    out = []
+    r = [0] * k
+
+    def rec(size, remaining):
+        if size > k:
+            if remaining == 0:
+                out.append(tuple(r))
+            return
+        for cnt in range(remaining // size + 1):
+            r[size - 1] = cnt
+            rec(size + 1, remaining - size * cnt)
+        r[size - 1] = 0
+
+    rec(1, k)
+    return tuple(out)
+
+
+def cumulant_by_partitions(k: int, alpha):
+    """gamma_k from the raw moments alpha = (alpha_1, ..., alpha_m), m >= k:
+
+        gamma_k = k! sum (-1)**(j-1) (j-1)! prod_i (alpha_i / i!)**r_i / r_i!
+
+    over (r_1..r_k) with sum i r_i = k and j = sum r_i, exactly."""
+    total = Fraction(0)
+    for parts in compositions(k):
+        j = sum(parts)
+        term = Fraction((-1) ** (j - 1) * factorial(j - 1))
+        for i, r_i in enumerate(parts, start=1):
+            term *= (Fraction(alpha[i - 1]) / factorial(i)) ** r_i / factorial(r_i)
+        total += term
+    return factorial(k) * total
+
+
+def correction_polynomial_by_partitions(k: int, gammas) -> Poly:
+    """Q_k from gammas = (gamma_3, ..., gamma_{k+2}):
+
+        Q_k = sum prod_i (gamma_{i+2}/(i+2)!)**r_i / r_i! * H_{k+2j}
+
+    over (r_1..r_k) with sum i r_i = k and j = sum r_i, exactly."""
+    total = Poly()
+    for parts in compositions(k):
+        w = Fraction(1)
+        for i, r_i in enumerate(parts, start=1):
+            w *= (Fraction(gammas[i - 1]) / factorial(i + 2)) ** r_i / factorial(r_i)
+        total = total + w * hermite(k + 2 * sum(parts))
+    return total
 
 
 def a_coefficient_by_compositions(j: int, r, cumulants):

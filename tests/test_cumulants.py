@@ -7,13 +7,13 @@ from scipy.integrate import quad
 from renyi_clt.cumulants import (
     CumulantVector,
     MomentVector,
-    compositions,
     cumulants_from_moments,
     moments_from_cumulants,
     standard_cumulants,
 )
 from renyi_clt.distributions import GaussianMixture
 from renyi_clt.expansion import sign_change_threshold
+from oracles import compositions
 
 
 def brute_force_compositions(k):

@@ -5,11 +5,14 @@ from functools import lru_cache
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import renyi_clt as rc
 from oracles import a_coefficient_by_compositions, b_closed_form, leading_entropy_coefficient
+from oracles import correction_polynomial_by_partitions, cumulant_by_partitions
 from oracles import gauss_power_integral, hermite_integral
-from renyi_clt.cumulants import CumulantVector
+from renyi_clt.cumulants import CumulantVector, cumulants_from_moments, moments_from_cumulants
 from renyi_clt.expansion import (
     DECREASING,
     INCREASING,
@@ -27,14 +30,8 @@ from renyi_clt.expansion import (
     monotonicity_prediction,
     sign_change_threshold,
 )
-from renyi_clt.exactpoly import Poly
-from renyi_clt.expansion import (
-    _exp_series,
-    _laurent_numerator,
-    _log_polynomials,
-    _log_series,
-    _truncated_product,
-)
+from renyi_clt.exactpoly import Poly, _exp_series, _log_series, _truncated_product
+from renyi_clt.expansion import _laurent_numerator, _log_polynomials
 
 F = Fraction
 UNIFORM = CumulantVector((0, 1, 0, F(-6, 5), 0, F(48, 7)))
@@ -305,6 +302,27 @@ def test_laurent_form_equals_composition_sum_exactly(law):
             assert a_coefficient(j, r, cums) == a_coefficient_by_compositions(j, r, cums)
 
 
+_SMALL_RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    gammas=st.lists(_SMALL_RATIONALS, min_size=6, max_size=6),
+    r=st.fractions(min_value=F(13, 12), max_value=12, max_denominator=12),
+)
+def test_series_engine_matches_partition_sums(gammas, r):
+    # every partition sum of the library, from exact truncated log, exp and
+    # powers, against its composition-by-composition oracle, exactly
+    cums = CumulantVector((0, 1, *gammas))
+    for k in range(1, 7):
+        assert rc.correction_polynomial(k, cums) == correction_polynomial_by_partitions(k, gammas)
+    moments = moments_from_cumulants(cums)
+    assert cumulants_from_moments(moments) == cums
+    assert [cumulant_by_partitions(k, moments.values) for k in range(3, 9)] == gammas
+    for j in (1, 2, 3):
+        assert a_coefficient(j, r, cums) == a_coefficient_by_compositions(j, r, cums)
+
+
 # Gamma(alpha) cumulants (k-1)! alpha**(1 - k/2) at alpha = 4
 SYMPY_GAMMA4 = {k: sp.factorial(k - 1) / sp.Integer(2) ** (k - 2) for k in range(3, 7)}
 R = sp.Symbol("r", positive=True)
@@ -359,7 +377,7 @@ def test_b2_limits_at_r1_and_rinf_match_sympy():
 
 
 def test_expansion_builds_once_per_law(monkeypatch):
-    # the r-free work (compositions, Q_k products) happens once per
+    # the r-free work (the Q_k series and its powers) happens once per
     # (order, cumulants); further indices only evaluate
     cums = rc.standard_cumulants("gamma", order=8, alpha=4)
     entropy_expansion(8, 2.5, cums)  # fills the Hermite cache

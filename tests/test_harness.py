@@ -121,6 +121,25 @@ def test_null_law_and_out_of_float_range_values_are_config_errors(
         assert err.startswith("config error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "mixture, message",
+    [
+        # standardized, but a signed measure: verify and coeffs ran on it
+        ({"weights": [1.5, -0.5], "means": [0, 0], "sigmas": [2**0.5, 2]}, "non-negative"),
+        # NaN passed every tolerance check and failed later, with exit 3
+        ({"weights": [math.nan, 1], "means": [0, 0], "sigmas": [1, 1]}, "non-negative"),
+        ({"weights": [0.5, 0.5], "means": [math.nan, 0], "sigmas": [1, 1]}, "means"),
+    ],
+)
+def test_malformed_mixture_is_config_error(tmp_path, capsys, mixture, message):
+    path = write_config(tmp_path, distribution="gaussian_mixture", n_values=[2], **mixture)
+    for command in ("coeffs", "verify"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert message in err
+
+
 @pytest.mark.parametrize("density_file", [["table.csv"], 1.5, 12345])
 def test_non_string_density_file_is_config_error(tmp_path, capsys, density_file):
     # an int would be opened as a file descriptor, 0 being standard input
@@ -309,7 +328,7 @@ def test_coeffs_a1_a2_match_hand_formulas(law):
 def _clear_symbolic_caches():
     expansion._laurent_numerator.cache_clear()
     expansion._log_polynomials.cache_clear()
-    edgeworth._correction_polynomial.cache_clear()
+    edgeworth._correction_polynomials.cache_clear()
 
 
 def test_coeffs_builds_once_per_law(tmp_path, monkeypatch):
@@ -348,11 +367,15 @@ def test_coeffs_and_verify_build_each_q_once(tmp_path):
         n_values=[16, 32],
         moment_order=8,
     )
-    for command in ("coeffs", "verify"):
-        assert main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
-    # Q_1..Q_6 at moment order 8, each built once and then shared
-    info = edgeworth._correction_polynomial.cache_info()
-    assert info.misses == 6 and info.hits > 0
+    builds = edgeworth._correction_polynomials.cache_info
+    assert main(["coeffs", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+    # one build of Q_1..Q_6 for the order-8 cumulants, shared by b(r), every
+    # a_j and every limit
+    assert builds().misses == 1
+    hits = builds().hits
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+    # verify takes every Q_k from the law's build: no new one
+    assert builds().misses == 1 and builds().hits > hits
 
 
 # -- verify -------------------------------------------------------------------

@@ -59,14 +59,12 @@ from .expansion import (
 from .numerics import (
     DensityGrid,
     GridError,
-    SmoothingResult,
     density_of_normalized_sum,
     entropy_power,
     kl_to_gaussian,
     lr_integral,
     renyi_entropy,
     shannon_entropy,
-    smoothing_diagnostic,
     sup_norm,
     tabulate_density,
 )

@@ -399,10 +399,10 @@ class GridDensity(DistributionSpec):
         On the uniform nodes x0 + j*h the hat basis contributes a factor
         sinc(t*h/(2*pi))**2 to the lattice sum sum_j p_j h exp(i t x_j), which
         also kills the lattice aliases beyond pi/h.  When ``t``, flattened, is
-        an arithmetic progression to a few ulps (every call the inversion and
-        ``smoothing_diagnostic`` make) the lattice sum is a chirp
-        z-transform, computed by FFT in O((J+M) log(J+M)) for J nodes and M
-        frequencies; scalars and scattered points take the dense O(J*M) sum.
+        an arithmetic progression to a few ulps (every call the inversion
+        makes) the lattice sum is a chirp z-transform, computed by FFT in
+        O((J+M) log(J+M)) for J nodes and M frequencies; scalars and
+        scattered points take the dense O(J*M) sum.
         Returns an array of the shape of ``t`` (at least 1-d).
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))

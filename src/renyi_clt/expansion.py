@@ -303,16 +303,16 @@ def _b_exact(j: int, poly: Poly, r) -> Fraction:
 def b_coefficient(r, cumulants: CumulantVector):
     """First-order entropy coefficient b(r) = b_1(r) at any 1 <= r <= inf,
     read off the cached L_1 of the law's own cumulants (built from the same
-    Q_1, Q_2 as every a_j).  L_1 depends on gamma_3 and gamma_4 only, and so
-    does the result type: a ``Fraction`` when r is an int, a Fraction or inf
-    and gamma_3, gamma_4 are rational, and otherwise a float rounded once
-    from the exact value.
+    Q_1, Q_2 as every a_j).  Its type follows the rule of every b_j
+    (:func:`entropy_expansion`, :func:`limit_expansion`): a ``Fraction``
+    when r is an int, a Fraction or inf and every cumulant is rational, and
+    otherwise a float rounded once from the exact value.
     """
     cumulants.require_order(4)
     if not r >= 1:
         raise ValueError(f"index r must be >= 1 (or inf), got {r}")
     b = _b_exact(1, _log_polynomials(1, cumulants)[0], r)
-    return b if _is_exact(r, CumulantVector(cumulants.values[:4])) else float(b)
+    return b if _is_exact(r, cumulants) else float(b)
 
 
 def _expansion_order(m: int):

@@ -24,15 +24,16 @@ The JSON config is flat; unknown keys are rejected.  Keys:
     r_values        list of entropy indexes: finite numbers > 1, 1, or "inf"
     n_values        ascending list of positive integers
     moment_order    real s in [2, 8]: moments assumed available
-    grid_points     inversion grid size, even, >= 1024 (default 131072)
+    grid_points     inversion grid size, even, 1024..2**27 (default 131072)
     grid_extent     finite half-width of the spatial grid, >= 12 (default 16.0)
     out             default output path (overridden by --out)
 
-Exit codes: 0 success, 2 config error (including an n below the law's
-n_min), 3 numerical failure.  A density grid whose fold stopped at the cf
-evaluation cap is still used, and a one-line warning goes to stderr.  Runs
-are deterministic: fixed quadrature, no randomness, floats printed with 17
-significant digits.
+Exit codes: 0 success, 2 config error (including an n outside the law's
+n_min..numerics.MAX_N and grid_points above 2**27, the fold's evaluation
+cap), 3 numerical failure (including running out of memory).  A density
+grid whose fold stopped at the cf evaluation cap is still used, and a
+one-line warning goes to stderr.  Runs are deterministic: fixed
+quadrature, no randomness, floats printed with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -150,10 +151,12 @@ class ExperimentConfig:
         self.grid_points = data.get("grid_points", numerics.DEFAULT_GRID_POINTS)
         if (
             not isinstance(self.grid_points, int)
-            or self.grid_points < 1024
+            or not 1024 <= self.grid_points <= numerics._EVAL_CAP
             or self.grid_points % 2
         ):
-            raise ConfigError("grid_points must be an even integer >= 1024")
+            raise ConfigError(
+                f"grid_points must be an even integer from 1024 to {numerics._EVAL_CAP}"
+            )
         self.grid_extent = _finite_real(
             data.get("grid_extent", numerics.DEFAULT_GRID_EXTENT)
         )
@@ -233,19 +236,19 @@ def _write_rows(path, header, rows) -> None:
 def _grids(cfg: ExperimentConfig, spec):
     """Density grids for every configured n, in ascending order.
 
-    An n below the law's ``n_min`` is a config error.  A grid whose fold
-    stopped at the evaluation cap is kept, with a one-line stderr warning.
+    An argument the inversion rejects, such as an n outside the law's
+    ``n_min``..``numerics.MAX_N``, is a config error with the inversion's
+    message.  A grid whose fold stopped at the evaluation cap is kept, with
+    a one-line stderr warning.
     """
-    if cfg.n_values and cfg.n_values[0] < spec.n_min:
-        raise ConfigError(
-            f"n={cfg.n_values[0]} below n_min={spec.n_min} for {spec.name}: "
-            "density unbounded or characteristic power not integrable"
-        )
     out = {}
     for n in cfg.n_values:
-        grid = numerics.density_of_normalized_sum(
-            spec, n, npoints=cfg.grid_points, extent=cfg.grid_extent
-        )
+        try:
+            grid = numerics.density_of_normalized_sum(
+                spec, n, npoints=cfg.grid_points, extent=cfg.grid_extent
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if grid.cap_hit:
             print(
                 f"warning: n={n} density stopped at the cf evaluation cap after "
@@ -487,9 +490,13 @@ _EPILOG = """config keys:
   r_values       entropy indexes: numbers > 1, 1 (Shannon), or "inf"
   n_values       strictly ascending positive integers
   moment_order   real s in [2, 8] (moments assumed finite up to s)
-  grid_points    inversion grid size, even, >= 1024 (default 131072)
+  grid_points    inversion grid size, even, 1024..2**27 (default 131072)
   grid_extent    spatial half-width, >= 12 (default 16.0)
   out            default output CSV path (overridden by --out)
+
+exit codes: 0 success; 2 config error, including an n outside the law's
+n_min..2**33 and grid_points above 2**27; 3 numerical failure, including
+running out of memory
 """
 
 
@@ -543,8 +550,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (numerics.GridError, ValueError, OverflowError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except (numerics.GridError, ValueError, OverflowError, MemoryError) as exc:
+        print(f"numerical failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     _write_rows(args.out or cfg.out, header, rows)
     return 0

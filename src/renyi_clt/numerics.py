@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import csv
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +63,6 @@ __all__ = [
     "shannon_entropy",
     "kl_to_gaussian",
     "sup_norm",
-    "SmoothingResult",
-    "smoothing_diagnostic",
 ]
 
 DEFAULT_GRID_POINTS = 2**17
@@ -348,7 +345,9 @@ def density_of_normalized_sum(
 
     Requires spec.n_min <= n <= ``MAX_N`` (below n_min the characteristic
     power is not integrable and the inversion is meaningless; above MAX_N
-    its rounding error alone exceeds the mass tolerance).  Raises
+    its rounding error alone exceeds the mass tolerance) and an even npoints
+    of at most ``_EVAL_CAP`` (a larger grid would fold one period past the
+    cap); these argument checks are its only ``ValueError``.  Raises
     :class:`GridError` when the mass defect reaches 1e-6 or a sample is more
     negative than -1e-8; samples in [-1e-8, 0) are clipped to zero and the
     pre-clip minimum is kept in ``min_value``.
@@ -365,8 +364,8 @@ def density_of_normalized_sum(
             f"n={n} above {MAX_N}: f(t/sqrt(n))**n has a relative rounding "
             "error of about n 2**-53, beyond the 1e-6 mass tolerance"
         )
-    if npoints < 1024 or npoints % 2:
-        raise ValueError("npoints must be an even integer >= 1024")
+    if not 1024 <= npoints <= _EVAL_CAP or npoints % 2:
+        raise ValueError(f"npoints must be an even integer from 1024 to {_EVAL_CAP}")
     if extent < 12:
         raise ValueError("grid extent must cover at least 12 standard deviations")
 
@@ -528,53 +527,3 @@ def _band_peak(grid: DensityGrid, x: float) -> float:
         if abs(step) < 1e-12:
             break
     return float(np.real(weighted @ np.exp(-1j * theta * x)))
-
-
-class SmoothingResult(NamedTuple):
-    """Outcome of the characteristic-function integrability probe."""
-
-    value: float
-    converged: bool
-    t_final: float
-
-
-def smoothing_diagnostic(
-    spec: DistributionSpec,
-    nu: float,
-    threshold: float = 1e-8,
-    t_start: float = 8.0,
-    t_cap: float = 1e8,
-) -> SmoothingResult:
-    """Probe int_{|t|<=T} |f(t)|**nu dt under doubling T.
-
-    Declared converged once the increment from T to 2T falls below
-    ``threshold``; non-convergence (T reaching ``t_cap``) is reported in the
-    flag, never as an error.  Heavy-tailed |f| (e.g. |f| ~ 1/|t| with nu = 1)
-    therefore comes back flagged as divergent.
-    """
-    if not nu >= 1:
-        raise ValueError("nu must be >= 1")
-
-    def seg(a: float, b: float) -> float:
-        # Simpson with a step fine enough for the oscillation scale of cf
-        step = 1.0 / 128.0 if b <= 1024.0 else 0.25
-        npts = max(2, int(math.ceil((b - a) / step)))
-        step = (b - a) / npts  # land on b exactly so octaves tile [0, T]
-        total = 0.0
-        chunk = 2**21
-        for lo in range(0, npts, chunk):
-            hi = min(lo + chunk, npts)
-            tt = a + step * np.arange(lo, hi + 1)
-            vals = np.abs(np.atleast_1d(spec.cf(tt))) ** nu
-            total += _simpson(vals, dx=step)
-        return total
-
-    total = 2.0 * seg(0.0, t_start)
-    T = t_start
-    while T < t_cap:
-        increment = 2.0 * seg(T, 2 * T)
-        total += increment
-        T *= 2
-        if increment < threshold:
-            return SmoothingResult(value=total, converged=True, t_final=T)
-    return SmoothingResult(value=total, converged=False, t_final=T)

@@ -531,6 +531,17 @@ def test_b_zero_cumulants():
         assert b_coefficient(r, c) == 0
 
 
+def test_b_coefficient_follows_the_expansion_exactness_rule():
+    # rational gamma_3, gamma_4 beside float gamma_5, gamma_6: b_1 is a float
+    # by both routes, and a Fraction by both once every cumulant is rational
+    for tail, kind in (((0.1, 0.2), float), ((F(1, 10), F(1, 5)), Fraction)):
+        c = CumulantVector.from_gammas(F(1, 2), F(1, 3), *tail)
+        for r in (2, 1, math.inf):
+            expand = entropy_expansion if r == 2 else limit_expansion
+            b1 = expand(6, r, c).b[0]
+            assert b_coefficient(r, c) == b1 and type(b_coefficient(r, c)) is type(b1) is kind
+
+
 def test_b_limit_branches():
     c = CumulantVector((0, 1, F(1, 2), F(1, 4)))
     assert b_coefficient(1, c) == -F(1, 48)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,39 @@ def test_odd_grid_points_is_config_error(tmp_path, capsys):
     path = write_config(tmp_path, grid_points=1025)
     assert main(["verify", "--config", str(path)]) == 2
     assert "grid_points" in capsys.readouterr().err
+
+
+def test_grid_points_above_the_eval_cap_is_config_error(tmp_path, capsys):
+    # a grid past 2**27 points would fold one period beyond the cf
+    # evaluation cap; it is refused before any array is allocated
+    path = write_config(tmp_path, n_values=[2], grid_points=2**27 + 2)
+    tracemalloc.start()
+    try:
+        assert main(["verify", "--config", str(path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "134217728" in err
+    assert err.count("\n") == 1
+    with pytest.raises(ValueError, match="134217728"):
+        numerics.density_of_normalized_sum(rc.Uniform(), 2, npoints=2**27 + 2)
+
+
+@pytest.mark.parametrize(
+    "error", [MemoryError(), MemoryError("Unable to allocate 1.00 GiB for an array")]
+)
+def test_out_of_memory_is_numerical_failure(tmp_path, capsys, monkeypatch, error):
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(numerics, "density_of_normalized_sum", exhausted)
+    path = write_config(tmp_path)
+    assert main(["verify", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
+    assert (str(error) or "MemoryError") in captured.err and captured.out == ""
 
 
 def test_underflowing_gauss_mass_is_numerical_failure(tmp_path, capsys):
@@ -814,12 +848,13 @@ def test_band_grid_dump_and_locallimit_match_full_period(tmp_path, monkeypatch):
 )
 def test_huge_n_exits_at_once(tmp_path, capsys, command, law):
     # beyond numerics.MAX_N the powered cf's rounding error alone exceeds the
-    # mass tolerance; such an n used to fold for seconds before failing
+    # mass tolerance; such an n used to fold for seconds before failing.  The
+    # inversion refuses it as an argument, a config error like n < n_min
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**law, "n_values": [3, 10**300], "grid_points": 1024}))
     start = time.perf_counter()
     code = main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")])
-    assert code == 3 and time.perf_counter() - start < 1.0
+    assert code == 2 and time.perf_counter() - start < 1.0
     assert "above 8589934592" in capsys.readouterr().err
 
 
@@ -897,13 +932,15 @@ _LAWS = (
         "sigmas": [0.5, 0.5],
     },
 )
-# grids stay small: a valid grid_points is at most 2048, and n is either at
-# most 12 or anything up to 10**300, which numerics.MAX_N rejects at once
+# grids stay small: a valid grid_points is at most 2048, one above the
+# 2**27 evaluation cap is rejected before any grid is built, and n is either
+# at most 12 or anything up to 10**300, which numerics.MAX_N rejects at once
 # from 2**33 on, so every run takes milliseconds; other keys may hold any
 # JSON value
 _GRID_POINTS = (
     st.sampled_from([1024, 2048])
     | st.integers(-4, 1023)
+    | st.integers(numerics._EVAL_CAP + 1, 2**80)
     | _JSON.filter(lambda v: not isinstance(v, int) or isinstance(v, bool))
 )
 _NS = st.lists(

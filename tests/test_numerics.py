@@ -747,25 +747,43 @@ def test_cumulant_additivity_via_grid(grid_for):
         assert unscaled == pytest.approx(2 * float(base.gamma(k)), abs=2e-5)
 
 
-# -- smoothing diagnostic ------------------------------------------------------
+# -- the density hypothesis: n_min ---------------------------------------------
+
+_N_MIN_LAWS = {
+    "uniform": rc.Uniform(),
+    "laplace": rc.TwoSidedExponential(),
+    "gaussian": rc.GaussianMixture.standard_normal(),
+    "dyadic_mixture": _ENVELOPE_LAWS["dyadic_mixture"],
+    **{f"gamma_{a}": rc.StandardizedGamma(a) for a in (F(1, 3), F(1, 2), 1, F(5, 2), 4)},
+}
 
 
-def test_smoothing_gaussian_converges():
-    res = rc.smoothing_diagnostic(rc.from_name("gaussian"), 1)
-    assert res.converged
-    assert res.value == pytest.approx(math.sqrt(2 * math.pi), abs=1e-8)
+@pytest.mark.parametrize("key", sorted(_N_MIN_LAWS))
+def test_n_min_is_where_the_envelope_power_decays(key):
+    # |f|**n is integrable, and Z_n has a bounded density, once t E(t)**n
+    # tends to 0, E the cf envelope.  n_min is the least such n: from t = 1e6
+    # to 1e12, t E(t)**n_min falls at least tenfold (or is 0 throughout), and
+    # t E(t)**(n_min - 1) does not fall.  E <= 1, so larger n fall faster.
+    spec = _N_MIN_LAWS[key]
+    decay = [[t * spec.cf_envelope(t) ** n for t in (1e6, 1e12)]
+             for n in (spec.n_min - 1, spec.n_min)]
+    (below_near, below_far), (near, far) = decay
+    assert far <= 0.1 * near
+    assert below_far >= 0.5 * below_near > 0
+    if spec.n_min > 1:
+        with pytest.raises(ValueError, match="n_min"):
+            rc.density_of_normalized_sum(spec, spec.n_min - 1, npoints=1024)
 
 
-def test_smoothing_uniform_nu2_converges():
-    # |f| ~ 1/(sqrt(3)|t|), so int |f|^2 converges to pi/sqrt(3) (Parseval)
-    res = rc.smoothing_diagnostic(rc.Uniform(), 2)
-    assert res.converged
-    assert res.value == pytest.approx(math.pi / SQRT3, abs=1e-6)
-
-
-def test_smoothing_uniform_nu1_diverges():
-    res = rc.smoothing_diagnostic(rc.Uniform(), 1, t_cap=1e6)
-    assert not res.converged
+def test_table_cf_decays_like_t_squared():
+    # the hat basis multiplies a lattice sum of modulus at most sum p_j h by
+    # sinc(t h/(2 pi))**2 <= (2/(t h))**2, so t**2 |f(t)| stays bounded and
+    # every table has n_min = 1
+    spec = _table(4001, 12.0, _dyadic_mixture_pdf)
+    t = np.geomspace(10.0, 1e6, 400)
+    bound = 4 * float(np.sum(spec.p)) / spec.h
+    assert spec.n_min == 1
+    assert (t * t * np.abs(spec.cf(t))).max() <= bound * (1 + 1e-9)
 
 
 def test_grid_csv_roundtrip(tmp_path, grid_for):

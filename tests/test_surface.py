@@ -32,8 +32,8 @@ def test_exports_resolve():
     harness = importlib.import_module("renyi_clt.harness")
     assert "gaussint" not in MODULES and not hasattr(harness, "richardson")
     for name in ("gauss_power_integral gauss_power_moment hermite_integral leading_term "
-                 "LeadingTerm characteristic_power").split():
-        assert not hasattr(rc, name), name
+                 "LeadingTerm characteristic_power smoothing_diagnostic SmoothingResult").split():
+        assert not hasattr(rc, name) and not hasattr(rc.numerics, name), name
     with pytest.raises(TypeError):
         rc.GridDensity([0.0] * 8, [0.0] * 8, n_min=1)
 

@@ -20,11 +20,15 @@ fall below the tail bound, or at a fixed cap on cf evaluations.  Each grid
 records its fold count, whether the cap stopped it, and its ringing bound.
 Periods are added in blocks of 2**14 bins, each block taking every new
 period in turn, so that a block's cf values, their power and its slice of
-the fold stay in cache.  Every bin still sums its terms in period order, so
-the grid does not depend on the blocking wherever the cf is computed point
-by point (a table's chirp z-transform cf moves by rounding with the block it
-is given).  The fold takes the dtype of the law's cf: real for a symmetric
-law, complex otherwise.
+the fold stay in cache.  A block's frequencies are built in place: a float
+range of its bin indices is shifted by k*N for period k and scaled by the
+frequency step, the same doubles as dt times the integer lattice.  Every
+bin still sums its terms in period order, so the grid does not depend on
+the blocking wherever the cf is computed point by point; a cf that
+evaluates a progression as a whole (a table's chirp z-transform, the
+uniform law's angle table) moves by rounding with the block it is given.
+The fold takes the dtype of the law's cf: real for a symmetric law, complex
+otherwise.
 
 A band grid is a trigonometric polynomial of M terms, M of 256 to 8192,
 periodic over the grid's extent.  The trapezoid and Simpson sums of such a
@@ -240,15 +244,22 @@ def _add_periods(fold, spec: DistributionSpec, n: int, N: int, dt: float,
     of ``_FOLD_BLOCK``, and each block takes its periods in increasing k, so
     every bin receives the same terms in the same order as when whole
     periods are added one after the other; only the working set shrinks to
-    a block.  The sums are bit for bit those of whole periods whenever the
+    a block.  A block's frequencies are rebuilt in one buffer per period,
+    (b + k*N)*dt from a float range of the bins b: integers below 2**53 are
+    exact in a double, so these are the doubles of dt times the integer
+    lattice.  The sums are bit for bit those of whole periods whenever the
     cf of a point does not depend on the other points of the call.
     ``fold`` None starts a zero fold in the dtype of the first block's cf
     power.
     """
     for lo in range(0, N, _FOLD_BLOCK):
         hi = min(lo + _FOLD_BLOCK, N)
+        bins = np.arange(lo, hi, dtype=float)
+        t = np.empty_like(bins)
         for k in range(k0, k1):
-            terms = _cf_power(spec, n, dt * np.arange(k * N + lo, k * N + hi))
+            np.add(bins, k * N, out=t)
+            t *= dt
+            terms = _cf_power(spec, n, t)
             if fold is None:
                 fold = np.zeros(N, dtype=terms.dtype)
             fold[lo:hi] += terms
@@ -379,14 +390,20 @@ def density_of_normalized_sum(
         h = 2 * L / size
         values = _invert_band(band, size, h)
 
+    # a fold the cap stopped says so: the cap, not the grid, may be the cause
+    capped = (
+        f"; fold stopped at the evaluation cap after {folds} "
+        f"period{'s' if folds > 1 else ''} (ringing bound {ringing:.3e})"
+        if cap_hit else ""
+    )
     mass_defect = abs(1.0 - float(values.sum() * h))
     if mass_defect >= _MASS_DEFECT_LIMIT:
-        raise GridError(f"grid under-resolved: mass defect {mass_defect:.3e}")
+        raise GridError(f"grid under-resolved: mass defect {mass_defect:.3e}{capped}")
     min_value = float(values.min())
     if min_value < -_NEGATIVE_CLIP:
         raise GridError(
             f"inversion produced negative density {min_value:.3e} at n={n}; "
-            "grid under-resolved"
+            f"grid under-resolved{capped}"
         )
     # clip in place: a fresh N-point array per kept grid lets malloc trim the
     # inversion's working set and fault it in again on the next grid

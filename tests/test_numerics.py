@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -207,6 +208,50 @@ def test_grid_density_inverts_at_default_grid():
         g = rc.density_of_normalized_sum(spec, n)
         assert len(g.values) == 2**17 and not g.cap_hit
         assert np.abs(g.values - rc.normal_pdf(g.x)).max() < 1e-6
+
+
+def _exact_uniform_cf(t):
+    """sin(sqrt(3) t)/(sqrt(3) t) to 40 digits at each float t."""
+    with mpmath.workdps(40):
+        root = mpmath.sqrt(3)
+        return np.array([
+            1.0 if x == 0 else float(mpmath.sin(root * x) / (root * x))
+            for x in map(mpmath.mpf, t)
+        ])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_uniform_cf_progression_matches_exact_sinc(n):
+    # the lattices the inversion folds, dt*m/sqrt(n) on the default grid:
+    # the first and last blocks of periods k, one that crosses t = 0, each
+    # 2**14 + 3 points long (not a multiple of the table's row), and each
+    # also read descending and negated; checked on a sample of each block
+    spec = rc.Uniform()
+    N, dt, size = 2**17, math.pi / 16, 2**14 + 3
+    sample = np.r_[np.arange(128), np.arange(128, size, 29), size - 1]
+    starts = [k * N + lo for k in (0, 1, 37, 255, 1023) for lo in (0, N - size)]
+    for start in starts + [-700]:
+        t = dt * np.arange(start, start + size) / math.sqrt(n)
+        exact = _exact_uniform_cf(t[sample])
+        for got in (spec.cf(t), spec.cf(t[::-1])[::-1], spec.cf(-t)):
+            assert got.shape == t.shape
+            err = np.abs(got[sample] - exact).max()
+            assert err <= 4 * 2.0**-52, (start, err / 2.0**-52)
+        if start <= 0:
+            assert spec.cf(t)[-start] == 1.0
+
+
+def test_uniform_cf_off_progression_is_np_sinc():
+    # scattered, short, multi-dimensional and scalar t keep np.sinc's bits
+    spec = rc.Uniform()
+    lattice = math.pi / 16 * np.arange(4096) / math.sqrt(2)
+    scattered = lattice.copy()
+    scattered[1000] += 1e-6
+    for t in (scattered, lattice[[5, 1, 9, 3] * 20], lattice[:63],
+              lattice.reshape(64, 64), np.float64(1.3), 0.0):
+        got = spec.cf(t)
+        assert np.shape(got) == np.shape(t)
+        assert np.array_equal(got, np.sinc(SQRT3 * np.asarray(t) / np.pi))
 
 
 @pytest.mark.parametrize("size", [2, 3, 4, 5, 10, 11, 1000, 1001])
@@ -487,9 +532,9 @@ def _fold_pair(spec, n, npoints, extent):
 
 @pytest.mark.parametrize(
     "spec,n,npoints,periods",
-    [(rc.Uniform(), 2, 2**15, None), (rc.TwoSidedExponential(), 1, 2**15, None),
-     (rc.StandardizedGamma(1), 2, 2**15, 8), (_table(4001, 12.0, _dyadic_mixture_pdf), 1, 2**14, 8)],
-    ids=["uniform", "laplace", "gamma1", "table"],
+    [(rc.TwoSidedExponential(), 1, 2**15, None), (rc.StandardizedGamma(1), 2, 2**15, 8),
+     (_table(4001, 12.0, _dyadic_mixture_pdf), 1, 2**14, 8)],
+    ids=["laplace", "gamma1", "table"],
 )
 def test_blocked_fold_is_bit_identical(monkeypatch, spec, n, npoints, periods):
     # the bins are folded in blocks, each taking its periods in order, and a
@@ -497,6 +542,7 @@ def test_blocked_fold_is_bit_identical(monkeypatch, spec, n, npoints, periods):
     # flag and the ringing bound are those of whole complex periods added one
     # after the other.  Gamma(1) and the table stop at a cap of 8 periods
     # (three doublings), the table also with no tail bound to settle under.
+    # The table's 2**14 bins are one block, so its chirps are the oracle's.
     if periods is not None:
         monkeypatch.setattr(rc.numerics, "_EVAL_CAP", periods * npoints)
         monkeypatch.setattr(rc.numerics, "_TAIL_BOUND", 0.0)
@@ -504,6 +550,19 @@ def test_blocked_fold_is_bit_identical(monkeypatch, spec, n, npoints, periods):
     assert np.array_equal(values, expected)
     assert record == expected_record
     assert record[0] == (periods or 64) and record[1] == (periods is not None)
+
+
+def test_blocked_uniform_fold_matches_to_rounding():
+    # the uniform cf takes a progression's sines from a table built for the
+    # block it is given, so its values, and the fold, move by rounding with
+    # the blocks; the tolerance is fixed from the dtype, not measured
+    (values, *record), (expected, *expected_record) = _fold_pair(
+        rc.Uniform(), 2, 2**15, 12.0
+    )
+    tol = 16 * 2.0**-52 * expected.max()
+    assert np.abs(values - expected).max() <= tol
+    assert record[:2] == expected_record[:2] == [64, False]
+    assert abs(record[2] - expected_record[2]) <= 2 * tol
 
 
 def test_blocked_table_fold_follows_its_chirp_blocks(monkeypatch):
@@ -530,6 +589,31 @@ def test_eval_cap_is_flagged(monkeypatch):
     assert g.cap_hit
     assert g.folds == 8
     assert g.ringing_bound >= 5e-9
+
+
+@pytest.mark.parametrize(
+    "spec,n,periods,cause",
+    [(rc.Uniform(), 2, 4, "negative density"),
+     (rc.StandardizedGamma(0.5), 3, 2, "mass defect")],
+    ids=["negative", "mass"],
+)
+def test_grid_error_names_the_cap(monkeypatch, spec, n, periods, cause):
+    # a fold the cap stopped fails its checks with the cap named
+    npoints = 2**14
+    monkeypatch.setattr(rc.numerics, "_EVAL_CAP", periods * npoints)
+    with pytest.raises(rc.GridError, match=cause) as info:
+        rc.density_of_normalized_sum(spec, n, npoints=npoints, extent=12.0)
+    assert re.search(
+        rf"fold stopped at the evaluation cap after {periods} periods "
+        r"\(ringing bound \S+\)$", str(info.value)
+    )
+
+
+def test_grid_error_without_cap_leaves_it_out(monkeypatch):
+    monkeypatch.setattr(rc.numerics, "_MASS_DEFECT_LIMIT", 0.0)
+    with pytest.raises(rc.GridError, match="mass defect") as info:
+        rc.density_of_normalized_sum(rc.Uniform(), 3, npoints=2**14, extent=12.0)
+    assert "cap" not in str(info.value)
 
 
 def test_tabulated_grid_has_no_folds():

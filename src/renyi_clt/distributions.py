@@ -3,8 +3,9 @@
 Every spec describes a law with mean 0 and variance 1 and exposes
 
     density(x)   -- vectorized pdf
-    cf(t)        -- vectorized characteristic function E exp(itX): complex,
-                    or a float array for a law whose cf is real
+    cf(t)        -- vectorized characteristic function E exp(itX) at a
+                    scalar, an array or a ``Lattice``: complex, or a float
+                    array for a law whose cf is real
     cf_envelope(t)
                  -- a non-increasing bound on |cf| over [t, inf) for t >= 0,
                     or None when the law has none (the inversion then
@@ -15,22 +16,25 @@ Every spec describes a law with mean 0 and variance 1 and exposes
                     i.e. for which the normalized sum Z_n has a bounded
                     density recoverable by Fourier inversion
 
+The inversion asks for its frequencies as a ``Lattice``, the points
+((first + j)*dt)/sqrt(n) of a fold block or a band, so a law that can use the
+structure reads it from the indices and need not detect it.
+
 The built-in families:
 
 * ``Uniform``: uniform on (-sqrt(3), sqrt(3)); |cf| ~ 1/|t|, n_min = 2.
-  Its cf takes the sines of an arithmetic progression from a two-level
-  table of unit phases instead of one libm sine per point.
+  Its cf on a lattice takes the sines from a two-level table of unit phases
+  instead of one libm sine per point.
 * ``StandardizedGamma(alpha)``: (xi - alpha)/sqrt(alpha) for xi ~
   Gamma(alpha); |cf(t)| = (1 + t**2/alpha)**(-alpha/2), n_min is the
   smallest n with n*alpha > 1.
 * ``TwoSidedExponential``: Laplace with variance 1; cf = 1/(1 + t**2/2).
 * ``GaussianMixture``: finite normal mixture, standardized by construction.
 * ``GridDensity``: a tabulated density on a uniform grid.  Its cf is the
-  exact transform of the piecewise-linear interpolant, evaluated by a chirp
-  z-transform when the frequencies form an arithmetic progression; its
-  moments come by Simpson quadrature.  It has no cf envelope: the lattice
-  sum revives near every multiple of 2*pi/h, so no useful monotone bound
-  exists.
+  exact transform of the piecewise-linear interpolant, evaluated on a
+  lattice by a chirp z-transform; its moments come by Simpson quadrature.
+  It has no cf envelope: the lattice sum revives near every multiple of
+  2*pi/h, so no useful monotone bound exists.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .cumulants import double_factorial, moments_from_cumulants
 
 __all__ = [
     "DistributionSpec",
+    "Lattice",
     "Uniform",
     "StandardizedGamma",
     "TwoSidedExponential",
@@ -91,6 +96,38 @@ def _exact_sqrt(value):
     return None
 
 
+class Lattice:
+    """The frequencies t_j = ((first + j)*dt)/root, j = 0..size-1.
+
+    The inversion hands one to ``cf`` per call: a block of fold period k
+    (first = k*N + b) or a band (first = 0), with root = sqrt(n); dividing a
+    lattice by s multiplies its root by s.  ``np.asarray`` gives the points,
+    the doubles of ``dt*np.arange(first, first + size)/root``, and ``size``
+    (so ``np.size``) counts them.
+    """
+
+    __slots__ = ("first", "size", "dt", "root")
+
+    def __init__(self, first: int, size: int, dt: float, root: float = 1.0):
+        if first < 0 or size < 1:
+            raise ValueError(f"a lattice needs first >= 0 and size >= 1, not {first}, {size}")
+        self.first, self.size, self.dt, self.root = int(first), int(size), dt, root
+
+    def __truediv__(self, scale: float) -> "Lattice":
+        return Lattice(self.first, self.size, self.dt, self.root * scale)
+
+    def points(self, stop=None, step: int = 1) -> np.ndarray:
+        """t_j for j in range(0, stop, step); stop defaults to ``size``."""
+        stop = self.size if stop is None else min(stop, self.size)
+        t = np.arange(self.first, self.first + stop, step, dtype=float)
+        t *= self.dt
+        t /= self.root
+        return t
+
+    def __array__(self, dtype=None, copy=None):
+        return self.points().astype(dtype or float, copy=False)
+
+
 class DistributionSpec:
     """Interface shared by all standardized base laws."""
 
@@ -103,17 +140,18 @@ class DistributionSpec:
     def cf(self, t):
         """E exp(itX) at each point of ``t``, as an array.
 
+        ``t`` is a scalar, an array, or a ``Lattice`` (every call of the
+        inversion).  A law that evaluates point by point reads a lattice as
+        its points, ``np.asarray(t, dtype=float)``; the Gamma, Laplace and
+        mixture laws do.  ``Uniform`` (a table of unit phases) and
+        ``GridDensity`` (a chirp z-transform) read a lattice whole, from its
+        indices, so their value at a point may depend, by rounding, on the
+        lattice it came in; arrays take their pointwise formulas.
+
         A law with a real cf (a symmetric law) may return a float array:
         ``numerics`` then powers and folds it in real arithmetic, which is
         cheaper than complex and, for n >= 3, closer to the exact power.
         Other laws return complex arrays.
-
-        A law may evaluate an arithmetic progression (every call of the
-        inversion) differently from scattered points, as a whole; its value
-        at a point may then depend, by rounding, on the call the point came
-        in.  ``GridDensity`` does (a chirp z-transform) and so does
-        ``Uniform`` (a table of unit phases); the other laws evaluate point
-        by point.
         """
         raise NotImplementedError
 
@@ -150,30 +188,36 @@ class Uniform(DistributionSpec):
     def cf(self, t):
         """sin(sqrt(3) t)/(sqrt(3) t), and 1 at t = 0.
 
-        A 1-d ``t`` of at least 64 points that is an arithmetic progression
-        (as ``_progression_step`` finds; every call of the inversion) takes
-        its sines from a two-level table of unit phases, about M/128 + 128
-        sines and cosines for M points (see ``_sinc_progression``); it is
-        split at 0 and read away from it, so that every table angle is
-        non-negative.  On the inversion's lattices this errs by at most
-        4 2**-52 against a 40-digit sinc at the same float t.  A value may
-        move by rounding with the progression its point came in.  Every
-        other ``t`` (scalars, short, scattered or multi-dimensional arrays)
-        takes ``np.sinc``, keeping its shape.
+        A ``Lattice`` takes its sines from a two-level table of unit phases.
+        Point R*q + r (R = 128) is taken at u = a_q + b_r, with
+        a_q = sqrt(3) t[R*q] its row's first point and
+        b_r = sqrt(3)(t[r] - t[0]) the first row's offsets, so
+        sin u = sin a_q cos b_r + cos a_q sin b_r is one (M/R x 2)(2 x R)
+        matrix product of [sin a, cos a] and [cos b; sin b], from M/R + R
+        sines and cosines for M points.  The divisor a_q + b_r is the
+        product of [a, 1] and [1; b], the same doubles as their sum, so each
+        value is sinc at the table's angle.  No angle is negative (a lattice
+        starts at an index >= 0): below pi/2 both terms are positive, so the
+        sum keeps its relative accuracy near u = 0, and beyond, its absolute
+        error of a few 2**-53 shrinks by 1/u.  On the inversion's lattices
+        this errs by at most 4 2**-52 against a 40-digit sinc at the same
+        float t.  Rows start at t[0], so lattices with the same first points
+        (a band and the first block of its full period) get the same values
+        there.  Any array or scalar takes ``np.sinc``, keeping its shape.
         """
-        t = np.asarray(t, dtype=float)
-        step = _progression_step(t) if t.ndim == 1 and t.size >= 64 else None
-        if not step:
-            return np.sinc(_SQRT3 * t / np.pi)
-        if step < 0:
-            return self.cf(t[::-1])[::-1]
-        # t[:z] < 0 <= t[z:]; sinc is even, so the negative part is the
-        # ascending progression -t[z-1], -t[z-2], ..., read backwards
-        z = int(np.searchsorted(t, 0.0))
-        if z == 0:
-            return _sinc_progression(t)
-        head = _sinc_progression(-t[z - 1 :: -1])[::-1]
-        return np.concatenate((head, _sinc_progression(t[z:]))) if z < t.size else head
+        if not isinstance(t, Lattice):
+            return np.sinc(_SQRT3 * np.asarray(t, dtype=float) / np.pi)
+        rows = _SQRT3 * t.points(step=_SINE_ROW)
+        head = t.points(stop=_SINE_ROW)
+        offsets = _SQRT3 * (head - head[0])
+        sine = np.array((np.sin(rows), np.cos(rows))).T @ np.array(
+            (np.cos(offsets), np.sin(offsets)))
+        angle = np.array((rows, np.ones_like(rows))).T @ np.array(
+            (np.ones_like(offsets), offsets))
+        if t.first == 0:
+            sine[0, 0] = angle[0, 0] = 1.0
+        sine /= angle
+        return sine.ravel()[: t.size]
 
     def cf_envelope(self, t: float):
         """min(1, 1/(sqrt(3) t)), since |sin(u)/u| <= min(1, 1/u)."""
@@ -433,26 +477,26 @@ class GridDensity(DistributionSpec):
 
         On the uniform nodes x0 + j*h the hat basis contributes a factor
         sinc(t*h/(2*pi))**2 to the lattice sum sum_j p_j h exp(i t x_j), which
-        also kills the lattice aliases beyond pi/h.  When ``t``, flattened, is
-        an arithmetic progression to a few ulps (every call the inversion
-        makes) the lattice sum is a chirp z-transform, computed by FFT in
-        O((J+M) log(J+M)) for J nodes and M frequencies; scalars and
-        scattered points take the dense O(J*M) sum.
-        Returns an array of the shape of ``t`` (at least 1-d).
+        also kills the lattice aliases beyond pi/h.  On a ``Lattice`` (every
+        call the inversion makes) the sum is a chirp z-transform with step
+        (t[-1] - t[0])/(M - 1), computed by FFT in O((J+M) log(J+M)) for J
+        nodes and M frequencies; scalars and arrays take the dense O(J*M)
+        sum.  Returns an array of the shape of ``t`` (at least 1-d).
         """
+        lattice = isinstance(t, Lattice)
         t = np.atleast_1d(np.asarray(t, dtype=float))
         flat = t.ravel()
         out = np.empty(flat.shape, dtype=complex)
         pw = self.p * self.h
-        step = _progression_step(flat)
-        chunk = _CHIRP_BLOCK if step is not None else max(1, 2**22 // self.p.size)
+        step = (flat[-1] - flat[0]) / max(1, flat.size - 1) if lattice else None
+        chunk = _CHIRP_BLOCK if lattice else max(1, 2**22 // self.p.size)
         for lo in range(0, flat.size, chunk):
             ts = flat[lo : lo + chunk]
-            if step is None:
-                lattice = np.exp(1j * np.outer(ts, self.x)) @ pw
+            if lattice:
+                total = _chirp_lattice_sum(pw, self.x[0], self.h, ts[0], step, ts.size)
             else:
-                lattice = _chirp_lattice_sum(pw, self.x[0], self.h, ts, step)
-            out[lo : lo + chunk] = lattice * np.sinc(ts * self.h / (2 * np.pi)) ** 2
+                total = np.exp(1j * np.outer(ts, self.x)) @ pw
+            out[lo : lo + chunk] = total * np.sinc(ts * self.h / (2 * np.pi)) ** 2
         return out.reshape(t.shape)
 
     def moments(self, order: int):
@@ -463,72 +507,27 @@ class GridDensity(DistributionSpec):
         ]
 
 
-def _progression_step(t: np.ndarray):
-    """Step d when t[k] = t[0] + k*d to within 4 ulps of max|t| (t 1-d, at
-    least 2 points), else None."""
-    if t.size < 2:
-        return None
-    step = (t[-1] - t[0]) / (t.size - 1)
-    drift = np.arange(t.size, dtype=float)
-    drift *= step
-    drift += t[0]
-    drift -= t
-    largest = max(t.max(), -t.min())
-    return step if max(drift.max(), -drift.min()) <= 4 * np.spacing(largest) else None
+def _chirp_lattice_sum(w: np.ndarray, x0: float, h: float, t0: float,
+                       step: float, M: int) -> np.ndarray:
+    """sum_j w_j exp(i t_u (x0 + j*h)) for t_u = t0 + u*step, u < M (Bluestein).
 
-
-def _sinc_progression(t: np.ndarray) -> np.ndarray:
-    """sin(u)/u at u = sqrt(3) t for an ascending progression t with
-    t[0] >= 0, and 1 where u = 0.
-
-    Point R*q + r (R = ``_SINE_ROW``) is taken at u = a_q + b_r, with
-    a_q = sqrt(3) t[R*q] its row's first point and b_r = sqrt(3)(t[r] - t[0])
-    the first row's offsets, so sin(u), the imaginary part of
-    exp(i a_q) exp(i b_r), costs R + M/R sines and cosines for M points, two
-    outer products and one add.  These angles are the points' own to the
-    progression's rounding, and none is negative: below pi/2 both products
-    are positive, so the sum keeps its relative accuracy near u = 0, and
-    beyond, its absolute error of a few 2**-53 shrinks by 1/u.  The divisor
-    is the table's angle a_q + b_r, so each value is sinc at that angle.
-    Rows have a fixed length and start at t[0], so progressions with the
-    same first points (a band and the first block of its full period) get
-    the same values there.
+    With theta = step*h, the identity uj = (u**2 + j**2 - (u-j)**2)/2 turns
+    the sum over j into one linear convolution with the chirp
+    exp(-i theta m**2/2), done by FFT at a power-of-two length of at least
+    J + M - 1.  The chirps are built from explicit real angles, anchored at
+    t0, a lattice's point nearest t = 0: there the transform is largest,
+    and the chirp angles, which grow like u**2, are smallest.
     """
-    rows = _SQRT3 * t[::_SINE_ROW]
-    offsets = _SQRT3 * (t[:_SINE_ROW] - t[0])
-    sine = np.multiply.outer(np.sin(rows), np.cos(offsets))
-    angle = np.multiply.outer(np.cos(rows), np.sin(offsets))
-    sine += angle
-    np.add.outer(rows, offsets, out=angle)
-    if t[0] == 0:
-        sine[0, 0] = angle[0, 0] = 1.0
-    sine /= angle
-    return sine.ravel()[: t.size]
-
-
-def _chirp_lattice_sum(w: np.ndarray, x0: float, h: float, t: np.ndarray,
-                       step: float) -> np.ndarray:
-    """sum_j w_j exp(i t_k (x0 + j*h)) for t_k = t_c + (k-c)*step (Bluestein).
-
-    With theta = step*h and u = k - c, the identity
-    uj = (u**2 + j**2 - (u-j)**2)/2 turns the sum over j into one linear
-    convolution with the chirp exp(-i theta m**2/2), done by FFT at a
-    power-of-two length of at least J + M - 1.  The chirps are built from
-    explicit real angles.  The anchor c is the point nearest t = 0: there
-    the transform is largest, and the chirp angles, which grow like u**2,
-    are smallest.
-    """
-    J, M = w.size, t.size
-    c = int(np.argmin(np.abs(t)))
+    J = w.size
     theta = step * h
     size = 1 << (J + M - 2).bit_length()
     j = np.arange(J, dtype=float)
-    u = np.arange(-c, M - c, dtype=float)
-    lag = np.arange(1 - J - c, M - c, dtype=float)
-    spectrum = np.fft.fft(w * np.exp(1j * (t[c] * h * j + 0.5 * theta * j * j)), size)
+    u = np.arange(M, dtype=float)
+    lag = np.arange(1 - J, M, dtype=float)
+    spectrum = np.fft.fft(w * np.exp(1j * (t0 * h * j + 0.5 * theta * j * j)), size)
     spectrum *= np.fft.fft(np.exp(-0.5j * theta * lag * lag), size)
     conv = np.fft.ifft(spectrum)[J - 1 : J - 1 + M]
-    return conv * np.exp(1j * ((t[c] + step * u) * x0 + 0.5 * theta * u * u))
+    return conv * np.exp(1j * ((t0 + step * u) * x0 + 0.5 * theta * u * u))
 
 
 def from_name(name: str, **params) -> DistributionSpec:

@@ -20,15 +20,16 @@ fall below the tail bound, or at a fixed cap on cf evaluations.  Each grid
 records its fold count, whether the cap stopped it, and its ringing bound.
 Periods are added in blocks of 2**14 bins, each block taking every new
 period in turn, so that a block's cf values, their power and its slice of
-the fold stay in cache.  A block's frequencies are built in place: a float
-range of its bin indices is shifted by k*N for period k and scaled by the
-frequency step, the same doubles as dt times the integer lattice.  Every
-bin still sums its terms in period order, so the grid does not depend on
-the blocking wherever the cf is computed point by point; a cf that
-evaluates a progression as a whole (a table's chirp z-transform, the
-uniform law's angle table) moves by rounding with the block it is given.
-The fold takes the dtype of the law's cf: real for a symmetric law, complex
-otherwise.
+the fold stay in cache.  The law is handed each block as a
+``distributions.Lattice``, the indices k*N + b of its bins with the
+frequency step and sqrt(n): a pointwise law reads it as the doubles of
+dt times the integer lattice over sqrt(n), and a law that evaluates a
+lattice as a whole (a table's chirp z-transform, the uniform law's angle
+table) builds from its indices without detecting it.  Every bin still sums
+its terms in period order, so the grid does not depend on the blocking
+wherever the cf is computed point by point; a whole-lattice cf moves by
+rounding with the block it is given.  The fold takes the dtype of the law's
+cf: real for a symmetric law, complex otherwise.
 
 A band grid is a trigonometric polynomial of M terms, M of 256 to 8192,
 periodic over the grid's extent.  The trapezoid and Simpson sums of such a
@@ -51,7 +52,7 @@ import math
 
 import numpy as np
 
-from .distributions import DistributionSpec, _simpson
+from .distributions import DistributionSpec, Lattice, _simpson
 
 __all__ = [
     "GridError",
@@ -181,7 +182,8 @@ class DensityGrid:
 def _cf_power(spec: DistributionSpec, n: int, t) -> np.ndarray:
     """f(t/sqrt(n))**n, the principal power (exact for integer n), in the
     dtype of the law's cf: real for a real cf, where libm ``pow`` is within
-    an ulp of the exact power, and complex otherwise."""
+    an ulp of the exact power, and complex otherwise.  ``t`` is a scalar, an
+    array or a ``Lattice``, which the division keeps a lattice."""
     return np.asarray(spec.cf(t / math.sqrt(n))) ** n
 
 
@@ -244,22 +246,18 @@ def _add_periods(fold, spec: DistributionSpec, n: int, N: int, dt: float,
     of ``_FOLD_BLOCK``, and each block takes its periods in increasing k, so
     every bin receives the same terms in the same order as when whole
     periods are added one after the other; only the working set shrinks to
-    a block.  A block's frequencies are rebuilt in one buffer per period,
-    (b + k*N)*dt from a float range of the bins b: integers below 2**53 are
-    exact in a double, so these are the doubles of dt times the integer
-    lattice.  The sums are bit for bit those of whole periods whenever the
-    cf of a point does not depend on the other points of the call.
+    a block.  Each block of each period reaches the law as the
+    ``Lattice`` of its indices k*N + b, whose points are the doubles of dt
+    times the integer lattice.  The sums are bit for bit those of whole
+    periods whenever the cf of a point does not depend on the other points
+    of the call.
     ``fold`` None starts a zero fold in the dtype of the first block's cf
     power.
     """
     for lo in range(0, N, _FOLD_BLOCK):
         hi = min(lo + _FOLD_BLOCK, N)
-        bins = np.arange(lo, hi, dtype=float)
-        t = np.empty_like(bins)
         for k in range(k0, k1):
-            np.add(bins, k * N, out=t)
-            t *= dt
-            terms = _cf_power(spec, n, t)
+            terms = _cf_power(spec, n, Lattice(k * N + lo, hi - lo, dt))
             if fold is None:
                 fold = np.zeros(N, dtype=terms.dtype)
             fold[lo:hi] += terms
@@ -300,7 +298,7 @@ def _folded_density(spec: DistributionSpec, n: int, N: int, dt: float,
     band = _band_length(spec, n, N, dt)
     if band is not None:
         M, bound = band
-        return None, 1, False, bound, _cf_power(spec, n, dt * np.arange(M))
+        return None, 1, False, bound, _cf_power(spec, n, Lattice(0, M, dt))
 
     quarter = N // 4
     max_periods = max(1, _EVAL_CAP // N)

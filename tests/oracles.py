@@ -71,14 +71,15 @@ def normalized_uniform_sum_density(n: int, x):
 def period_at_a_time_fold(spec, n: int, N: int, dt: float, h: float):
     """(samples, folds, cap_hit, ringing_bound) of the full-period fold as it
     was first written: whole periods of f_n added one after the other, in
-    complex arithmetic, then inverted as ``numerics._invert_fold`` does.  The
-    stopping rule is the library's, with its ``_TAIL_BOUND`` and
-    ``_EVAL_CAP`` read at call time."""
+    complex arithmetic, then inverted as ``numerics._invert_fold`` does.  Each
+    period reaches the law as one ``Lattice``.  The stopping rule is the
+    library's, with its ``_TAIL_BOUND`` and ``_EVAL_CAP`` read at call time."""
     import numpy as np
     from renyi_clt import numerics
+    from renyi_clt.distributions import Lattice
 
     def period(k):
-        t = dt * np.arange(k * N, (k + 1) * N)
+        t = Lattice(k * N, N, dt)
         return np.asarray(spec.cf(t / sqrt(n)), dtype=complex) ** n
 
     def invert(fold):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
 import renyi_clt as rc
-from renyi_clt.distributions import _simpson
+from renyi_clt.distributions import Lattice, _simpson
 from renyi_clt.numerics import _cf_power
 from oracles import (
     normalized_uniform_sum_density,
@@ -168,17 +168,17 @@ def _dense_grid_cf(spec, t):
     "npoints,extent,table_points", [(2**14, 12.0, 4001), (2**17, 16.0, 20001)]
 )
 def test_grid_cf_chirp_matches_dense_sum(npoints, extent, table_points):
-    # the progressions density_of_normalized_sum asks for: fold period k of
+    # the lattices density_of_normalized_sum asks for: fold period k of
     # the lattice m*dt, scaled by 1/sqrt(n); checked on a sample of each
     spec = _table(table_points, 12.0, _dyadic_mixture_pdf)
     dt = math.pi / extent
     sample = np.r_[np.arange(16), np.arange(16, npoints, npoints // 64)]
     for n in (1, 2, 4):
         for k in (0, 3):
-            t = dt * np.arange(k * npoints, (k + 1) * npoints) / math.sqrt(n)
+            t = Lattice(k * npoints, npoints, dt, math.sqrt(n))
             got = spec.cf(t)
-            assert got.shape == t.shape
-            err = np.abs(got[sample] - _dense_grid_cf(spec, t[sample])).max()
+            assert got.shape == (npoints,)
+            err = np.abs(got[sample] - _dense_grid_cf(spec, np.asarray(t)[sample])).max()
             assert err < 1e-12, (n, k, err)
 
 
@@ -191,6 +191,12 @@ def test_grid_cf_chirp_orientation_and_shape():
     got = spec.cf(grid)
     assert got.shape == (20, 30)
     assert np.abs(got - _dense_grid_cf(spec, grid)).max() < 1e-12
+    # a lattice longer than one chirp: the second chirp anchors at its own
+    # first point, with the step of the whole lattice
+    t = Lattice(5, 2**17 + 300, math.pi / 16)
+    sample = np.r_[0, 2**17 - 1, 2**17, 2**17 + 1, 2**17 + 299]
+    err = np.abs(spec.cf(t)[sample] - _dense_grid_cf(spec, np.asarray(t)[sample])).max()
+    assert err < 1e-12, err
 
 
 def test_grid_cf_scalar_and_scattered_t():
@@ -223,35 +229,44 @@ def _exact_uniform_cf(t):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_uniform_cf_progression_matches_exact_sinc(n):
     # the lattices the inversion folds, dt*m/sqrt(n) on the default grid:
-    # the first and last blocks of periods k, one that crosses t = 0, each
-    # 2**14 + 3 points long (not a multiple of the table's row), and each
-    # also read descending and negated; checked on a sample of each block
+    # the first and last blocks of periods k, each 2**14 + 3 points long
+    # (not a multiple of the table's row); checked on a sample of each block
     spec = rc.Uniform()
     N, dt, size = 2**17, math.pi / 16, 2**14 + 3
     sample = np.r_[np.arange(128), np.arange(128, size, 29), size - 1]
-    starts = [k * N + lo for k in (0, 1, 37, 255, 1023) for lo in (0, N - size)]
-    for start in starts + [-700]:
-        t = dt * np.arange(start, start + size) / math.sqrt(n)
-        exact = _exact_uniform_cf(t[sample])
-        for got in (spec.cf(t), spec.cf(t[::-1])[::-1], spec.cf(-t)):
-            assert got.shape == t.shape
-            err = np.abs(got[sample] - exact).max()
-            assert err <= 4 * 2.0**-52, (start, err / 2.0**-52)
-        if start <= 0:
-            assert spec.cf(t)[-start] == 1.0
+    for start in [k * N + lo for k in (0, 1, 37, 255, 1023) for lo in (0, N - size)]:
+        t = Lattice(start, size, dt, math.sqrt(n))
+        got = spec.cf(t)
+        assert got.shape == (size,)
+        err = np.abs(got[sample] - _exact_uniform_cf(np.asarray(t)[sample])).max()
+        assert err <= 4 * 2.0**-52, (start, err / 2.0**-52)
+        if start == 0:
+            assert got[0] == 1.0
+
+
+def test_lattice_rejects_a_negative_first_index_or_no_points():
+    for first, size in ((-1, 16), (0, 0)):
+        with pytest.raises(ValueError, match="first >= 0 and size >= 1"):
+            Lattice(first, size, math.pi / 16)
+    assert np.array_equal(rc.Uniform().cf(Lattice(0, 1, math.pi / 16)), [1.0])
 
 
 def test_uniform_cf_off_progression_is_np_sinc():
-    # scattered, short, multi-dimensional and scalar t keep np.sinc's bits
+    # every array keeps np.sinc's bits: a lattice's own points, scattered,
+    # short, multi-dimensional and scalar t, and a wide linspace whose
+    # points are rounded off the progression
     spec = rc.Uniform()
-    lattice = math.pi / 16 * np.arange(4096) / math.sqrt(2)
+    lattice = np.asarray(Lattice(0, 4096, math.pi / 16, math.sqrt(2)))
     scattered = lattice.copy()
     scattered[1000] += 1e-6
-    for t in (scattered, lattice[[5, 1, 9, 3] * 20], lattice[:63],
-              lattice.reshape(64, 64), np.float64(1.3), 0.0):
+    wide = np.linspace(-1000.0, 1000.0, 20001)
+    for t in (lattice, scattered, lattice[[5, 1, 9, 3] * 20], lattice[:63],
+              lattice.reshape(64, 64), -lattice[::-1], wide, np.float64(1.3), 0.0):
         got = spec.cf(t)
         assert np.shape(got) == np.shape(t)
         assert np.array_equal(got, np.sinc(SQRT3 * np.asarray(t) / np.pi))
+    err = np.abs(spec.cf(wide) - _exact_uniform_cf(wide)).max()
+    assert err <= 2 * 2.0**-52, err / 2.0**-52
 
 
 @pytest.mark.parametrize("size", [2, 3, 4, 5, 10, 11, 1000, 1001])
@@ -444,6 +459,33 @@ def _counted_grid(spec, n, **kwargs):
     return grid, sum(seen)
 
 
+@pytest.mark.parametrize("n,npoints", [(2, 2**15), (8, 2**17)], ids=["fold", "band"])
+def test_inversion_hands_the_law_its_integer_lattice(n, npoints):
+    # through a cf set on the instance, as the benchmark's tracer sets one:
+    # every call is a Lattice of the doubles dt*m/sqrt(n), np.size counts
+    # its points, and together they cover each folded period once
+    spec, seen = rc.Uniform(), []
+    cf = spec.cf
+    spec.cf = lambda t: seen.append(t) or cf(t)
+    try:
+        grid = rc.density_of_normalized_sum(spec, n, npoints=npoints, extent=12.0)
+    finally:
+        del spec.cf
+    dt = 2 * math.pi / (npoints * (2 * 12.0 / npoints))
+    for t in seen:
+        assert isinstance(t, Lattice) and (t.dt, t.root) == (dt, math.sqrt(n))
+        expected = dt * np.arange(t.first, t.first + t.size) / math.sqrt(n)
+        assert np.array_equal(np.asarray(t), expected)
+    counted = sum(np.size(t) for t in seen)
+    if grid.band:
+        assert [(t.first, t.size) for t in seen] == [(0, grid.band)]
+    else:
+        assert grid.folds == 64 and counted == grid.folds * npoints
+        firsts = sorted(t.first for t in seen)
+        assert firsts == sorted(k * npoints + lo for k in range(grid.folds)
+                                for lo in range(0, npoints, 2**14))
+
+
 def _full_period_grid(spec, n, **kwargs):
     """The grid and cf count with the envelope hidden: the full-period path."""
     with pytest.MonkeyPatch.context() as mp:
@@ -553,7 +595,7 @@ def test_blocked_fold_is_bit_identical(monkeypatch, spec, n, npoints, periods):
 
 
 def test_blocked_uniform_fold_matches_to_rounding():
-    # the uniform cf takes a progression's sines from a table built for the
+    # the uniform cf takes a lattice's sines from a table built for the
     # block it is given, so its values, and the fold, move by rounding with
     # the blocks; the tolerance is fixed from the dtype, not measured
     (values, *record), (expected, *expected_record) = _fold_pair(

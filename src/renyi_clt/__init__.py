@@ -61,12 +61,10 @@ from .numerics import (
     GridError,
     density_of_normalized_sum,
     entropy_power,
-    kl_to_gaussian,
     lr_integral,
     renyi_entropy,
     shannon_entropy,
     sup_norm,
-    tabulate_density,
 )
 
 __version__ = "0.1.0"

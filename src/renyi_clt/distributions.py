@@ -433,11 +433,12 @@ class GaussianMixture(DistributionSpec):
 class GridDensity(DistributionSpec):
     """Density tabulated on a uniform grid (linear interpolation off-lattice).
 
-    The tabulation must describe a standardized law: unit mass, zero mean and
-    unit variance are verified by Simpson quadrature to 1e-10 at
-    construction.  ``n_min`` is 1 for every table: the interpolant's cf
-    carries the factor sinc(t*h/(2*pi))**2, so |cf(t)| = O(t**-2) is
-    integrable and Z_1 already inverts.
+    The tabulation must describe a standardized law: finite x and p, and
+    unit mass, zero mean and unit variance, verified by Simpson quadrature
+    to 1e-10 at construction (a sum that overflows to NaN fails the check).
+    ``n_min`` is 1 for every table: the interpolant's cf carries the factor
+    sinc(t*h/(2*pi))**2, so |cf(t)| = O(t**-2) is integrable and Z_1
+    already inverts.
     """
 
     name = "grid"
@@ -447,8 +448,10 @@ class GridDensity(DistributionSpec):
         p = np.asarray(p, dtype=float)
         if x.ndim != 1 or x.shape != p.shape or x.size < 8:
             raise ValueError("x and p must be equal-length 1-d arrays (>= 8 points)")
+        if not (np.isfinite(x).all() and np.isfinite(p).all()):
+            raise ValueError("x and p must be finite numbers")
         steps = np.diff(x)
-        if steps.min() <= 0 or np.ptp(steps) > 1e-9 * steps.mean():
+        if not (steps.min() > 0 and np.ptp(steps) <= 1e-9 * steps.mean()):
             raise ValueError("x must be an increasing uniform grid")
         if p.min() < 0:
             raise ValueError("tabulated density has negative values")
@@ -458,10 +461,10 @@ class GridDensity(DistributionSpec):
         mass = _simpson(p, dx=self.h)
         mean = _simpson(p * x, dx=self.h)
         second = _simpson(p * x * x, dx=self.h)
-        if (
-            abs(mass - 1) > _STANDARDIZED_TOL
-            or abs(mean) > _STANDARDIZED_TOL
-            or abs(second - 1) > _STANDARDIZED_TOL
+        if not (
+            abs(mass - 1) <= _STANDARDIZED_TOL
+            and abs(mean) <= _STANDARDIZED_TOL
+            and abs(second - 1) <= _STANDARDIZED_TOL
         ):
             raise ValueError(
                 "tabulated density is not standardized: "

@@ -14,26 +14,11 @@ Subcommands (each takes ``--config <json>`` and ``--out <csv>``):
 * ``locallimit``    -- weighted sup distance between p_n and the corrected
                        density, with the fitted log-log decay slope.
 
-The JSON config is flat; unknown keys are rejected.  Keys:
-
-    distribution    "uniform" | "gamma" | "two_sided_exponential" |
-                    "gaussian_mixture" | "gaussian" | "grid"
-    alpha           gamma shape parameter (gamma only)
-    weights/means/sigmas   mixture parameters (gaussian_mixture only)
-    density_file    two-column CSV x,p (grid only)
-    r_values        list of entropy indexes: finite numbers > 1, 1, or "inf"
-    n_values        ascending list of positive integers
-    moment_order    real s in [2, 8]: moments assumed available
-    grid_points     inversion grid size, even, 1024..2**27 (default 131072)
-    grid_extent     finite half-width of the spatial grid, >= 12 (default 16.0)
-    out             default output path (overridden by --out)
-
-Exit codes: 0 success, 2 config error (including an n outside the law's
-n_min..numerics.MAX_N and grid_points above 2**27, the fold's evaluation
-cap), 3 numerical failure (including running out of memory).  A density
-grid whose fold stopped at the cf evaluation cap is still used, and a
-one-line warning goes to stderr.  Runs are deterministic: fixed
-quadrature, no randomness, floats printed with 17 significant digits.
+The JSON config is flat and unknown keys are rejected; ``_EPILOG``, which
+``--help`` prints, lists the keys and the exit codes.  A density grid whose
+fold stopped at the cf evaluation cap is still used, and a one-line warning
+goes to stderr.  Runs are deterministic: fixed quadrature, no randomness,
+floats printed with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -42,6 +27,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -101,7 +87,7 @@ def _finite_real(value):
 
 
 class ExperimentConfig:
-    """Validated experiment parameters (see the module docstring for keys)."""
+    """Validated experiment parameters (see ``_EPILOG`` for the keys)."""
 
     def __init__(self, data: dict):
         if not isinstance(data, dict):
@@ -182,14 +168,23 @@ class ExperimentConfig:
                 raise ConfigError("grid distribution needs a density_file path")
             xs, ps = [], []
             try:
-                with open(path, newline="") as fh:
-                    for row in csv.reader(fh):
-                        if not row or row[0].lstrip().startswith("x"):
+                with open(path, newline="", encoding="utf-8") as fh:
+                    reader = csv.reader(fh)
+                    for row in reader:
+                        # a header such as x,p may come before the first row
+                        if not row or not xs and row[0].lstrip().startswith("x"):
                             continue
+                        if len(row) != 2:
+                            raise ValueError(
+                                f"line {reader.line_num} has {len(row)} cells, "
+                                "not the two x,p"
+                            )
                         xs.append(float(row[0]))
                         ps.append(float(row[1]))
             except OSError as exc:
                 raise ConfigError(f"cannot read density_file: {exc}") from exc
+            except (ValueError, csv.Error) as exc:  # UnicodeDecodeError included
+                raise ConfigError(f"malformed density_file: {exc}") from exc
             try:
                 return distributions.GridDensity(np.array(xs), np.array(ps))
             except ValueError as exc:
@@ -233,8 +228,9 @@ def _write_rows(path, header, rows) -> None:
             dump(fh)
 
 
-def _grids(cfg: ExperimentConfig, spec):
-    """Density grids for every configured n, in ascending order.
+def _grids(cfg: ExperimentConfig, spec, dump_dir=None):
+    """Density grids for every configured n, in ascending order, each also
+    written to ``dump_dir``, when given, as CSV with columns x, p_n.
 
     An argument the inversion rejects, such as an n outside the law's
     ``n_min``..``numerics.MAX_N``, is a config error with the inversion's
@@ -256,17 +252,12 @@ def _grids(cfg: ExperimentConfig, spec):
                 file=sys.stderr,
             )
         out[n] = grid
+    if dump_dir is not None:
+        os.makedirs(dump_dir, exist_ok=True)
+        for n, grid in out.items():
+            path = os.path.join(dump_dir, f"density_{cfg.distribution}_n{n}.csv")
+            _write_rows(path, ["x", "p_n"], zip(grid.x, grid.values))
     return out
-
-
-def _dump_grids(grids, directory, cfg: ExperimentConfig) -> None:
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    for n, grid in grids.items():
-        grid.write_csv(
-            os.path.join(directory, f"density_{cfg.distribution}_n{n}.csv")
-        )
 
 
 # -- subcommands ----------------------------------------------------------
@@ -352,9 +343,7 @@ def cmd_verify(cfg: ExperimentConfig, dump_dir=None):
     order = cfg.integer_order
     cums = standard_cumulants(spec, order=order)
     predictions = {r: _predictions(cfg, cums, r) for r in cfg.r_values}
-    grids = _grids(cfg, spec)
-    if dump_dir is not None:
-        _dump_grids(grids, dump_dir, cfg)
+    grids = _grids(cfg, spec, dump_dir)
     scale_exp = (cfg.moment_order - 2) / 2
     header = [
         "n",
@@ -396,9 +385,7 @@ def cmd_monotonicity(cfg: ExperimentConfig, dump_dir=None):
     if any(b - a != 1 for a, b in zip(cfg.n_values, cfg.n_values[1:])):
         raise ConfigError("monotonicity needs a consecutive run of n values")
     cums = standard_cumulants(spec, order=max(4, cfg.integer_order))
-    grids = _grids(cfg, spec)
-    if dump_dir is not None:
-        _dump_grids(grids, dump_dir, cfg)
+    grids = _grids(cfg, spec, dump_dir)
     header = [
         "r",
         "n",
@@ -451,9 +438,7 @@ def cmd_locallimit(cfg: ExperimentConfig, dump_dir=None):
         raise ConfigError("locallimit needs moment_order <= 6")
     cums = standard_cumulants(spec, order=m)
     model = EdgeworthModel.from_cumulants(cums, order=m)
-    grids = _grids(cfg, spec)
-    if dump_dir is not None:
-        _dump_grids(grids, dump_dir, cfg)
+    grids = _grids(cfg, spec, dump_dir)
     errors = []
     for n in cfg.n_values:
         grid = grids[n]
@@ -486,7 +471,8 @@ _EPILOG = """config keys:
                  gaussian | grid
   alpha          shape parameter (distribution = gamma)
   weights, means, sigmas   lists (distribution = gaussian_mixture)
-  density_file   two-column CSV x,p (distribution = grid)
+  density_file   two-column UTF-8 CSV of finite x,p, after an optional header
+                 (distribution = grid)
   r_values       entropy indexes: numbers > 1, 1 (Shannon), or "inf"
   n_values       strictly ascending positive integers
   moment_order   real s in [2, 8] (moments assumed finite up to s)
@@ -495,8 +481,8 @@ _EPILOG = """config keys:
   out            default output CSV path (overridden by --out)
 
 exit codes: 0 success; 2 config error, including an n outside the law's
-n_min..2**33 and grid_points above 2**27; 3 numerical failure, including
-running out of memory
+n_min..2**33, grid_points above 2**27 and a malformed density_file;
+3 numerical failure, including running out of memory
 """
 
 

@@ -40,14 +40,13 @@ are every (N/N')-th point of the N-point grid, and its N samples are built
 only when read.  Other grids keep their N samples.
 
 Simpson quadrature on these samples yields L^r integrals, Renyi/Shannon
-entropies, entropy powers and the KL divergence from the standard normal.
-The sup-norm is refined by Newton steps on a band grid's polynomial, and by
-a parabola through the sample argmax and its neighbours otherwise.
+entropies and entropy powers.  The sup-norm is refined by Newton steps on a
+band grid's polynomial, and by a parabola through the sample argmax and its
+neighbours otherwise.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -61,12 +60,10 @@ __all__ = [
     "DEFAULT_GRID_EXTENT",
     "MAX_N",
     "density_of_normalized_sum",
-    "tabulate_density",
     "lr_integral",
     "renyi_entropy",
     "entropy_power",
     "shannon_entropy",
-    "kl_to_gaussian",
     "sup_norm",
 ]
 
@@ -101,60 +98,48 @@ class GridError(RuntimeError):
 
 
 class DensityGrid:
-    """Sampled density of Z_n on the uniform grid x0 + j*h, j = 0..len-1.
+    """Sampled density of Z_n on the uniform grid x0 + j*h, j = 0..len-1,
+    x0 = -extent and h = 2*extent/len.
 
     ``mass_defect`` records |1 - sum(samples)*spacing| and ``min_value`` the
-    most negative raw sample before clipping.  Grids made by inversion also
-    say how they were folded: ``folds`` frequency periods (1 also for a band
-    that covers only part of the first period), ``cap_hit`` when the fold
-    stopped at the evaluation cap before settling, and ``ringing_bound``,
-    the estimated residual truncation error: the envelope bound on what a
-    band drops, the one-period tail bound, or the last Richardson step.
-    ``band`` is the number M of cf values a band grid was built from, and 0
-    when the full period was evaluated or the grid was tabulated.
+    most negative raw sample before clipping.  The grid also says how it was
+    folded: ``folds`` frequency periods (1 also for a band that covers only
+    part of the first period), ``cap_hit`` when the fold stopped at the
+    evaluation cap before settling, and ``ringing_bound``, the estimated
+    residual truncation error: the envelope bound on what a band drops, the
+    one-period tail bound, or the last Richardson step.  ``band`` is the
+    number M of cf values a band grid was built from, and 0 when the full
+    period was evaluated.
 
-    A band grid keeps its M cf values and its N' = min(N, max(1024, 4M))
-    quadrature samples, on which ``mass_defect`` and ``min_value`` were
-    taken; ``values`` and ``x`` give the N samples all the same, the first
-    read of ``values`` building them by the N-point inverse FFT.  ``len``,
-    ``x0`` and ``h`` never build them.  Tabulated grids keep the defaults:
-    no folds, no cap, no ringing, no band.  Treat as immutable; safe to
-    share.
+    The constructor takes the point count N (``size``) and the quadrature
+    samples, on which ``mass_defect`` and ``min_value`` were taken: the N
+    samples themselves, with ``spectrum`` None, or for a band grid the
+    N' = min(N, max(1024, 4M)) samples of the same extent, with its M cf
+    values as ``spectrum``.  ``values`` and ``x`` give the N samples all
+    the same, the first read of a band grid's ``values`` building them by
+    the N-point inverse FFT.  ``len``, ``x0`` and ``h`` never build them.
+    Treat as immutable; safe to share.
     """
 
-    def __init__(self, x0: float, h: float, values: np.ndarray, n: int,
-                 mass_defect: float, min_value: float, folds: int = 0,
-                 cap_hit: bool = False, ringing_bound: float = 0.0):
-        self.x0 = x0
-        self.h = h
+    def __init__(self, extent: float, size: int, samples: np.ndarray,
+                 spectrum: np.ndarray | None, n: int, mass_defect: float,
+                 min_value: float, folds: int, cap_hit: bool,
+                 ringing_bound: float):
+        self.x0 = -extent
+        self.h = 2 * extent / size
         self.n = n
         self.mass_defect = mass_defect
         self.min_value = min_value
         self.folds = folds
         self.cap_hit = cap_hit
         self.ringing_bound = ringing_bound
-        self.band = 0
-        self._values = values
-        self._size = len(values)
+        self.band = 0 if spectrum is None else len(spectrum)
+        self._values = samples if len(samples) == size else None
+        self._size = size
         # what the functionals see: the samples and their spacing
-        self._samples = values
-        self._step = h
-        self._spectrum = None
-
-    @classmethod
-    def _of_band(cls, spectrum: np.ndarray, size: int, samples: np.ndarray,
-                 extent: float, n: int, mass_defect: float, min_value: float,
-                 ringing_bound: float) -> "DensityGrid":
-        """A band grid of ``size`` points on [-extent, extent) from f_n on
-        the band (``spectrum``) and its clipped quadrature samples."""
-        grid = cls(-extent, 2 * extent / size, samples, n, mass_defect,
-                   min_value, 1, False, ringing_bound)
-        grid.band = len(spectrum)
-        grid._values = samples if len(samples) == size else None
-        grid._size = size
-        grid._step = 2 * extent / len(samples)
-        grid._spectrum = spectrum
-        return grid
+        self._samples = samples
+        self._step = 2 * extent / len(samples)
+        self._spectrum = spectrum
 
     def __len__(self) -> int:
         return self._size
@@ -169,14 +154,6 @@ class DensityGrid:
     @property
     def x(self) -> np.ndarray:
         return self.x0 + self.h * np.arange(self._size)
-
-    def write_csv(self, path) -> None:
-        """Dump the grid as CSV with columns x, p_n."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["x", "p_n"])
-            for xv, pv in zip(self.x, self.values):
-                writer.writerow([format(xv, ".17g"), format(pv, ".17g")])
 
 
 def _cf_power(spec: DistributionSpec, n: int, t) -> np.ndarray:
@@ -264,48 +241,55 @@ def _add_periods(fold, spec: DistributionSpec, n: int, N: int, dt: float,
     return fold
 
 
-def _folded_density(spec: DistributionSpec, n: int, N: int, dt: float,
-                    h: float):
-    """(samples, folds, cap_hit, ringing_bound, band) of the folded inversion.
+def _folded_density(spec: DistributionSpec, n: int, N: int, L: float):
+    """(samples, folds, cap_hit, ringing_bound, spectrum) of the folded
+    inversion of f_n onto N points of [-L, L).
 
-    The inversion lattice t_m = m*dt aliases with period N: because the grid
-    offset satisfies N*dt*x0 = -pi*N (even N), contributions from m and
-    m + N land in the same FFT bin with the same phase, so folding frequency
-    periods refines the single-period truncation at the cost of cf
-    evaluations only.
+    The inversion lattice t_m = m*dt, dt = pi/L, aliases with period N:
+    because the grid offset satisfies N*dt*x0 = -pi*N (even N),
+    contributions from m and m + N land in the same FFT bin with the same
+    phase, so folding frequency periods refines the single-period truncation
+    at the cost of cf evaluations only.
 
     When the cf envelope shows f_n negligible beyond a band m < M of the
     first period (see ``_band_length``), only the band is evaluated and
-    returned as ``band``, with no samples: the rest of the fold is zero, and
-    the ringing bound is the envelope's bound on what was dropped.
+    returned as ``spectrum``, with its samples at N' = min(N, max(1024, 4M))
+    points of the same extent: the rest of the fold is zero, and the ringing
+    bound is the envelope's bound on what was dropped.
     Otherwise (no envelope, or one that decays too slowly) the whole first
     period is evaluated, and it is kept when a conservative bound on its
     residual ringing (the tail integral of |f_n| over its last quarter,
     divided by pi and assuming at worst a 1/t**2 envelope) is below
-    ``_TAIL_BOUND``.  Otherwise the number of periods K doubles.  Under that
-    envelope the error of the K-period fold S_K falls like 1/K, so two-point
-    Richardson extrapolation R_K = 2 S_2K - S_K cancels its leading term.
+    ``_TAIL_BOUND``.  Otherwise the number of periods K doubles.  Under that envelope the
+    error of the K-period fold S_K falls like 1/K, so two-point Richardson
+    extrapolation R_K = 2 S_2K - S_K cancels its leading term.
     After each doubling R_K is inverted; folding stops once two consecutive
     sup-norm steps max|R_K - R_{K/2}| fall below ``_TAIL_BOUND`` (a single
     step can pass early on a still-converging sequence), or when the next
-    doubling would exceed ``_EVAL_CAP`` lattice points.  The reported
+    doubling would exceed ``_EVAL_CAP`` lattice points.  A bound or a step
+    that is NaN counts as settled, so that a cf with a NaN stops at once
+    with NaN samples, which the mass check rejects.  The reported
     ringing bound is then the plain one-period bound, or else the last
     Richardson step (inf if the cap left room for one extrapolant only).
-    ``band`` is then None.  Every period, the first and those of each
+    ``spectrum`` is then None.  Every period, the first and those of each
     doubling, is added by ``_add_periods``, block by block in period order,
     in the dtype of the law's cf.
     """
+    h = 2 * L / N
+    dt = 2 * math.pi / (N * h)
     band = _band_length(spec, n, N, dt)
     if band is not None:
         M, bound = band
-        return None, 1, False, bound, _cf_power(spec, n, Lattice(0, M, dt))
+        spectrum = _cf_power(spec, n, Lattice(0, M, dt))
+        size = min(N, max(1024, 4 * M))
+        return _invert_band(spectrum, size, 2 * L / size), 1, False, bound, spectrum
 
     quarter = N // 4
     max_periods = max(1, _EVAL_CAP // N)
     fold = _add_periods(None, spec, n, N, dt, 0, 1)
     tail_int = float(np.abs(fold[-quarter:]).sum()) * dt
     ringing = tail_int * (N * dt / (quarter * dt)) / math.pi
-    if ringing < _TAIL_BOUND or max_periods < 2:
+    if not ringing >= _TAIL_BOUND or max_periods < 2:
         return _invert_fold(fold, h), 1, ringing >= _TAIL_BOUND, ringing, None
 
     periods, values, step, calm = 1, None, math.inf, 0
@@ -315,7 +299,7 @@ def _folded_density(spec: DistributionSpec, n: int, N: int, dt: float,
         fold, periods = wider, 2 * periods
         if previous is not None:
             step = float(np.abs(values - previous).max())
-            calm = calm + 1 if step < _TAIL_BOUND else 0
+            calm = calm + 1 if not step >= _TAIL_BOUND else 0
             if calm == 2:
                 return values, periods, False, step, None
     return values, periods, True, step, None
@@ -357,9 +341,9 @@ def density_of_normalized_sum(
     its rounding error alone exceeds the mass tolerance) and an even npoints
     of at most ``_EVAL_CAP`` (a larger grid would fold one period past the
     cap); these argument checks are its only ``ValueError``.  Raises
-    :class:`GridError` when the mass defect reaches 1e-6 or a sample is more
-    negative than -1e-8; samples in [-1e-8, 0) are clipped to zero and the
-    pre-clip minimum is kept in ``min_value``.
+    :class:`GridError` when the mass defect is not below 1e-6 or a sample
+    is not at least -1e-8, a NaN included; samples in [-1e-8, 0) are
+    clipped to zero and the pre-clip minimum is kept in ``min_value``.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -380,25 +364,18 @@ def density_of_normalized_sum(
 
     N = int(npoints)
     L = float(extent)
-    h = 2 * L / N
-    dt = 2 * math.pi / (N * h)
-    values, folds, cap_hit, ringing, band = _folded_density(spec, n, N, dt, h)
-    if band is not None:
-        size = min(N, max(1024, 4 * len(band)))
-        h = 2 * L / size
-        values = _invert_band(band, size, h)
-
+    values, folds, cap_hit, ringing, spectrum = _folded_density(spec, n, N, L)
     # a fold the cap stopped says so: the cap, not the grid, may be the cause
     capped = (
         f"; fold stopped at the evaluation cap after {folds} "
         f"period{'s' if folds > 1 else ''} (ringing bound {ringing:.3e})"
         if cap_hit else ""
     )
-    mass_defect = abs(1.0 - float(values.sum() * h))
-    if mass_defect >= _MASS_DEFECT_LIMIT:
+    mass_defect = abs(1.0 - float(values.sum() * (2 * L / len(values))))
+    if not mass_defect < _MASS_DEFECT_LIMIT:
         raise GridError(f"grid under-resolved: mass defect {mass_defect:.3e}{capped}")
     min_value = float(values.min())
-    if min_value < -_NEGATIVE_CLIP:
+    if not min_value >= -_NEGATIVE_CLIP:
         raise GridError(
             f"inversion produced negative density {min_value:.3e} at n={n}; "
             f"grid under-resolved{capped}"
@@ -406,42 +383,8 @@ def density_of_normalized_sum(
     # clip in place: a fresh N-point array per kept grid lets malloc trim the
     # inversion's working set and fault it in again on the next grid
     np.maximum(values, 0.0, out=values)
-    if band is not None:
-        return DensityGrid._of_band(
-            band, N, values, L, n, mass_defect, min_value, ringing
-        )
-    return DensityGrid(
-        x0=-L,
-        h=h,
-        values=values,
-        n=n,
-        mass_defect=mass_defect,
-        min_value=min_value,
-        folds=folds,
-        cap_hit=cap_hit,
-        ringing_bound=ringing,
-    )
-
-
-def tabulate_density(density, x0: float, h: float, npoints: int, n: int = 1) -> DensityGrid:
-    """DensityGrid by direct tabulation of a density callable (or spec).
-
-    Intended for laws whose density is known in closed form (oracles, n = 1
-    cases below the inversion threshold).  The mass defect is recorded but
-    not enforced; choose the grid to fit the support.
-    """
-    fn = density.density if isinstance(density, DistributionSpec) else density
-    x = x0 + h * np.arange(npoints)
-    values = np.asarray(fn(x), dtype=float)
-    min_value = float(values.min())
-    if min_value < -_NEGATIVE_CLIP:
-        raise GridError(f"tabulated density has negative values: {min_value:.3e}")
-    values = np.maximum(values, 0.0)
-    mass_defect = abs(1.0 - float(values.sum() * h))
-    return DensityGrid(
-        x0=float(x0), h=float(h), values=values, n=n,
-        mass_defect=mass_defect, min_value=min_value,
-    )
+    return DensityGrid(L, N, values, spectrum, n, mass_defect, min_value,
+                       folds, cap_hit, ringing)
 
 
 def lr_integral(grid: DensityGrid, r: float) -> float:
@@ -490,17 +433,6 @@ def shannon_entropy(grid: DensityGrid) -> float:
     integrand = np.zeros_like(v)
     pos = v > 0
     integrand[pos] = -v[pos] * np.log(v[pos])
-    return _simpson(integrand, dx=grid._step)
-
-
-def kl_to_gaussian(grid: DensityGrid) -> float:
-    """D(p || phi) = int p log(p/phi); non-negative up to quadrature error."""
-    v = grid._samples
-    x = grid.x0 + grid._step * np.arange(len(v))
-    log_phi = -0.5 * x * x - 0.5 * math.log(2 * math.pi)
-    integrand = np.zeros_like(v)
-    pos = v > 0
-    integrand[pos] = v[pos] * (np.log(v[pos]) - log_phi[pos])
     return _simpson(integrand, dx=grid._step)
 
 

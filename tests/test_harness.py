@@ -150,6 +150,41 @@ def test_non_string_density_file_is_config_error(tmp_path, capsys, density_file)
     assert err == "config error: grid distribution needs a density_file path\n"
 
 
+# a standard normal table that GridDensity accepts, one row a line
+_NORMAL_X = np.linspace(-12, 12, 2001)
+_NORMAL_ROWS = [
+    f"{x!r},{p!r}".encode() for x, p in zip(_NORMAL_X.tolist(), rc.normal_pdf(_NORMAL_X).tolist())
+]
+
+
+def _grid_config(tmp_path, rows, **overrides):
+    table = tmp_path / "table.csv"
+    table.write_bytes(b"x,p\n" + b"\n".join(rows) + b"\n")
+    return write_config(tmp_path, distribution="grid", density_file=str(table),
+                        n_values=[2], moment_order=4, **overrides)
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [(b"0.5", "malformed density_file: line 1002 has 1 cells, not the two x,p"),
+     (b"0.5,0.3,0.1", "malformed density_file: line 1002 has 3 cells, not the two x,p"),
+     (b"0.5,abc", "malformed density_file: could not convert string to float: 'abc'"),
+     (b"x,0.3", "malformed density_file: could not convert string to float: 'x'"),
+     (b"0.5,\xff\xfe", "malformed density_file: 'utf-8' codec can't decode byte 0xff"),
+     (b"0.5,nan", "x and p must be finite numbers"),
+     (b"inf,0.3", "x and p must be finite numbers")],
+    ids=["one-cell", "three-cells", "text", "x-after-rows", "non-utf8", "nan", "inf"],
+)
+def test_malformed_density_file_is_config_error(tmp_path, capsys, row, message):
+    # each used to end in a traceback (exit 1) or a "numerical failure" (exit 3)
+    rows = list(_NORMAL_ROWS)
+    rows[1000] = row
+    path = _grid_config(tmp_path, rows)
+    assert main(["coeffs", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1, err
+
+
 def test_non_numeric_grid_extent_is_config_error(tmp_path, capsys):
     path = write_config(tmp_path, grid_extent="x")
     assert main(["verify", "--config", str(path)]) == 2
@@ -774,7 +809,14 @@ def test_cli_dump_density(tmp_path):
     )
     files = sorted(dump.iterdir())
     assert [f.name for f in files] == ["density_uniform_n4.csv"]
-    assert files[0].read_text().splitlines()[0] == "x,p_n"
+    # every x and p_n round-trips through its 17 significant digits
+    grid = rc.density_of_normalized_sum(rc.Uniform(), 4, npoints=2**14, extent=12.0)
+    lines = files[0].read_text().splitlines()
+    assert lines[0] == "x,p_n"
+    assert len(lines) == len(grid.values) + 1
+    table = np.array([[float(cell) for cell in ln.split(",")] for ln in lines[1:]])
+    assert np.array_equal(table[:, 0], grid.x) and np.array_equal(table[:, 1], grid.values)
+    assert float(lines[1].split(",")[0]) == grid.x0
 
 
 def _capture_grids(monkeypatch):
@@ -983,6 +1025,39 @@ def test_any_json_object_exits_cleanly(command, law, parts):
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
             json.dump({**law, **parts}, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", path, "--out", os.path.join(tmp, "o.csv")])
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
+_CELLS = st.one_of(
+    st.floats().map(repr).map(str.encode),
+    st.sampled_from([b"nan", b"inf", b"-inf", b"x", b""]),
+    st.text(max_size=4).map(str.encode),
+    st.binary(max_size=4),
+)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(["coeffs", "verify"]),
+    table=st.booleans(),
+    rows=st.lists(st.lists(_CELLS, max_size=3).map(b",".join), max_size=6),
+)
+def test_any_density_file_exits_cleanly(command, table, rows):
+    # random rows of 0-3 cells, alone or after a valid table: exit 0, 2 or
+    # 3 and never a traceback; a failure is one stderr line
+    with tempfile.TemporaryDirectory() as tmp:
+        density_file = os.path.join(tmp, "table.csv")
+        with open(density_file, "wb") as fh:
+            fh.write(b"\n".join((_NORMAL_ROWS if table else []) + rows))
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump({"distribution": "grid", "density_file": density_file,
+                       "r_values": [2], "n_values": [2], "moment_order": 4, **FAST_GRID}, fh)
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main([command, "--config", path, "--out", os.path.join(tmp, "o.csv")])

@@ -117,6 +117,28 @@ def test_grid_density_spec():
         rc.GridDensity(x, p * 1.01)
 
 
+@pytest.mark.parametrize("column", ["x", "p"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_grid_density_rejects_non_finite_tables(column, bad):
+    # a NaN passed every comparison of the standardization checks, and such
+    # a table folded to the evaluation cap into an all-NaN grid
+    x = np.linspace(-12, 12, 4001)
+    table = {"x": x, "p": rc.normal_pdf(x)}
+    table[column][2000] = bad
+    with pytest.raises(ValueError, match="finite"):
+        rc.GridDensity(table["x"], table["p"])
+
+
+def test_grid_density_checks_fail_on_nan_sums():
+    # finite nodes whose first step overflows: the mean step is inf, so the
+    # zero table's Simpson mass, mean and second moment are 0*inf = NaN,
+    # which must fail the standardization check
+    x = np.concatenate([[-1.7e308], 1e308 + 1e300 * np.arange(7)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="not standardized"):
+            rc.GridDensity(x, np.zeros(8))
+
+
 _ENVELOPE_LAWS = {
     "uniform": rc.Uniform(),
     "gamma_half": rc.StandardizedGamma(0.5),
@@ -515,13 +537,17 @@ def test_band_evaluates_few_cf_points():
     assert grid.band == points
 
 
+def _plain_grid(extent, samples, n=1):
+    """A grid of ``samples`` on [-extent, extent) with no band: its
+    functionals run on all the samples, Simpson and the three-point
+    parabola, as for a full period."""
+    return rc.DensityGrid(extent, len(samples), samples, None, n, mass_defect=0.0,
+                          min_value=0.0, folds=1, cap_hit=False, ringing_bound=0.0)
+
+
 def _reference_grid(grid):
-    """The same N samples as a plain grid: its functionals run on all N
-    points, Simpson and the three-point parabola, as for a full period."""
-    return rc.DensityGrid(
-        x0=grid.x0, h=grid.h, values=grid.values, n=grid.n,
-        mass_defect=grid.mass_defect, min_value=grid.min_value,
-    )
+    """The same N samples as a plain grid."""
+    return _plain_grid(-grid.x0, grid.values, grid.n)
 
 
 @pytest.mark.parametrize(
@@ -541,7 +567,9 @@ def test_band_functionals_match_full_grid(key, n, band):
         rel = 2e-13 if r < 1.5 else 2e-15
         assert rc.renyi_entropy(grid, r) == pytest.approx(rc.renyi_entropy(full, r), rel=rel)
     assert rc.shannon_entropy(grid) == pytest.approx(rc.shannon_entropy(full), abs=2e-14)
-    assert rc.kl_to_gaussian(grid) == pytest.approx(rc.kl_to_gaussian(full), abs=1e-13)
+    # D(p || phi) = h(phi) - h(p) for a standardized p
+    kl = rc.gaussian_renyi_entropy(1) - rc.shannon_entropy(grid)
+    assert kl == pytest.approx(rc.gaussian_renyi_entropy(1) - rc.shannon_entropy(full), abs=1e-13)
     assert rc.sup_norm(grid) == pytest.approx(rc.sup_norm(full), abs=1e-12)
     assert len(grid) == len(full.values) == 2**17
 
@@ -565,10 +593,10 @@ def _fold_pair(spec, n, npoints, extent):
     """The library's folded inversion and the period-at-a-time oracle's."""
     h = 2 * extent / npoints
     dt = 2 * math.pi / (npoints * h)
-    values, folds, cap_hit, ringing, band = rc.numerics._folded_density(
-        spec, n, npoints, dt, h
+    values, folds, cap_hit, ringing, spectrum = rc.numerics._folded_density(
+        spec, n, npoints, extent
     )
-    assert band is None
+    assert spectrum is None
     return (values, folds, cap_hit, ringing), period_at_a_time_fold(spec, n, npoints, dt, h)
 
 
@@ -651,16 +679,44 @@ def test_grid_error_names_the_cap(monkeypatch, spec, n, periods, cause):
     )
 
 
+def _nan_at(cf, index):
+    """``cf`` with NaN at one index of the lattice, or everywhere (None)."""
+    def spoiled(t):
+        values = np.array(cf(t))
+        if index is None:
+            values[:] = math.nan
+        elif t.first <= index < t.first + t.size:
+            values[index - t.first] = math.nan
+        return values
+    return spoiled
+
+
+@pytest.mark.parametrize(
+    "spec,npoints,index,folds",
+    [(rc.GaussianMixture.standard_normal(), 2**17, None, 1), (rc.Uniform(), 2**14, None, 1),
+     (rc.Uniform(), 2**14, 5, 8)],
+    ids=["band", "fold", "fold-one-nan"],
+)
+def test_nan_cf_raises_grid_error(monkeypatch, spec, npoints, index, folds):
+    # a NaN fails the mass check instead of passing every comparison, and
+    # the fold does not run on to the evaluation cap (here 64 periods, to
+    # keep a regression short): a NaN ringing bound stops it at its first
+    # period, and two NaN Richardson steps at 8 periods
+    monkeypatch.setattr(rc.numerics, "_EVAL_CAP", 64 * npoints)
+    spec.cf = _nan_at(spec.cf, index)
+    try:
+        with pytest.raises(rc.GridError, match="mass defect nan$"):
+            rc.density_of_normalized_sum(spec, 2, npoints=npoints, extent=12.0)
+        assert rc.numerics._folded_density(spec, 2, npoints, 12.0)[1] == folds
+    finally:
+        del spec.cf
+
+
 def test_grid_error_without_cap_leaves_it_out(monkeypatch):
     monkeypatch.setattr(rc.numerics, "_MASS_DEFECT_LIMIT", 0.0)
     with pytest.raises(rc.GridError, match="mass defect") as info:
         rc.density_of_normalized_sum(rc.Uniform(), 3, npoints=2**14, extent=12.0)
     assert "cap" not in str(info.value)
-
-
-def test_tabulated_grid_has_no_folds():
-    g = rc.tabulate_density(rc.normal_pdf, -12.0, 0.01, 2401)
-    assert (g.folds, g.cap_hit, g.ringing_bound, g.band) == (0, False, 0.0, 0)
 
 
 def test_exact_phase_gaussian_and_gamma(grid_for):
@@ -728,9 +784,7 @@ def test_lr_integral_irwin_hall_oracle(grid_for, n, r):
 
 
 def test_renyi_entropy_rejects_degenerate_grid():
-    empty = rc.DensityGrid(
-        x0=-16.0, h=0.01, values=np.zeros(4096), n=1, mass_defect=1.0, min_value=0.0
-    )
+    empty = _plain_grid(16.0, np.zeros(4096))
     with pytest.raises(ValueError, match="non-positive"):
         rc.renyi_entropy(empty, 2.0)
     with pytest.raises(ValueError, match="r must"):
@@ -744,9 +798,7 @@ def test_renyi_entropy_names_underflow(grid_for):
     g = grid_for("uniform", 8)
     with pytest.raises(ValueError, match="underflows to 0 at r=1e\\+308"):
         rc.renyi_entropy(g, 1e308)
-    empty = rc.DensityGrid(
-        x0=-16.0, h=0.01, values=np.zeros(4096), n=1, mass_defect=1.0, min_value=0.0
-    )
+    empty = _plain_grid(16.0, np.zeros(4096))
     with pytest.raises(ValueError, match="grid is degenerate"):
         rc.renyi_entropy(empty, 1e308)
 
@@ -776,10 +828,8 @@ def test_entropy_scaling_by_two(grid_for):
     # doubling the variable adds log 2 to h_r (entropy power is 2-homogeneous):
     # the density of 2X on the stretched grid is p(x/2)/2
     g = grid_for("laplace", 4)
-    doubled = rc.DensityGrid(
-        x0=2 * g.x0, h=2 * g.h, values=g.values / 2, n=g.n,
-        mass_defect=g.mass_defect, min_value=g.min_value,
-    )
+    doubled = _plain_grid(-2 * g.x0, g.values / 2, g.n)
+    assert (doubled.x0, doubled.h) == (2 * g.x0, 2 * g.h)
     for r in (1.5, 2.0, 3.0):
         assert rc.renyi_entropy(doubled, r) - rc.renyi_entropy(g, r) == pytest.approx(
             math.log(2.0), abs=1e-12
@@ -794,18 +844,24 @@ def test_shannon_and_kl_gaussian(grid_for):
     assert rc.shannon_entropy(g) == pytest.approx(
         0.5 * math.log(2 * math.pi * math.e), abs=1e-8
     )
-    assert rc.kl_to_gaussian(g) == pytest.approx(0.0, abs=1e-8)
+    # D(p || phi) = h(phi) - h(p) for a standardized p
+    assert rc.gaussian_renyi_entropy(1) - rc.shannon_entropy(g) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_uniform_n1_tabulated():
-    # support-aligned tabulation of the base uniform law itself
+    # support-aligned tabulation of the base uniform law itself: the samples
+    # at x_j = -sqrt3 + j h close both ends of the support, so Simpson at
+    # their spacing h integrates the constant density over exactly its
+    # support (the functionals read only the samples and their spacing)
     npts = 40001
     h = 2 * SQRT3 / (npts - 1)
-    g = rc.tabulate_density(rc.Uniform(), -SQRT3, h, npts, n=1)
+    g = _plain_grid(h * npts / 2, rc.Uniform().density(-SQRT3 + h * np.arange(npts)))
+    assert g._step == pytest.approx(h, rel=1e-15)
     assert rc.sup_norm(g) == pytest.approx(1 / (2 * SQRT3), rel=1e-12)
     expected_kl = 0.5 * math.log(2 * math.pi * math.e) - math.log(2 * SQRT3)
     assert expected_kl == pytest.approx(0.17649, abs=5e-6)
-    assert rc.kl_to_gaussian(g) == pytest.approx(expected_kl, abs=1e-10)
+    # D(p || phi) = h(phi) - h(p) for a standardized p
+    assert rc.gaussian_renyi_entropy(1) - rc.shannon_entropy(g) == pytest.approx(expected_kl, abs=1e-10)
     assert rc.shannon_entropy(g) == pytest.approx(math.log(2 * SQRT3), abs=1e-10)
 
 
@@ -910,15 +966,3 @@ def test_table_cf_decays_like_t_squared():
     bound = 4 * float(np.sum(spec.p)) / spec.h
     assert spec.n_min == 1
     assert (t * t * np.abs(spec.cf(t))).max() <= bound * (1 + 1e-9)
-
-
-def test_grid_csv_roundtrip(tmp_path, grid_for):
-    g = grid_for("uniform", 8)
-    path = tmp_path / "g.csv"
-    g.write_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,p_n"
-    assert len(lines) == len(g.values) + 1
-    xs, ps = zip(*(ln.split(",") for ln in lines[1:100]))
-    assert float(xs[0]) == g.x0
-    assert float(ps[50]) == g.values[50]

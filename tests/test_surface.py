@@ -32,8 +32,11 @@ def test_exports_resolve():
     harness = importlib.import_module("renyi_clt.harness")
     assert "gaussint" not in MODULES and not hasattr(harness, "richardson")
     for name in ("gauss_power_integral gauss_power_moment hermite_integral leading_term "
-                 "LeadingTerm characteristic_power smoothing_diagnostic SmoothingResult").split():
+                 "LeadingTerm characteristic_power smoothing_diagnostic SmoothingResult "
+                 "tabulate_density kl_to_gaussian").split():
         assert not hasattr(rc, name) and not hasattr(rc.numerics, name), name
+    # one way to make a grid, and one CSV writer: the harness's
+    assert not hasattr(rc.DensityGrid, "write_csv") and not hasattr(rc.DensityGrid, "_of_band")
     with pytest.raises(TypeError):
         rc.GridDensity([0.0] * 8, [0.0] * 8, n_min=1)
 

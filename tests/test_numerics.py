@@ -15,6 +15,7 @@ from scipy.integrate import quad, simpson
 
 import renyi_clt as rc
 from renyi_clt.distributions import Lattice, _simpson
+from renyi_clt.harness import _write_rows
 from renyi_clt.numerics import _cf_power
 from oracles import (
     normalized_uniform_sum_density,
@@ -762,6 +763,20 @@ def test_grid_bookkeeping(grid_for):
     assert g.n == 8
     assert g.x[0] == -16.0
     assert len(g.values) == 2**17
+
+
+def test_grid_csv_roundtrip(tmp_path, grid_for):
+    # the CSV writer behind --dump-density prints x and p_n to 17
+    # significant digits, so each float read back is the float written
+    g = grid_for("uniform", 8)
+    path = tmp_path / "g.csv"
+    _write_rows(path, ["x", "p_n"], zip(g.x, g.values))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x,p_n"
+    assert len(lines) == len(g.values) + 1
+    xs, ps = zip(*(ln.split(",") for ln in lines[1:100]))
+    assert float(xs[0]) == g.x0
+    assert float(ps[50]) == g.values[50]
 
 
 # -- functionals -------------------------------------------------------------

@@ -66,6 +66,10 @@ _CHIRP_BLOCK = 2**17
 _SINE_ROW = 128
 # a tabulated law's mass, mean and second moment must be 1, 0, 1 to this
 _STANDARDIZED_TOL = 1e-10
+# the float indices 0, 1, 2, ... from which a lattice of up to 2**15 points
+# (a fold block, a default grid's band) takes its points; read-only
+_INDICES = np.arange(2**15, dtype=float)
+_INDICES.flags.writeable = False
 
 
 def _simpson(y, dx: float) -> float:
@@ -102,8 +106,8 @@ class Lattice:
     The inversion hands one to ``cf`` per call: a block of fold period k
     (first = k*N + b) or a band (first = 0), with root = sqrt(n); dividing a
     lattice by s multiplies its root by s.  ``np.asarray`` gives the points,
-    the doubles of ``dt*np.arange(first, first + size)/root``, and ``size``
-    (so ``np.size``) counts them.
+    the doubles of ``dt*np.arange(first, first + size)/root``, as a new array
+    that the caller may write, and ``size`` (so ``np.size``) counts them.
     """
 
     __slots__ = ("first", "size", "dt", "root")
@@ -117,11 +121,20 @@ class Lattice:
         return Lattice(self.first, self.size, self.dt, self.root * scale)
 
     def points(self, stop=None, step: int = 1) -> np.ndarray:
-        """t_j for j in range(0, stop, step); stop defaults to ``size``."""
+        """t_j for j in range(0, stop, step); stop defaults to ``size``.
+
+        A new array on every call: ``first`` plus a shared read-only index
+        range (exact, the indices being integers below 2**53), times dt, over
+        root unless root is 1.  A lattice longer than the shared range fills
+        its own."""
         stop = self.size if stop is None else min(stop, self.size)
-        t = np.arange(self.first, self.first + stop, step, dtype=float)
+        if stop <= len(_INDICES):
+            t = _INDICES[:stop:step] + self.first
+        else:
+            t = np.arange(self.first, self.first + stop, step, dtype=float)
         t *= self.dt
-        t /= self.root
+        if self.root != 1.0:
+            t /= self.root
         return t
 
     def __array__(self, dtype=None, copy=None):
@@ -151,7 +164,8 @@ class DistributionSpec:
         A law with a real cf (a symmetric law) may return a float array:
         ``numerics`` then powers and folds it in real arithmetic, which is
         cheaper than complex and, for n >= 3, closer to the exact power.
-        Other laws return complex arrays.
+        Other laws return complex arrays.  The array returned is new, and
+        ``numerics`` powers it in place; the argument is never written.
         """
         raise NotImplementedError
 
@@ -207,13 +221,24 @@ class Uniform(DistributionSpec):
         """
         if not isinstance(t, Lattice):
             return np.sinc(_SQRT3 * np.asarray(t, dtype=float) / np.pi)
-        rows = _SQRT3 * t.points(step=_SINE_ROW)
-        head = t.points(stop=_SINE_ROW)
-        offsets = _SQRT3 * (head - head[0])
-        sine = np.array((np.sin(rows), np.cos(rows))).T @ np.array(
-            (np.cos(offsets), np.sin(offsets)))
-        angle = np.array((rows, np.ones_like(rows))).T @ np.array(
-            (np.ones_like(offsets), offsets))
+        rows = t.points(step=_SINE_ROW)
+        rows *= _SQRT3
+        offsets = t.points(stop=_SINE_ROW)
+        offsets -= offsets[0]
+        offsets *= _SQRT3
+        # the factors of both products, filled in place
+        left = np.empty((2, len(rows)))
+        right = np.empty((2, len(offsets)))
+        np.sin(rows, out=left[0])
+        np.cos(rows, out=left[1])
+        np.cos(offsets, out=right[0])
+        np.sin(offsets, out=right[1])
+        sine = left.T @ right
+        left[0] = rows
+        left[1] = 1.0
+        right[0] = 1.0
+        right[1] = offsets
+        angle = left.T @ right
         if t.first == 0:
             sine[0, 0] = angle[0, 0] = 1.0
         sine /= angle
@@ -304,8 +329,14 @@ class TwoSidedExponential(DistributionSpec):
         return np.exp(-self._RATE * np.abs(x)) / self._RATE
 
     def cf(self, t):
+        """1/(1 + t**2/2), computed in place in one new buffer, which is
+        returned: the argument is never written, and a scalar gives a
+        scalar."""
         t = np.asarray(t, dtype=float)
-        return 1.0 / (1.0 + t * t / 2.0)
+        s = np.multiply(t, t, out=np.empty_like(t))
+        s *= 0.5
+        s += 1.0
+        return np.divide(1.0, s, out=s)[()]
 
     def cf_envelope(self, t: float):
         """|cf(t)| = 1/(1 + t**2/2) exactly."""

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
 import renyi_clt as rc
-from renyi_clt.distributions import Lattice, _simpson
+from renyi_clt.distributions import _INDICES, Lattice, _simpson
 from renyi_clt.harness import _write_rows
 from renyi_clt.numerics import _cf_power
 from oracles import (
@@ -251,8 +251,8 @@ def _exact_uniform_cf(t):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_uniform_cf_progression_matches_exact_sinc(n):
-    # the lattices the inversion folds, dt*m/sqrt(n) on the default grid:
-    # the first and last blocks of periods k, each 2**14 + 3 points long
+    # lattices like the inversion's, dt*m/sqrt(n) on the default grid, at
+    # the first and last bins of periods k: blocks 2**14 + 3 points long
     # (not a multiple of the table's row); checked on a sample of each block
     spec = rc.Uniform()
     N, dt, size = 2**17, math.pi / 16, 2**14 + 3
@@ -272,6 +272,47 @@ def test_lattice_rejects_a_negative_first_index_or_no_points():
         with pytest.raises(ValueError, match="first >= 0 and size >= 1"):
             Lattice(first, size, math.pi / 16)
     assert np.array_equal(rc.Uniform().cf(Lattice(0, 1, math.pi / 16)), [1.0])
+
+
+@pytest.mark.parametrize("first,size,root", [(7, 2000, SQRT3), (3 * 2**17, 2**15, 1.0),
+                                             (11, 2**16 + 5, 2.0)])
+def test_lattice_points_are_fresh_and_leave_the_index_range_alone(first, size, root):
+    # the points are first plus a shared index range (or a range of their
+    # own past its end), times dt, over root: each call a new writable array
+    lattice, dt = Lattice(first, size, math.pi / 16, root), math.pi / 16
+    expected = dt * np.arange(first, first + size, dtype=float) / root
+    for stop, step in ((None, 1), (128, 1), (None, 128)):
+        got, again = lattice.points(stop, step), lattice.points(stop, step)
+        assert np.array_equal(got, expected[:stop:step])
+        assert got.flags.writeable and not np.shares_memory(got, again)
+        assert not np.shares_memory(got, _INDICES)
+        got[:] = -1.0
+        assert np.array_equal(again, lattice.points(stop, step))
+    points = np.asarray(lattice)
+    points *= 2.0
+    assert np.array_equal(np.asarray(lattice), expected)
+    assert not _INDICES.flags.writeable
+    assert np.array_equal(_INDICES, np.arange(len(_INDICES), dtype=float))
+
+
+@pytest.mark.parametrize("spec", [rc.Uniform(), rc.TwoSidedExponential()],
+                         ids=["uniform", "laplace"])
+def test_cf_leaves_its_argument_unchanged(spec):
+    # the real cfs compute in place, in buffers of their own: a read-only
+    # array comes through unwritten, a scalar gives a scalar, and a
+    # lattice keeps its points
+    t = np.linspace(0.0, 40.0, 3001)
+    t.flags.writeable = False
+    got = spec.cf(t)
+    assert np.array_equal(t, np.linspace(0.0, 40.0, 3001))
+    assert got.shape == t.shape and not np.shares_memory(got, t)
+    for x in (1.3, np.float64(1.3), np.array(1.3)):
+        value = spec.cf(x)
+        assert np.ndim(value) == 0 and value == spec.cf(np.array([1.3]))[0]
+    lattice = Lattice(5, 3001, math.pi / 16, 2.0)
+    before = lattice.points()
+    spec.cf(lattice)
+    assert np.array_equal(lattice.points(), before)
 
 
 def test_uniform_cf_off_progression_is_np_sinc():
@@ -506,7 +547,7 @@ def test_inversion_hands_the_law_its_integer_lattice(n, npoints):
         assert grid.folds == 64 and counted == grid.folds * npoints
         firsts = sorted(t.first for t in seen)
         assert firsts == sorted(k * npoints + lo for k in range(grid.folds)
-                                for lo in range(0, npoints, 2**14))
+                                for lo in range(0, npoints, rc.numerics._FOLD_BLOCK))
 
 
 def _full_period_grid(spec, n, **kwargs):
@@ -590,6 +631,19 @@ def test_slow_envelopes_keep_full_period(key, n, kwargs):
     assert grid.band == full.band == 0
 
 
+def test_fold_heavy_grids_fold_their_pinned_periods():
+    # the benchmark's fold-heavy grids on the default grid: the cf points
+    # and periods they fold are the work a faster fold must keep
+    counted = [_counted_grid(spec, n) for spec, n in
+               [(rc.Uniform(), 2), (rc.Uniform(), 3), (rc.Uniform(), 4),
+                (rc.TwoSidedExponential(), 1), (rc.TwoSidedExponential(), 2)]]
+    folds = [grid.folds for grid, _ in counted]
+    assert sum(points for _, points in counted) == 42336256
+    assert sum(folds) == 323 and max(folds) == 256
+    assert not any(grid.cap_hit for grid, _ in counted)
+    assert all(points == grid.folds * 2**17 for grid, points in counted)
+
+
 def _fold_pair(spec, n, npoints, extent):
     """The library's folded inversion and the period-at-a-time oracle's."""
     h = 2 * extent / npoints
@@ -613,7 +667,9 @@ def test_blocked_fold_is_bit_identical(monkeypatch, spec, n, npoints, periods):
     # flag and the ringing bound are those of whole complex periods added one
     # after the other.  Gamma(1) and the table stop at a cap of 8 periods
     # (three doublings), the table also with no tail bound to settle under.
-    # The table's 2**14 bins are one block, so its chirps are the oracle's.
+    # Blocks of 2**14 bins split the 2**15-bin grids in two, and the table's
+    # 2**14 bins are one block, so its chirps are the oracle's.
+    monkeypatch.setattr(rc.numerics, "_FOLD_BLOCK", 2**14)
     if periods is not None:
         monkeypatch.setattr(rc.numerics, "_EVAL_CAP", periods * npoints)
         monkeypatch.setattr(rc.numerics, "_TAIL_BOUND", 0.0)
@@ -623,10 +679,12 @@ def test_blocked_fold_is_bit_identical(monkeypatch, spec, n, npoints, periods):
     assert record[0] == (periods or 64) and record[1] == (periods is not None)
 
 
-def test_blocked_uniform_fold_matches_to_rounding():
+def test_blocked_uniform_fold_matches_to_rounding(monkeypatch):
     # the uniform cf takes a lattice's sines from a table built for the
     # block it is given, so its values, and the fold, move by rounding with
-    # the blocks; the tolerance is fixed from the dtype, not measured
+    # the blocks (two of 2**14 bins here); the tolerance is fixed from the
+    # dtype, not measured
+    monkeypatch.setattr(rc.numerics, "_FOLD_BLOCK", 2**14)
     (values, *record), (expected, *expected_record) = _fold_pair(
         rc.Uniform(), 2, 2**15, 12.0
     )
@@ -640,6 +698,7 @@ def test_blocked_table_fold_follows_its_chirp_blocks(monkeypatch):
     # a table's cf is a chirp z-transform of the block of frequencies it is
     # given, so over two blocks its values, and the fold, move by rounding
     spec = _table(4001, 12.0, _dyadic_mixture_pdf)
+    monkeypatch.setattr(rc.numerics, "_FOLD_BLOCK", 2**14)
     monkeypatch.setattr(rc.numerics, "_EVAL_CAP", 4 * 2**15)
     (values, *record), (expected, *expected_record) = _fold_pair(spec, 1, 2**15, 12.0)
     assert np.abs(values - expected).max() < 1e-12
@@ -753,6 +812,14 @@ def test_grid_parameters_validated():
         rc.density_of_normalized_sum(rc.Uniform(), 4, extent=8)
     with pytest.raises(ValueError, match="npoints"):
         rc.density_of_normalized_sum(rc.Uniform(), 4, npoints=999)
+
+
+@pytest.mark.parametrize("extent", [math.nan, math.inf])
+def test_non_finite_extent_rejected(extent):
+    # named before any folding: NaN used to fold and fail the mass check,
+    # inf to raise a math domain error
+    with pytest.raises(ValueError, match="extent must be finite"):
+        rc.density_of_normalized_sum(rc.Uniform(), 4, extent=extent)
 
 
 def test_grid_bookkeeping(grid_for):

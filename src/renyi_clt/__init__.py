@@ -15,6 +15,12 @@ Z_n = (X_1 + ... + X_n)/sqrt(n):
   inversion, with entropies computed on the resulting grids
   (:mod:`renyi_clt.numerics` and :mod:`renyi_clt.distributions`),
 * a CLI harness tying predictions to measurements (:mod:`renyi_clt.harness`).
+
+The exact route runs without numpy: numpy loads on the first numeric call
+(an array or density operation), so ``import renyi_clt`` and
+``renyi-clt coeffs`` do not pay for it.  On Python 3.10 and 3.11 two threads
+making that first call together may see a half-loaded numpy; a threaded
+program should import numpy first (:mod:`renyi_clt._lazy`).
 """
 
 from .cumulants import (

@@ -41,10 +41,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
-import numpy as np
-
+from ._lazy import np
 from .cumulants import double_factorial, moments_from_cumulants
 
 __all__ = [
@@ -66,10 +66,17 @@ _CHIRP_BLOCK = 2**17
 _SINE_ROW = 128
 # a tabulated law's mass, mean and second moment must be 1, 0, 1 to this
 _STANDARDIZED_TOL = 1e-10
-# the float indices 0, 1, 2, ... from which a lattice of up to 2**15 points
-# (a fold block, a default grid's band) takes its points; read-only
-_INDICES = np.arange(2**15, dtype=float)
-_INDICES.flags.writeable = False
+
+
+@cache
+def _index_range():
+    """The float indices 0, 1, ..., 2**15 - 1, read-only, from which a
+    lattice of up to 2**15 points (a fold block, a default grid's band) takes
+    its points; built on first use, so that importing the module loads no
+    numpy."""
+    indices = np.arange(2**15, dtype=float)
+    indices.flags.writeable = False
+    return indices
 
 
 def _simpson(y, dx: float) -> float:
@@ -128,8 +135,9 @@ class Lattice:
         root unless root is 1.  A lattice longer than the shared range fills
         its own."""
         stop = self.size if stop is None else min(stop, self.size)
-        if stop <= len(_INDICES):
-            t = _INDICES[:stop:step] + self.first
+        indices = _index_range()
+        if stop <= len(indices):
+            t = indices[:stop:step] + self.first
         else:
             t = np.arange(self.first, self.first + stop, step, dtype=float)
         t *= self.dt

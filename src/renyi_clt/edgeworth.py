@@ -33,10 +33,9 @@ from functools import lru_cache
 from math import factorial
 from typing import Optional
 
-import numpy as np
-
+from ._lazy import np
 from .cumulants import CumulantVector
-from .exactpoly import Poly, _exp_series, hermite
+from .exactpoly import Poly, _exp_series, _is_array, hermite
 
 __all__ = [
     "normal_pdf",
@@ -92,7 +91,11 @@ class EdgeworthModel:
     Holds the exact polynomials Q_1..Q_{m-2}, taken from the
     :func:`correction_polynomial` cache; evaluation at floats rounds each
     coefficient once (:meth:`~renyi_clt.exactpoly.Poly.float_coeffs` on
-    arrays).  Immutable and safe to share across threads.
+    arrays).  Immutable and safe to share across threads, with one caveat:
+    numpy loads on the first numeric call of the process (see
+    :mod:`renyi_clt._lazy`), and on Python 3.10 and 3.11 two threads making
+    that call together may see a half-loaded numpy.  Import numpy, or make
+    one numeric call, before sharing a model between threads.
     """
 
     order: int
@@ -117,7 +120,7 @@ class EdgeworthModel:
         """1 + sum_k Q_k(x) n**(-k/2); the signed density is phi(x) times this."""
         if n < 1:
             raise ValueError("n must be a positive integer")
-        acc = 1.0 if isinstance(x, np.ndarray) else 1
+        acc = 1.0 if _is_array(x) else 1
         for k, q in enumerate(self.q_polys, start=1):
             if q.is_zero():
                 continue

@@ -24,13 +24,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
+from ._lazy import np
 
 __all__ = ["Poly", "hermite"]
 
 
 def _is_zero(c) -> bool:
     return c == 0
+
+
+def _is_array(x) -> bool:
+    """Whether ``x`` is a numpy array.  A number never reaches ``np``, so
+    exact and scalar evaluation does not load numpy."""
+    return not isinstance(x, (int, float, Fraction)) and isinstance(x, np.ndarray)
 
 
 class Poly:
@@ -173,7 +179,7 @@ class Poly:
         Exact when ``x`` and the coefficients are rational; float otherwise.
         numpy arrays are evaluated with float coefficients.
         """
-        if isinstance(x, np.ndarray):
+        if _is_array(x):
             cs = self.float_coeffs()
             acc = np.zeros_like(x, dtype=float)
             for c in cs[::-1]:  # in place: the same roundings, no temporaries

@@ -30,9 +30,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import distributions, numerics
+from ._lazy import np
 from .cumulants import standard_cumulants
 from .edgeworth import EdgeworthModel
 from .expansion import (
@@ -105,6 +104,11 @@ class ExperimentConfig:
             for k in ("alpha", "weights", "means", "sigmas", "density_file")
             if k in data
         }
+        for key in ("alpha", "weights", "means", "sigmas"):
+            value = self.params.get(key)
+            values = value if isinstance(value, list) else [value]
+            if any(isinstance(v, bool) for v in values):
+                raise ConfigError(f"{key} must be numbers, not true or false")
 
         r_values = data.get("r_values", [2])
         if not isinstance(r_values, list) or not r_values:
@@ -155,6 +159,9 @@ class ExperimentConfig:
                 "grid_extent must be a finite number >= 12 with a finite grid step"
             )
         self.out = data.get("out")
+        if self.out is not None and not isinstance(self.out, str):
+            # an int would be opened as a file descriptor
+            raise ConfigError("out must be a path string")
 
     @property
     def integer_order(self) -> int:
@@ -223,9 +230,12 @@ def _write_rows(path, header, rows) -> None:
 
     if path is None:
         dump(sys.stdout)
-    else:
+        return
+    try:
         with open(path, "w", newline="") as fh:
             dump(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _grids(cfg: ExperimentConfig, spec, dump_dir=None):
@@ -235,7 +245,8 @@ def _grids(cfg: ExperimentConfig, spec, dump_dir=None):
     An argument the inversion rejects, such as an n outside the law's
     ``n_min``..``numerics.MAX_N``, is a config error with the inversion's
     message.  A grid whose fold stopped at the evaluation cap is kept, with
-    a one-line stderr warning.
+    a one-line stderr warning.  A dump that cannot be written is a config
+    error.
     """
     out = {}
     for n in cfg.n_values:
@@ -253,7 +264,10 @@ def _grids(cfg: ExperimentConfig, spec, dump_dir=None):
             )
         out[n] = grid
     if dump_dir is not None:
-        os.makedirs(dump_dir, exist_ok=True)
+        try:
+            os.makedirs(dump_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {dump_dir}: {exc.strerror or exc}") from exc
         for n, grid in out.items():
             path = os.path.join(dump_dir, f"density_{cfg.distribution}_n{n}.csv")
             _write_rows(path, ["x", "p_n"], zip(grid.x, grid.values))
@@ -481,8 +495,9 @@ _EPILOG = """config keys:
   out            default output CSV path (overridden by --out)
 
 exit codes: 0 success; 2 config error, including an n outside the law's
-n_min..2**33, grid_points above 2**27 and a malformed density_file;
-3 numerical failure, including running out of memory
+n_min..2**33, grid_points above 2**27, a malformed density_file and an
+output CSV or density dump that cannot be written; 3 numerical failure,
+including running out of memory
 """
 
 
@@ -533,13 +548,13 @@ def main(argv=None) -> int:
             header, rows = cmd_coeffs(cfg)
         else:
             header, rows = _COMMANDS[args.command](cfg, dump_dir=dump_dir)
+        _write_rows(args.out or cfg.out, header, rows)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (numerics.GridError, ValueError, OverflowError, MemoryError) as exc:
         print(f"numerical failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
-    _write_rows(args.out or cfg.out, header, rows)
     return 0
 
 

@@ -54,8 +54,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from ._lazy import np
 from .distributions import DistributionSpec, Lattice, _simpson
 
 __all__ = [

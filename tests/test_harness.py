@@ -109,6 +109,8 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
         {"n_values": [2, 10**400]},
         {"distribution": "gamma", "alpha": 1e-320},
         {"distribution": "gamma", "alpha": 10**400},
+        # a JSON true ran as Gamma(1)
+        {"distribution": "gamma", "alpha": True},
     ],
 )
 def test_null_law_and_out_of_float_range_values_are_config_errors(
@@ -130,6 +132,10 @@ def test_null_law_and_out_of_float_range_values_are_config_errors(
         # NaN passed every tolerance check and failed later, with exit 3
         ({"weights": [math.nan, 1], "means": [0, 0], "sigmas": [1, 1]}, "non-negative"),
         ({"weights": [0.5, 0.5], "means": [math.nan, 0], "sigmas": [1, 1]}, "means"),
+        # JSON booleans read as 1 and 0: these ran as the standard normal
+        ({"weights": [True, False], "means": [0, 0], "sigmas": [1, 1]}, "weights"),
+        ({"weights": [1, 0], "means": [False, 0], "sigmas": [1, 1]}, "means"),
+        ({"weights": [1, 0], "means": [0, 0], "sigmas": [True, 1]}, "sigmas"),
     ],
 )
 def test_malformed_mixture_is_config_error(tmp_path, capsys, mixture, message):
@@ -915,6 +921,39 @@ def test_cli_help_mentions_config_keys():
     for key in ("distribution", "r_values", "n_values", "moment_order",
                 "grid_points", "grid_extent"):
         assert key in proc.stdout
+
+
+def test_non_string_out_is_config_error(tmp_path, capsys):
+    # an int would be opened as a file descriptor
+    path = write_config(tmp_path, n_values=[], out=5)
+    assert main(["coeffs", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: out must be a path string\n"
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "dir", "config-missing-dir"])
+def test_unwritable_out_is_config_error(tmp_path, capsys, where):
+    # each ended in a traceback with exit 1
+    target = {"missing-dir": tmp_path / "no" / "o.csv", "dir": tmp_path,
+              "config-missing-dir": tmp_path / "no" / "o.csv"}[where]
+    if where.startswith("config"):
+        path, argv = write_config(tmp_path, n_values=[], out=str(target)), []
+    else:
+        path, argv = write_config(tmp_path, n_values=[]), ["--out", str(target)]
+    assert main(["coeffs", "--config", str(path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {target}:") and err.count("\n") == 1
+
+
+def test_dump_density_onto_a_file_is_config_error(tmp_path, capsys):
+    # FileExistsError from creating the dump directory ended in a traceback
+    dump = tmp_path / "taken"
+    dump.write_text("")
+    path = write_config(tmp_path, n_values=[8], grid_points=1024)
+    argv = ["verify", "--config", str(path), "--out", str(tmp_path / "o.csv")]
+    assert main(argv + ["--dump-density", str(dump)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {dump}:") and err.count("\n") == 1
+    assert dump.read_text() == ""
 
 
 def test_config_out_key_used(tmp_path):

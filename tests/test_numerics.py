@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
 import renyi_clt as rc
-from renyi_clt.distributions import _INDICES, Lattice, _simpson
+from renyi_clt.distributions import Lattice, _index_range, _simpson
 from renyi_clt.harness import _write_rows
 from renyi_clt.numerics import _cf_power
 from oracles import (
@@ -285,14 +285,15 @@ def test_lattice_points_are_fresh_and_leave_the_index_range_alone(first, size, r
         got, again = lattice.points(stop, step), lattice.points(stop, step)
         assert np.array_equal(got, expected[:stop:step])
         assert got.flags.writeable and not np.shares_memory(got, again)
-        assert not np.shares_memory(got, _INDICES)
+        assert not np.shares_memory(got, _index_range())
         got[:] = -1.0
         assert np.array_equal(again, lattice.points(stop, step))
     points = np.asarray(lattice)
     points *= 2.0
     assert np.array_equal(np.asarray(lattice), expected)
-    assert not _INDICES.flags.writeable
-    assert np.array_equal(_INDICES, np.arange(len(_INDICES), dtype=float))
+    indices = _index_range()
+    assert not indices.flags.writeable
+    assert np.array_equal(indices, np.arange(len(indices), dtype=float))
 
 
 @pytest.mark.parametrize("spec", [rc.Uniform(), rc.TwoSidedExponential()],

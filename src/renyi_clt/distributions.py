@@ -20,7 +20,8 @@ The inversion asks for its frequencies as a ``Lattice``, the points
 ((first + j)*dt)/sqrt(n) of a fold block or a band, so a law that can use the
 structure reads it from the indices and need not detect it.
 
-The built-in families:
+The built-in families, each but the table named in ``LAWS`` with the
+parameters :func:`from_name` builds it from:
 
 * ``Uniform``: uniform on (-sqrt(3), sqrt(3)); |cf| ~ 1/|t|, n_min = 2.
   Its cf on a lattice takes the sines from a two-level table of unit phases
@@ -55,6 +56,7 @@ __all__ = [
     "TwoSidedExponential",
     "GaussianMixture",
     "GridDensity",
+    "LAWS",
     "from_name",
 ]
 
@@ -194,7 +196,10 @@ class DistributionSpec:
             raise ValueError("moments are provided for orders 1..8")
 
     def __repr__(self):
-        return f"{type(self).__name__}()"
+        """The class with the law's parameters, named as in ``LAWS``."""
+        _, names = LAWS.get(self.name, (None, ()))
+        params = ", ".join(f"{p}={getattr(self, p)}" for p in names)
+        return f"{type(self).__name__}({params})"
 
 
 class Uniform(DistributionSpec):
@@ -277,13 +282,12 @@ class StandardizedGamma(DistributionSpec):
     def __init__(self, alpha):
         if not alpha > 0:
             raise ValueError("alpha must be positive")
+        if 1 / alpha == math.inf:
+            raise ValueError(f"alpha={alpha} is too small: 1/alpha, and so n_min, overflows")
         self.alpha = alpha
         self.sqrt_alpha = math.sqrt(float(alpha))
         self._exact_root = _exact_sqrt(alpha)
         self.n_min = math.floor(1 / alpha) + 1
-
-    def __repr__(self):
-        return f"StandardizedGamma(alpha={self.alpha})"
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -328,7 +332,6 @@ class TwoSidedExponential(DistributionSpec):
     """Laplace law with variance 1: density exp(-sqrt(2)|x|)/sqrt(2)."""
 
     name = "two_sided_exponential"
-    n_min = 1
 
     _RATE = math.sqrt(2.0)
 
@@ -369,7 +372,6 @@ class GaussianMixture(DistributionSpec):
     """
 
     name = "gaussian_mixture"
-    n_min = 1
 
     def __init__(self, weights, means, sigmas):
         if not (len(weights) == len(means) == len(sigmas)) or not weights:
@@ -415,12 +417,6 @@ class GaussianMixture(DistributionSpec):
         if sum(w) != 1 or mean != 0 or second != 1:
             return None
         return w, m, s2
-
-    def __repr__(self):
-        return (
-            f"GaussianMixture(weights={self.weights}, means={self.means}, "
-            f"sigmas={self.sigmas})"
-        )
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -572,37 +568,23 @@ def _chirp_lattice_sum(w: np.ndarray, x0: float, h: float, t0: float,
     return conv * np.exp(1j * ((t0 + step * u) * x0 + 0.5 * theta * u * u))
 
 
+# every named law: its constructor and the parameter names it takes
+LAWS = {
+    "uniform": (Uniform, ()),
+    "gamma": (StandardizedGamma, ("alpha",)),
+    "two_sided_exponential": (TwoSidedExponential, ()),
+    "gaussian_mixture": (GaussianMixture, ("weights", "means", "sigmas")),
+    "gaussian": (GaussianMixture.standard_normal, ()),
+}
+
+
 def from_name(name: str, **params) -> DistributionSpec:
-    """Factory for the supported spec names.
-
-    ``uniform``, ``gamma`` (param ``alpha``), ``two_sided_exponential``,
-    ``gaussian_mixture`` (params ``weights``, ``means``, ``sigmas``),
-    ``gaussian`` (degenerate mixture).  A tabulated law has no name here:
-    build its :class:`GridDensity` from the table, as the harness does for
-    ``distribution: "grid"``.
-    """
-    key = name.strip().lower()
-    if key == "uniform":
-        _require_params(params, set())
-        return Uniform()
-    if key == "gamma":
-        _require_params(params, {"alpha"})
-        return StandardizedGamma(params["alpha"])
-    if key == "two_sided_exponential":
-        _require_params(params, set())
-        return TwoSidedExponential()
-    if key == "gaussian_mixture":
-        _require_params(params, {"weights", "means", "sigmas"})
-        return GaussianMixture(params["weights"], params["means"], params["sigmas"])
-    if key == "gaussian":
-        _require_params(params, set())
-        return GaussianMixture.standard_normal()
-    raise ValueError(f"unsupported distribution {name!r}")
-
-
-def _require_params(params, allowed) -> None:
-    got = set(params)
-    if got != allowed:
-        raise ValueError(
-            f"expected parameters {sorted(allowed)}, got {sorted(got)}"
-        )
+    """The law ``name`` of :data:`LAWS`, built from exactly its parameters.
+    A tabulated law has no name: build its :class:`GridDensity` instead."""
+    law = LAWS.get(name.strip().lower())
+    if law is None:
+        raise ValueError(f"unsupported distribution {name!r}")
+    build, names = law
+    if set(params) != set(names):
+        raise ValueError(f"expected parameters {sorted(names)}, got {sorted(params)}")
+    return build(**params)

@@ -50,8 +50,9 @@ c_1 = 2 b_1.  The log, the exp and the powers are the exact truncated
 power series of :mod:`renyi_clt.exactpoly`.
 
 The first coefficient b(r) = b_1(r), whose sign decides the eventual
-monotonicity of the entropy power sequence N_r(Z_n), is read off the same
-L_1; :func:`sign_change_threshold` is the closed-form root of b_1.
+monotonicity of N_r(Z_n), is linear in r over r, so L_1 = (r-1) r**2
+(l_4 r - l_2), and :func:`sign_change_threshold` reads its root r_0 = l_2/l_4
+off L_1; the closed form in gamma_3 and gamma_4 is a test oracle.
 """
 
 from __future__ import annotations
@@ -233,10 +234,7 @@ def a2_from_integrals(r: float, cumulants: CumulantVector) -> float:
     cumulants.require_order(6)
     if r == math.inf:
         raise ValueError(f"power r must be finite, got {r}")
-    q1 = correction_polynomial(1, cumulants)
-    q2 = correction_polynomial(2, cumulants)
-    q3 = correction_polynomial(3, cumulants)
-    q4 = correction_polynomial(4, cumulants)
+    q1, q2, q3, q4 = (correction_polynomial(k, cumulants) for k in range(1, 5))
     terms = (
         (r, q4),
         (falling_factorial(r, 2) / 2, q2 * q2 + 2 * q1 * q3),
@@ -278,32 +276,29 @@ def _log_polynomials(terms: int, cumulants: CumulantVector):
 
 def _entropy_coefficients(terms: int, r, cumulants: CumulantVector):
     """(b, c) through order ``terms`` at any 1 <= r <= inf from the cached
-    L_j, with c-series = exp(2 * b-series) taken exactly.  Each b_j and c_j
-    is a ``Fraction`` when r is an int, a Fraction or inf and every cumulant
-    is rational, and otherwise a float rounded once from the exact value.
+    L_j: b_j(r) = -L_j(r) / ((r - 1) r**(3j)) exactly, with its limits at
+    r = 1 (-L_j'(1)) and r = inf (minus the r**(3j+1) coefficient), and
+    c-series = exp(2 * b-series) taken exactly.  Each b_j and c_j is a
+    ``Fraction`` when r is an int, a Fraction or inf and every cumulant is
+    rational, and otherwise a float rounded once from the exact value.
     """
     polys = _log_polynomials(terms, cumulants)
-    b = [_b_exact(j, poly, r) for j, poly in enumerate(polys, start=1)]
+    if r == math.inf:
+        b = [-Fraction(lj.coeff(3 * j + 1)) for j, lj in enumerate(polys, start=1)]
+    elif r == 1:
+        b = [-Fraction(lj.derivative()(1)) for lj in polys]
+    else:
+        x = Fraction(r)
+        b = [-lj(x) / ((x - 1) * x ** (3 * j)) for j, lj in enumerate(polys, start=1)]
     c = _exp_series([0, *(bj * 2 for bj in b)])[1:]
     rounding = Fraction if _is_exact(r, cumulants) else float
     return tuple(map(rounding, b)), tuple(map(rounding, c))
 
 
-def _b_exact(j: int, poly: Poly, r) -> Fraction:
-    """b_j(r) = -L_j(r) / ((r - 1) r**(3j)) exactly, with its limits at
-    r = 1 (-L_j'(1)) and r = inf (minus the r**(3j+1) coefficient)."""
-    if r == math.inf:
-        return -Fraction(poly.coeff(3 * j + 1))
-    if r == 1:
-        return -Fraction(poly.derivative()(1))
-    x = Fraction(r)
-    return -poly(x) / ((x - 1) * x ** (3 * j))
-
-
 def b_coefficient(r, cumulants: CumulantVector):
     """First-order entropy coefficient b(r) = b_1(r) at any 1 <= r <= inf,
-    read off the cached L_1 of the law's own cumulants (built from the same
-    Q_1, Q_2 as every a_j).  Its type follows the rule of every b_j
+    the first b of :func:`_entropy_coefficients`, the route of every b_j, at
+    the law's own cumulants.  Its type follows the rule of every b_j
     (:func:`entropy_expansion`, :func:`limit_expansion`): a ``Fraction``
     when r is an int, a Fraction or inf and every cumulant is rational, and
     otherwise a float rounded once from the exact value.
@@ -311,15 +306,7 @@ def b_coefficient(r, cumulants: CumulantVector):
     cumulants.require_order(4)
     if not r >= 1:
         raise ValueError(f"index r must be >= 1 (or inf), got {r}")
-    b = _b_exact(1, _log_polynomials(1, cumulants)[0], r)
-    return b if _is_exact(r, cumulants) else float(b)
-
-
-def _expansion_order(m: int):
-    """(J, rho): the number of terms [(m-2)/2] and the remainder exponent."""
-    if m < 2:
-        raise ValueError("moment order m must be at least 2")
-    return (m - 2) // 2, (m - 2) / 2
+    return _entropy_coefficients(1, r, cumulants)[0][0]
 
 
 @dataclass(frozen=True)
@@ -335,8 +322,6 @@ class ExpansionCoefficients:
     a: tuple
     b: tuple
     c: tuple
-    r: float
-    cumulants: CumulantVector
     remainder_exponent: float
 
     @property
@@ -352,6 +337,17 @@ class ExpansionCoefficients:
         return 1.0 + sum(cj * n ** -(j + 1) for j, cj in enumerate(self.c))
 
 
+def _expansion(m: int, r, cumulants: CumulantVector, with_a: bool):
+    """The coefficients through J = [(m-2)/2] terms, the a_j only when
+    ``with_a``, tagged with the remainder exponent rho = (m-2)/2."""
+    if m < 2:
+        raise ValueError("moment order m must be at least 2")
+    terms = (m - 2) // 2
+    a = tuple(a_coefficient(j, r, cumulants) for j in range(1, terms + 1)) if with_a else ()
+    b, c = _entropy_coefficients(terms, r, cumulants)
+    return ExpansionCoefficients(a=a, b=b, c=c, remainder_exponent=(m - 2) / 2)
+
+
 def entropy_expansion(m: int, r, cumulants: CumulantVector) -> ExpansionCoefficients:
     """Entropy and entropy-power expansion coefficients through order
     J = [(m-2)/2] at a finite index r > 1, where m is the available
@@ -364,12 +360,7 @@ def entropy_expansion(m: int, r, cumulants: CumulantVector) -> ExpansionCoeffici
     otherwise.  :func:`limit_expansion` serves r = 1 and r = inf.
     """
     _require_r(r)
-    terms, rho = _expansion_order(m)
-    a = tuple(a_coefficient(j, r, cumulants) for j in range(1, terms + 1))
-    b, c = _entropy_coefficients(terms, r, cumulants)
-    return ExpansionCoefficients(
-        a=a, b=b, c=c, r=r, cumulants=cumulants, remainder_exponent=rho
-    )
+    return _expansion(m, r, cumulants, with_a=True)
 
 
 def limit_expansion(m: int, r, cumulants: CumulantVector) -> ExpansionCoefficients:
@@ -380,28 +371,22 @@ def limit_expansion(m: int, r, cumulants: CumulantVector) -> ExpansionCoefficien
     """
     if not (r == 1 or r == math.inf):
         raise ValueError(f"limit_expansion takes r = 1 or r = inf, got {r}")
-    terms, rho = _expansion_order(m)
-    b, c = _entropy_coefficients(terms, r, cumulants)
-    return ExpansionCoefficients(
-        a=(), b=b, c=c, r=r, cumulants=cumulants, remainder_exponent=rho
-    )
+    return _expansion(m, r, cumulants, with_a=False)
 
 
 def sign_change_threshold(cumulants: CumulantVector):
-    """r_0 = (4 gamma_3**2 - 3 gamma_4) / (2 gamma_3**2 - 3 gamma_4), the
-    closed-form root in r of b(r) = b_1(r), above which b(r) > 0.  Defined
-    only when gamma_3 != 0 and gamma_4 < (2/3) gamma_3**2; returns None
-    otherwise.
+    """r_0 = l_2/l_4, the root in r > 1 of b(r) = b_1(r), above which
+    b(r) > 0, read off the cached L_1 = (r-1) r**2 (l_4 r - l_2).  A
+    ``Fraction`` when every cumulant is rational, and otherwise a float
+    rounded once; None when l_4 = 0 or r_0 <= 1 (b keeps one sign).
     """
     cumulants.require_order(4)
-    g3 = cumulants.gamma(3)
-    g4 = cumulants.gamma(4)
-    if g3 == 0:
+    l1 = _log_polynomials(1, cumulants)[0]
+    l2, l4 = Fraction(l1.coeff(2)), Fraction(l1.coeff(4))
+    if l4 == 0 or not l2 / l4 > 1:
         return None
-    g32 = g3 * g3
-    if not g4 < Fraction(2, 3) * g32:
-        return None
-    return (4 * g32 - 3 * g4) / (2 * g32 - 3 * g4)
+    r0 = l2 / l4
+    return r0 if _is_exact(1, cumulants) else float(r0)
 
 
 def monotonicity_prediction(r, cumulants: CumulantVector) -> str:

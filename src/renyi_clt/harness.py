@@ -51,12 +51,11 @@ from .expansion import (
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "main"]
 
+# every parameter of a named law, in the order of ``distributions.LAWS``
+_LAW_PARAMS = tuple(dict.fromkeys(p for _, ps in distributions.LAWS.values() for p in ps))
 _CONFIG_KEYS = {
     "distribution",
-    "alpha",
-    "weights",
-    "means",
-    "sigmas",
+    *_LAW_PARAMS,
     "density_file",
     "r_values",
     "n_values",
@@ -99,12 +98,8 @@ class ExperimentConfig:
         self.distribution = data["distribution"]
         if not isinstance(self.distribution, str):
             raise ConfigError("distribution must be a name string")
-        self.params = {
-            k: data[k]
-            for k in ("alpha", "weights", "means", "sigmas", "density_file")
-            if k in data
-        }
-        for key in ("alpha", "weights", "means", "sigmas"):
+        self.params = {k: data[k] for k in (*_LAW_PARAMS, "density_file") if k in data}
+        for key in _LAW_PARAMS:
             value = self.params.get(key)
             values = value if isinstance(value, list) else [value]
             if any(isinstance(v, bool) for v in values):
@@ -168,9 +163,8 @@ class ExperimentConfig:
         return int(math.floor(self.moment_order))
 
     def build_spec(self) -> distributions.DistributionSpec:
-        params = dict(self.params)
         if self.distribution == "grid":
-            path = params.pop("density_file", None)
+            path = self.params.get("density_file")
             if not isinstance(path, str):
                 raise ConfigError("grid distribution needs a density_file path")
             xs, ps = [], []
@@ -197,7 +191,7 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
         try:
-            return distributions.from_name(self.distribution, **params)
+            return distributions.from_name(self.distribution, **self.params)
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -238,9 +232,37 @@ def _write_rows(path, header, rows) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _prepare_outputs(out, dump_dir) -> None:
+    """Fail before any work when an output cannot be written: create the dump
+    directory, and open the CSV for appending, which leaves an existing file
+    as it is (a file that this check creates is removed again)."""
+    try:
+        if dump_dir is not None:
+            os.makedirs(dump_dir, exist_ok=True)
+        if out is not None:
+            created = not os.path.lexists(out)
+            open(out, "a").close()
+            if created:
+                os.remove(out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename}: {exc.strerror or exc}") from exc
+
+
+def _law(cfg: ExperimentConfig, order: int):
+    """The configured law and its standardized cumulants through ``order``.
+    Moments beyond the float range, as of Gamma with a tiny alpha, are a
+    config error."""
+    spec = cfg.build_spec()
+    try:
+        return spec, standard_cumulants(spec, order=order)
+    except OverflowError as exc:
+        raise ConfigError(f"{spec!r}: moments to order {order} overflow a float") from exc
+
+
 def _grids(cfg: ExperimentConfig, spec, dump_dir=None):
     """Density grids for every configured n, in ascending order, each also
-    written to ``dump_dir``, when given, as CSV with columns x, p_n.
+    written to ``dump_dir``, when given (an existing directory), as CSV with
+    columns x, p_n.
 
     An argument the inversion rejects, such as an n outside the law's
     ``n_min``..``numerics.MAX_N``, is a config error with the inversion's
@@ -263,12 +285,7 @@ def _grids(cfg: ExperimentConfig, spec, dump_dir=None):
                 file=sys.stderr,
             )
         out[n] = grid
-    if dump_dir is not None:
-        try:
-            os.makedirs(dump_dir, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {dump_dir}: {exc.strerror or exc}") from exc
-        for n, grid in out.items():
+        if dump_dir is not None:
             path = os.path.join(dump_dir, f"density_{cfg.distribution}_n{n}.csv")
             _write_rows(path, ["x", "p_n"], zip(grid.x, grid.values))
     return out
@@ -293,20 +310,20 @@ def _mass_term(j: int, r, cums):
 
 
 def cmd_coeffs(cfg: ExperimentConfig):
-    """Per-index table: b(r), B1(r) = -b(r), A1 and A2, the N_inf pair and
-    the verdicts.  b(r) and the verdicts are read off the cached exact L_1
-    (:func:`~renyi_clt.expansion.b_coefficient`), and A1 and A2 are a_1 and
-    a_2 of the once-per-law exact expansion, times int phi**r
+    """Per-index table: b(r), B1(r) = -b(r), A1 and A2, the N_inf pair, r0
+    and the verdicts.  b(r), r0 and the verdicts are read off the cached
+    exact L_1 (:func:`~renyi_clt.expansion.b_coefficient` and
+    :func:`~renyi_clt.expansion.sign_change_threshold`), and A1 and A2 are
+    a_1 and a_2 of the once-per-law exact expansion, times int phi**r
     (:func:`~renyi_clt.expansion.gauss_power_mass`); the hand formulas
     :func:`~renyi_clt.expansion.a1_closed_form` and
     :func:`~renyi_clt.expansion.a2_from_integrals` are independent
     cross-checks, used by the benchmark and the tests.
     """
-    spec = cfg.build_spec()
+    order = cfg.integer_order
+    _, cums = _law(cfg, order)
     if cfg.moment_order < 4:
         raise ConfigError("coeffs needs moment_order >= 4")
-    order = cfg.integer_order
-    cums = standard_cumulants(spec, order=order)
     r0 = sign_change_threshold(cums)
     if order >= 6:
         # the two-term N_inf expansion: moment order 6 is enough
@@ -335,28 +352,19 @@ def cmd_coeffs(cfg: ExperimentConfig):
     return header, rows
 
 
-def _predictions(cfg: ExperimentConfig, cums, r):
-    """(h_reference, h_offset(n), power_factor(n)) for one entropy index."""
-    expand = entropy_expansion if 1 < r < math.inf else limit_expansion
-    coeffs = expand(cfg.integer_order, r, cums)
-    return (
-        gaussian_renyi_entropy(r),
-        coeffs.entropy_offset,
-        coeffs.entropy_power_factor,
-    )
-
-
 def cmd_verify(cfg: ExperimentConfig, dump_dir=None):
-    spec = cfg.build_spec()
+    order = cfg.integer_order
+    spec, cums = _law(cfg, order)
     if not cfg.n_values:
         raise ConfigError("verify needs n_values")
     if math.inf in cfg.r_values and cfg.moment_order < 6:
         raise ConfigError("r = inf predictions need moment_order >= 6")
     if 1 in cfg.r_values and cfg.moment_order < 4:
         raise ConfigError("r = 1 predictions need moment_order >= 4")
-    order = cfg.integer_order
-    cums = standard_cumulants(spec, order=order)
-    predictions = {r: _predictions(cfg, cums, r) for r in cfg.r_values}
+    expansions = {
+        r: (entropy_expansion if 1 < r < math.inf else limit_expansion)(order, r, cums)
+        for r in cfg.r_values
+    }
     grids = _grids(cfg, spec, dump_dir)
     scale_exp = (cfg.moment_order - 2) / 2
     header = [
@@ -373,9 +381,9 @@ def cmd_verify(cfg: ExperimentConfig, dump_dir=None):
     for n in cfg.n_values:
         grid = grids[n]
         for r in cfg.r_values:
-            h_ref, offset, factor = predictions[r]
+            coeffs = expansions[r]
             h_num = numerics.renyi_entropy(grid, r)
-            h_pred = h_ref + offset(n)
+            h_pred = gaussian_renyi_entropy(r) + coeffs.entropy_offset(n)
             residual = h_num - h_pred
             rows.append(
                 [
@@ -386,19 +394,18 @@ def cmd_verify(cfg: ExperimentConfig, dump_dir=None):
                     residual,
                     residual * n**scale_exp,
                     math.exp(2.0 * h_num),
-                    gaussian_entropy_power(r) * factor(n),
+                    gaussian_entropy_power(r) * coeffs.entropy_power_factor(n),
                 ]
             )
     return header, rows
 
 
 def cmd_monotonicity(cfg: ExperimentConfig, dump_dir=None):
-    spec = cfg.build_spec()
+    spec, cums = _law(cfg, max(4, cfg.integer_order))
     if len(cfg.n_values) < 3:
         raise ConfigError("monotonicity needs at least three n values")
     if any(b - a != 1 for a, b in zip(cfg.n_values, cfg.n_values[1:])):
         raise ConfigError("monotonicity needs a consecutive run of n values")
-    cums = standard_cumulants(spec, order=max(4, cfg.integer_order))
     grids = _grids(cfg, spec, dump_dir)
     header = [
         "r",
@@ -444,13 +451,12 @@ def cmd_monotonicity(cfg: ExperimentConfig, dump_dir=None):
 
 
 def cmd_locallimit(cfg: ExperimentConfig, dump_dir=None):
-    spec = cfg.build_spec()
+    m = cfg.integer_order
+    spec, cums = _law(cfg, m)
     if not cfg.n_values:
         raise ConfigError("locallimit needs n_values")
-    m = cfg.integer_order
     if m > 6:
         raise ConfigError("locallimit needs moment_order <= 6")
-    cums = standard_cumulants(spec, order=m)
     model = EdgeworthModel.from_cumulants(cums, order=m)
     grids = _grids(cfg, spec, dump_dir)
     errors = []
@@ -542,13 +548,14 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    dump_dir = getattr(args, "dump_density", None)
+    out, dump_dir = args.out or cfg.out, getattr(args, "dump_density", None)
     try:
+        _prepare_outputs(out, dump_dir)
         if args.command == "coeffs":
             header, rows = cmd_coeffs(cfg)
         else:
             header, rows = _COMMANDS[args.command](cfg, dump_dir=dump_dir)
-        _write_rows(args.out or cfg.out, header, rows)
+        _write_rows(out, header, rows)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

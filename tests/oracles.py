@@ -5,7 +5,8 @@ pieces are assembled from first principles with exact rational arithmetic,
 integration is plain antiderivative evaluation, the integrals against powers
 of the normal density are Gaussian moments and closed forms, the cumulants,
 the Edgeworth polynomials and the a_j are partition sums, the entropy and
-sup-norm coefficients are hand-derived formulas, and the density fold adds
+sup-norm coefficients and the threshold r_0 are hand-derived formulas, and
+the density fold adds
 whole frequency periods in complex arithmetic, as it was first written.
 """
 
@@ -250,6 +251,18 @@ def b_closed_form(r, cumulants):
     if r == 1:
         return -third * g3**2
     return -((2 - r) * third * g3**2 + (r - 1) * eighth * g4) / r
+
+
+def sign_change_threshold_closed_form(cumulants):
+    """r_0 = (4 gamma_3**2 - 3 gamma_4) / (2 gamma_3**2 - 3 gamma_4), the
+    hand-derived root in r of b(r) = b_1(r), above which b(r) > 0.  Defined
+    only when gamma_3 != 0 and gamma_4 < (2/3) gamma_3**2; None otherwise.
+    """
+    g3, g4 = cumulants.gamma(3), cumulants.gamma(4)
+    g32 = g3 * g3
+    if g3 == 0 or not g4 < Fraction(2, 3) * g32:
+        return None
+    return (4 * g32 - 3 * g4) / (2 * g32 - 3 * g4)
 
 
 def leading_entropy_coefficient(k: int, r, gamma_2k):

@@ -5,13 +5,13 @@ from functools import lru_cache
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import renyi_clt as rc
 from oracles import a_coefficient_by_compositions, b_closed_form, leading_entropy_coefficient
 from oracles import correction_polynomial_by_partitions, cumulant_by_partitions
-from oracles import gauss_power_integral, hermite_integral
+from oracles import gauss_power_integral, hermite_integral, sign_change_threshold_closed_form
 from renyi_clt.cumulants import CumulantVector, cumulants_from_moments, moments_from_cumulants
 from renyi_clt.expansion import (
     DECREASING,
@@ -303,6 +303,16 @@ def test_laurent_form_equals_composition_sum_exactly(law):
 
 
 _SMALL_RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@pytest.mark.parametrize("law", sorted(ORACLE_LAWS))
+def test_l1_factors_through_the_threshold(law):
+    # b_1 = -L_1/((r-1) r**3) is linear in r over r, so
+    # L_1 = (r-1) r**2 (l_4 r - l_2), and r_0 = l_2/l_4 is its one free root
+    cums = rc.standard_cumulants(ORACLE_LAWS[law], order=8)
+    l1 = _log_polynomials(1, cums)[0]
+    r = Poly.x()
+    assert l1 == (r - 1) * r**2 * (l1.coeff(4) * r - l1.coeff(2))
 
 
 @settings(max_examples=50, deadline=None)
@@ -684,6 +694,39 @@ def test_sign_change_threshold_undefined():
     assert sign_change_threshold(UNIFORM) is None  # gamma_3 = 0
     gamma_alpha1 = CumulantVector((0, 1, 2, 6))
     assert sign_change_threshold(gamma_alpha1) is None  # gamma_4 > (2/3) gamma_3^2
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    head=st.tuples(_SMALL_RATIONALS, _SMALL_RATIONALS),
+    tail=st.lists(_SMALL_RATIONALS, max_size=2),
+)
+@example(head=(F(3, 4), F(-3, 8)), tail=[])  # the dyadic mixture: r_0 = 3/2
+def test_sign_change_threshold_equals_the_closed_form(head, tail):
+    # r_0 = l_2/l_4, read off L_1, is the hand formula exactly; gamma_5 and
+    # gamma_6, when given, leave L_1 alone
+    c = CumulantVector.from_gammas(*head, *tail)
+    r0 = sign_change_threshold(c)
+    assert r0 == sign_change_threshold_closed_form(c)
+    if r0 is not None:
+        assert type(r0) is F
+        # the verdict flips at r_0 and nowhere near it, in exact arithmetic
+        step = (r0 - 1) / 10**6
+        seen = [monotonicity_prediction(r, c) for r in (r0 - step, r0, r0 + step)]
+        assert seen == [INCREASING, INDETERMINATE, DECREASING]
+
+
+def test_float_cumulants_give_a_float_threshold():
+    # a skewed mixture whose float parameters miss the exact constraints, and
+    # a bare float cumulant vector: r_0 is rounded once from the exact root
+    w, t = 0.3, 0.25
+    c = w * (1 - w)
+    d, s = 2 * t / (t * t + c), (c - t * t) / (c + t * t)
+    mixture = rc.GaussianMixture((w, 1 - w), (d * (1 - w), -d * w), (s, s))
+    for cums in (rc.standard_cumulants(mixture, order=4), CumulantVector((0, 1, 1.5, 0.2))):
+        r0 = sign_change_threshold(cums)
+        assert type(r0) is float
+        assert r0 == pytest.approx(sign_change_threshold_closed_form(cums), rel=1e-14)
 
 
 def test_monotonicity_predictions():

@@ -3,11 +3,13 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import renyi_clt as rc
-from renyi_clt import edgeworth, expansion, numerics
+from renyi_clt import distributions, edgeworth, expansion, harness, numerics
 from renyi_clt.exactpoly import Poly
 from renyi_clt.harness import (
     ConfigError,
@@ -111,6 +113,10 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
         {"distribution": "gamma", "alpha": 10**400},
         # a JSON true ran as Gamma(1)
         {"distribution": "gamma", "alpha": True},
+        # a float cumulant overflowed (exit 3), and n_min = floor(1/alpha) + 1
+        # failed with "cannot convert float infinity to integer"
+        {"distribution": "gamma", "alpha": 1e-300},
+        {"distribution": "gamma", "alpha": 5e-324},
     ],
 )
 def test_null_law_and_out_of_float_range_values_are_config_errors(
@@ -122,6 +128,9 @@ def test_null_law_and_out_of_float_range_values_are_config_errors(
         assert main([command, "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+        if overrides.get("alpha") in (1e-320, 1e-300, 5e-324):
+            # a tiny alpha is named, with the overflow it causes
+            assert f"alpha={overrides['alpha']}" in err and "overflow" in err
 
 
 @pytest.mark.parametrize(
@@ -906,21 +915,43 @@ def test_huge_n_exits_at_once(tmp_path, capsys, command, law):
     assert "above 8589934592" in capsys.readouterr().err
 
 
-def test_cli_help_mentions_config_keys():
-    # the child process finds the package under test without an install
+@lru_cache(maxsize=1)
+def _verify_help():
+    """``verify --help`` of the CLI, run once in a child process, which finds
+    the package under test without an install."""
     src = str(Path(rc.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "renyi_clt.harness", "verify", "--help"],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def test_cli_help_mentions_config_keys():
+    proc = _verify_help()
     assert proc.returncode == 0
     for key in ("distribution", "r_values", "n_values", "moment_order",
                 "grid_points", "grid_extent"):
         assert key in proc.stdout
+
+
+@pytest.mark.parametrize("name", sorted(distributions.LAWS))
+def test_every_named_law_is_documented_and_takes_exactly_its_parameters(name):
+    # one table row is the whole of a law's wiring: the config keys come
+    # from it, and --help must name the law and each of its parameters
+    _, params = distributions.LAWS[name]
+    help_text = _verify_help().stdout
+    for word in (name, *params):
+        assert re.search(rf"\b{word}\b", help_text), word
+    assert set(params) <= harness._CONFIG_KEYS
+    with pytest.raises(ValueError, match="expected parameters"):
+        rc.from_name(name, **{p: 1 for p in params}, extra=1)
+    for dropped in params:
+        with pytest.raises(ValueError, match="expected parameters"):
+            rc.from_name(name, **{p: 1 for p in params if p != dropped})
 
 
 def test_non_string_out_is_config_error(tmp_path, capsys):
@@ -954,6 +985,45 @@ def test_dump_density_onto_a_file_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write {dump}:") and err.count("\n") == 1
     assert dump.read_text() == ""
+
+
+@pytest.mark.parametrize("where", ["out in a missing directory", "dump onto a file"])
+def test_unwritable_output_fails_before_any_inversion(tmp_path, capsys, monkeypatch, where):
+    # verify on uniform n = 2..4 built all three grids before it exited 2
+    built, invert = [], numerics.density_of_normalized_sum
+
+    def spy(spec, n, *args, **kwargs):
+        built.append(n)
+        return invert(spec, n, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "density_of_normalized_sum", spy)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    path = write_config(tmp_path, n_values=[2, 3, 4])
+    if where == "dump onto a file":
+        argv = ["--out", str(tmp_path / "o.csv"), "--dump-density", str(taken)]
+    else:
+        argv = ["--out", str(tmp_path / "no" / "o.csv")]
+    assert main(["verify", "--config", str(path), *argv]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot write")
+    assert built == []
+    assert not (tmp_path / "o.csv").exists() and taken.read_text() == ""
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_numerical_failure_leaves_the_out_path_as_it_was(tmp_path, capsys, existing):
+    # --out is checked by opening it for appending: an existing file keeps
+    # its contents through a failed run, and a missing one is not left behind
+    out = tmp_path / "o.csv"
+    if existing:
+        out.write_text("r,b\n2,0\n")
+    path = write_config(tmp_path, n_values=[2], grid_points=1024)
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    if existing:
+        assert out.read_text() == "r,b\n2,0\n"
+    else:
+        assert not out.exists()
 
 
 def test_config_out_key_used(tmp_path):

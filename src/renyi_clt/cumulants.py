@@ -8,8 +8,11 @@ generating function, so in exponential generating series
     sum_k gamma_k t**k / k! = log(1 + sum_k alpha_k t**k / k!),
 
 and the moments are the exp of the cumulant series.  Both directions are
-one truncated series log or exp, taken exactly: float inputs enter at their
-binary values and each result is rounded once.  For standardized inputs
+one truncated series log or exp, taken in the graded integers of
+:mod:`renyi_clt.exactpoly`: float inputs enter at their binary values, and
+with c the common denominator of the series, k! c**k l_k = c**k gamma_k
+comes out as an integer, so each result is one ``Fraction``, rounded once
+to a float for float input.  For standardized inputs
 this yields the familiar low-order identities
 
     gamma_3 = alpha_3
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
-from .exactpoly import _exp_series, _log_series
+from .exactpoly import _graded, _graded_exp, _graded_log
 
 __all__ = [
     "MomentVector",
@@ -128,13 +131,15 @@ def _egf(values) -> list:
     return [1] + [Fraction(v) / factorial(k) for k, v in enumerate(values, start=1)]
 
 
-def _rounded(values, series) -> list:
-    """k! series[k] for k = 1..len(values): an int when integral, else a
-    ``Fraction``, when every input value is an int or a Fraction; a float,
-    rounded once, otherwise."""
-    exact = all(isinstance(v, (int, Fraction)) for v in values)
-    out = [factorial(k) * series[k] for k in range(1, len(values) + 1)]
-    if not exact:
+def _converted(values, recursion, series) -> list:
+    """k! s_k for k = 1..len(values), where s is the log or the exp of
+    ``series`` and ``recursion`` the graded-integer one of
+    :mod:`renyi_clt.exactpoly` that gives k! c**k s_k: an int when
+    integral, else a ``Fraction``, when every input value is an int or a
+    Fraction; a float, rounded once, otherwise."""
+    graded, c = _graded(series)
+    out = [Fraction(v[0], c**k) for k, v in enumerate(recursion(graded)) if k]
+    if not all(isinstance(v, (int, Fraction)) for v in values):
         return [float(v) for v in out]
     return [v.numerator if v.denominator == 1 else v for v in out]
 
@@ -144,7 +149,7 @@ def cumulants_from_moments(moments) -> CumulantVector:
     series (exact for rationals).  gamma_1 and gamma_2 are alpha_1 and
     alpha_2 as given."""
     alpha = _as_values(moments, MomentVector)
-    gammas = _rounded(alpha, _log_series(_egf(alpha)))
+    gammas = _converted(alpha, _graded_log, _egf(alpha))
     return CumulantVector((alpha[0], alpha[1], *gammas[2:]))
 
 
@@ -155,7 +160,7 @@ def moments_from_cumulants(cumulants) -> MomentVector:
     inputs).
     """
     gamma = _as_values(cumulants, CumulantVector)
-    return MomentVector(tuple(_rounded(gamma, _exp_series([0, *_egf(gamma)[1:]]))))
+    return MomentVector(tuple(_converted(gamma, _graded_exp, [0, *_egf(gamma)[1:]])))
 
 
 def standard_cumulants(spec, order: int = 6, **params) -> CumulantVector:

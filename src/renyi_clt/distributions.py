@@ -284,8 +284,11 @@ class StandardizedGamma(DistributionSpec):
             raise ValueError("alpha must be positive")
         if 1 / alpha == math.inf:
             raise ValueError(f"alpha={alpha} is too small: 1/alpha, and so n_min, overflows")
+        try:
+            self.sqrt_alpha = math.sqrt(float(alpha))
+        except OverflowError:
+            raise ValueError("alpha is too large: it overflows a float") from None
         self.alpha = alpha
-        self.sqrt_alpha = math.sqrt(float(alpha))
         self._exact_root = _exact_sqrt(alpha)
         self.n_min = math.floor(1 / alpha) + 1
 

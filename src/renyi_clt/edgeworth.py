@@ -21,7 +21,12 @@ mass, moment matching) survive.
 All the Q_k of one cumulant vector are built together, from one truncated
 exp series, and cached, in exact arithmetic with float cumulants entering
 at their binary values, so the models and the expansion coefficients of one
-law share them.
+law share them.  The series is taken in graded-integer form (see
+:mod:`renyi_clt.exactpoly`): with c the common denominator of the
+gamma_{k+2}/(k+2)!, its k-th coefficient is the integer monomial
+c**k gamma_{k+2}/(k+2)! D**(k+2), the exp gives k! c**k times the eps**k
+coefficient as an integer polynomial in D, and reading D**m as H_m gives
+Q_k as integers over the one denominator k! c**k.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import Optional
 
 from ._lazy import np
 from .cumulants import CumulantVector
-from .exactpoly import Poly, _exp_series, _is_array, hermite
+from .exactpoly import Poly, _graded, _graded_exp, _is_array, hermite
 
 __all__ = [
     "normal_pdf",
@@ -73,15 +78,18 @@ def correction_polynomial(k: int, cumulants: CumulantVector) -> Poly:
 def _correction_polynomials(gammas: tuple) -> tuple:
     """(Q_1, ..., Q_K) for exact ``gammas`` = (gamma_3, ..., gamma_{K+2}):
     the exp of the cumulant series in eps, whose coefficients are
-    polynomials in D, truncated at eps**K."""
-    cgf = [0] + [
-        Poly([0] * (k + 2) + [g * Fraction(1, factorial(k + 2))])
-        for k, g in enumerate(gammas, start=1)
-    ]
-    return tuple(
-        sum((c * hermite(m) for m, c in enumerate((Poly() + series).coeffs) if c), Poly())
-        for series in _exp_series(cgf)[1:]  # a zero term may be a number
-    )
+    monomials in D, truncated at eps**K, in graded-integer form."""
+    scaled, c = _graded([0, *(g / factorial(k + 2) for k, g in enumerate(gammas, start=1))])
+    cgf = [[0]] + [[0] * (k + 2) + a for k, a in enumerate(scaled[1:], start=1)]
+    qs = []
+    for k, series in enumerate(_graded_exp(cgf)[1:], start=1):
+        nums = [0] * len(series)
+        for m, w in enumerate(series):
+            if w:
+                for i, h in enumerate(hermite(m).coeffs):
+                    nums[i] += w * h
+        qs.append(Poly._over(nums, factorial(k) * c**k))
+    return tuple(qs)
 
 
 @dataclass(frozen=True)
@@ -116,17 +124,34 @@ class EdgeworthModel:
     def q(self, k: int) -> Poly:
         return self.q_polys[k - 1]
 
+    def correction_factors(self, ns, x):
+        """1 + sum_k Q_k(x) n**(-k/2) for each n of ``ns`` in turn, a
+        generator over one x: each Q_k(x) is evaluated once for all of them,
+        and each factor takes the same operations in the same order as
+        :meth:`correction_factor`."""
+        ns = list(ns)
+        if any(n < 1 for n in ns):
+            raise ValueError("n must be a positive integer")
+        terms = [(k, q(x)) for k, q in enumerate(self.q_polys, start=1) if not q.is_zero()]
+        for n in ns:
+            acc = 1.0 if _is_array(x) else 1
+            for k, qx in terms:
+                acc = acc + qx * n ** (-k / 2)
+            yield acc
+
     def correction_factor(self, n: int, x):
         """1 + sum_k Q_k(x) n**(-k/2); the signed density is phi(x) times this."""
-        if n < 1:
-            raise ValueError("n must be a positive integer")
-        acc = 1.0 if _is_array(x) else 1
-        for k, q in enumerate(self.q_polys, start=1):
-            if q.is_zero():
-                continue
-            acc = acc + q(x) * n ** (-k / 2)
-        return acc
+        return next(self.correction_factors((n,), x))
+
+    def densities(self, ns, x):
+        """The signed corrected densities phi_m(x) for each n of ``ns`` in
+        turn, a generator over one x that takes phi(x) and every Q_k(x)
+        once; each equals :meth:`density` at its n."""
+        factors = self.correction_factors(ns, x)
+        phi = normal_pdf(x)
+        for factor in factors:
+            yield phi * factor
 
     def density(self, n: int, x):
         """Signed corrected density phi_m(x) for the given n."""
-        return normal_pdf(x) * self.correction_factor(n, x)
+        return next(self.densities((n,), x))

@@ -13,15 +13,33 @@ family orthogonal under the standard normal weight, generated by
 with H_k' = k * H_{k-1} and the Appell-type relation
 H_k'(x) - x * H_k(x) = -H_{k+1}(x).
 
-The private truncated power-series engine (:func:`_truncated_product`,
-:func:`_log_series`, :func:`_exp_series`) works on coefficient lists over
-int, ``Fraction`` and ``Poly`` coefficients; every partition sum of the
-library (cumulants, Edgeworth polynomials, expansion coefficients) is a log,
-an exp or a power of such a series.
+Every partition sum of the library (cumulants, Edgeworth polynomials,
+expansion coefficients) is a log, an exp or a power of a truncated power
+series, and one private engine takes them all in Python ints.  A series
+sum_k a_k t**k with rational coefficients, each a number or a polynomial,
+is carried in graded-integer form: with c the common denominator of its
+coefficients, A_k = c**k a_k is a list of integer coefficients
+(:func:`_graded`).  With E_k = k! c**k e_k and Lambda_k = k! c**k l_k the
+classical derivative recursions (Brent and Kung, J. ACM 25, 1978) for
+exp(sum a_k t**k) = sum e_k t**k, a_0 = 0, and log(sum a_k t**k) =
+sum l_k t**k, a_0 = 1, become
+
+    E_k = sum_{i<=k} i (k-1)!/(k-i)! A_i E_{k-i},                 E_0 = 1,
+    Lambda_k = k! A_k - sum_{i<k} (k-1)!/(i-1)! Lambda_i A_{k-i},
+
+integer products and sums with no division (:func:`_graded_exp`,
+:func:`_graded_log`).  A caller makes one ``Fraction`` per value it
+returns.  :func:`_exp_series` and :func:`_log_series` do so for a list of
+int, ``Fraction``, float or ``Poly`` coefficients.
+
+Evaluation at a rational point p/q is an integer Horner pass too: with the
+integer numerators n_k of a polynomial over one denominator d, the value is
+(sum_k n_k p**k q**(D-k)) / (d q**D), one ``Fraction`` at the end.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ._lazy import np
@@ -46,7 +64,7 @@ class Poly:
     represented by an empty coefficient tuple and has degree -1.
     """
 
-    __slots__ = ("coeffs", "_float_cache")
+    __slots__ = ("coeffs", "_float_cache", "_int_cache")
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
@@ -54,6 +72,7 @@ class Poly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "_float_cache", None)
+        object.__setattr__(self, "_int_cache", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Poly is immutable")
@@ -63,6 +82,17 @@ class Poly:
     @classmethod
     def x(cls) -> "Poly":
         return cls((0, 1))
+
+    @classmethod
+    def _over(cls, nums, den: int) -> "Poly":
+        """The polynomial sum_k nums[k] x**k / den for integers ``nums`` and
+        ``den`` > 0, with ``Fraction`` coefficients and its reduced integer
+        form kept for evaluation."""
+        poly = cls(Fraction(v, den) for v in nums)
+        g = math.gcd(den, *nums)
+        form = [v // g for v in nums[: len(poly.coeffs)]], den // g
+        object.__setattr__(poly, "_int_cache", form)
+        return poly
 
     # -- structure ----------------------------------------------------
 
@@ -166,6 +196,19 @@ class Poly:
 
     # -- evaluation -----------------------------------------------------
 
+    def _integer_form(self):
+        """(nums, den) with coeffs[k] = nums[k] / den in ints, den the least
+        common denominator; None when a coefficient is not an int or a
+        ``Fraction``.  Cached."""
+        if self._int_cache is None:
+            cs = self.coeffs
+            if not all(isinstance(c, (int, Fraction)) for c in cs):
+                return None
+            den = math.lcm(*(c.denominator for c in cs))
+            nums = [c.numerator * (den // c.denominator) for c in cs]
+            object.__setattr__(self, "_int_cache", (nums, den))
+        return self._int_cache
+
     def float_coeffs(self) -> np.ndarray:
         """Coefficients as a float array (cached), low degree first."""
         if self._float_cache is None:
@@ -176,8 +219,11 @@ class Poly:
     def __call__(self, x):
         """Horner evaluation.
 
-        Exact when ``x`` and the coefficients are rational; float otherwise.
-        numpy arrays are evaluated with float coefficients.
+        Exact when ``x`` and the coefficients are rational: at an int or a
+        ``Fraction`` x = p/q an integer Horner pass over the cached integer
+        form, one ``Fraction`` at the end (an int when x and every
+        coefficient are ints).  Float otherwise.  numpy arrays are evaluated
+        with float coefficients.
         """
         if _is_array(x):
             cs = self.float_coeffs()
@@ -186,10 +232,20 @@ class Poly:
                 acc *= x
                 acc += c
             return acc
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        form = self._integer_form() if type(x) in (int, Fraction) else None
+        if form is None:
+            acc = 0
+            for c in reversed(self.coeffs):
+                acc = acc * x + c
+            return acc
+        nums, den = form
+        if not nums:
+            return 0
+        q = x.denominator
+        value = _horner(nums, x.numerator, q)
+        if type(x) is int and den == 1 and all(isinstance(c, int) for c in self.coeffs):
+            return value
+        return Fraction(value, den * q ** (len(nums) - 1))
 
 
 _HERMITE_CACHE = [Poly((1,)), Poly((0, 1))]
@@ -206,43 +262,115 @@ def hermite(k: int) -> Poly:
     return _HERMITE_CACHE[k]
 
 
-def _truncated_product(p: list, q: list) -> list:
-    """p * q for coefficient lists of one length, truncated at that length."""
-    out = [0] * len(p)
+def _horner(nums: list, p: int, q: int) -> int:
+    """sum_k nums[k] p**k q**(D-k), D = len(nums) - 1: q**D times the
+    polynomial with integer coefficients ``nums`` at p/q, in ints."""
+    acc = 0
+    scale = 1
+    for c in reversed(nums):
+        acc = acc * p + c * scale
+        scale *= q
+    return acc
+
+
+def _addmul(acc: list, p: list, q: list, w: int) -> list:
+    """acc += w p q in place, for polynomials as lists of integer
+    coefficients; acc grows to the length of the product."""
+    top = len(p) + len(q) - 1
+    if len(acc) < top:
+        acc.extend([0] * (top - len(acc)))
+    right = [(j, b) for j, b in enumerate(q) if b]
     for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q[: len(p) - i]):
-            if b != 0:
-                out[i + j] += a * b
+        if a:
+            a *= w
+            for j, b in right:
+                acc[i + j] += a * b
+    return acc
+
+
+def _truncated_product(p: list, q: list) -> list:
+    """p * q for series of integer polynomial coefficient lists, truncated
+    at the length of p."""
+    out = [[0] for _ in p]
+    for i, a in enumerate(p):
+        if any(a):
+            for j, b in enumerate(q[: len(p) - i]):
+                if any(b):
+                    _addmul(out[i + j], a, b, 1)
     return out
+
+
+def _graded(coeffs: list):
+    """(A, c) for a series of int, ``Fraction``, float or ``Poly``
+    coefficients (a float at its binary value): c the common denominator of
+    every coefficient and A_k = c**k coeffs[k] as a list of integer
+    polynomial coefficients, a number being a constant."""
+    rows = [
+        [Fraction(v) for v in a.coeffs] if isinstance(a, Poly) else [Fraction(a)]
+        for a in coeffs
+    ]
+    c = math.lcm(*(v.denominator for row in rows for v in row))
+    graded = []
+    for k, row in enumerate(rows):
+        scale = c**k
+        graded.append([v.numerator * (scale // v.denominator) for v in row])
+    return graded, c
+
+
+def _graded_exp(series: list) -> list:
+    """E_k = k! c**k e_k for exp(sum_k a_k t**k) = sum_k e_k t**k, a_0 = 0,
+    from A_k = c**k a_k (``series[0]`` is not read), by the recursion of the
+    module docstring; integer polynomial coefficient lists in and out."""
+    out = [[1]]
+    for k in range(1, len(series)):
+        acc = [0]
+        for i in range(1, k + 1):
+            if any(series[i]):
+                _addmul(acc, series[i], out[k - i], i * math.perm(k - 1, i - 1))
+        out.append(acc)
+    return out
+
+
+def _graded_log(series: list) -> list:
+    """Lambda_k = k! c**k l_k for log(sum_k a_k t**k) = sum_k l_k t**k,
+    a_0 = 1, from A_k = c**k a_k, by the recursion of the module docstring;
+    integer polynomial coefficient lists in and out."""
+    out = [[0]]
+    for k in range(1, len(series)):
+        acc = [math.factorial(k) * v for v in series[k]]
+        for i in range(1, k):
+            if any(out[i]):
+                _addmul(acc, out[i], series[k - i], -math.perm(k - 1, k - i))
+        out.append(acc)
+    return out
+
+
+def _ungraded(coeffs: list, graded: list, c: int, first) -> list:
+    """[first, e_1, e_2, ...] with e_k = graded[k] / (k! c**k): a ``Poly``
+    when ``coeffs`` holds one, otherwise a ``Fraction``, rounded once to a
+    float when ``coeffs`` holds a float."""
+    if any(isinstance(a, Poly) for a in coeffs):
+        value = Poly._over
+    elif any(isinstance(a, float) for a in coeffs):
+        value = lambda nums, den: float(Fraction(nums[0], den))  # noqa: E731
+    else:
+        value = lambda nums, den: Fraction(nums[0], den)  # noqa: E731
+    return [first] + [
+        value(graded[k], math.factorial(k) * c**k) for k in range(1, len(graded))
+    ]
 
 
 def _exp_series(coeffs: list) -> list:
     """exp(sum_k coeffs[k] t**k) truncated at the same order, for
-    coeffs[0] == 0, by the derivative recursion
-
-        k e_k = sum_{i=1}^{k} (i b_i) e_{k-i},    e_0 = 1.
-
-    Exact over exact input, as exp(0) = 1 never enters as a float."""
-    slopes = [i * c for i, c in enumerate(coeffs)]
-    out = [1]
-    for k in range(1, len(coeffs)):
-        terms = (slopes[i] * out[k - i] for i in range(1, k + 1) if slopes[i] != 0)
-        out.append(sum(terms, 0) * Fraction(1, k))
-    return out
+    coeffs[0] == 0, from :func:`_graded_exp`: 1, then each coefficient
+    typed by :func:`_ungraded`."""
+    graded, c = _graded(coeffs)
+    return _ungraded(coeffs, _graded_exp(graded), c, 1)
 
 
 def _log_series(coeffs: list) -> list:
     """log(sum_k coeffs[k] t**k) truncated at the same order, for
-    coeffs[0] == 1, by the derivative recursion
-
-        k l_k = k a_k - sum_{i=1}^{k-1} (i l_i) a_{k-i},    l_0 = 0.
-    """
-    out = [0]
-    slopes = [0]
-    for k in range(1, len(coeffs)):
-        terms = (slopes[i] * coeffs[k - i] for i in range(1, k) if slopes[i] != 0)
-        out.append((k * coeffs[k] - sum(terms, 0)) * Fraction(1, k))
-        slopes.append(k * out[k])
-    return out
+    coeffs[0] == 1, from :func:`_graded_log`: 0, then each coefficient
+    typed by :func:`_ungraded`."""
+    graded, c = _graded(coeffs)
+    return _ungraded(coeffs, _graded_log(graded), c, 0)

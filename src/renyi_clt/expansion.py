@@ -22,11 +22,15 @@ P_k = [s**(2j)] U**k / k!, a truncated power of one series,
 
     a_j(r) = sum_k (r)_k sum_i c_{k,i} r**(-i),   c_{k,i} = coeff_{2i}(P_k) (2i-1)!!,
 
-a Laurent polynomial in r with i <= 3j.  It is built once per (j, cumulants)
-and cached, from the Q_k of the :func:`~renyi_clt.edgeworth.correction_polynomial`
-cache, which every j shares; evaluating it at an index costs a Horner pass in
-exact arithmetic.  Results are exact (``Fraction``) when r is an int or Fraction
-and every cumulant is rational, and floats, rounded once, otherwise.
+a Laurent polynomial in r with i <= 3j.  Every a_j of a law, j up to the
+largest J = [(m-2)/2] that its order-m cumulants allow, comes from one
+cached build, from the Q_k of the
+:func:`~renyi_clt.edgeworth.correction_polynomial` cache, in Python ints:
+each N_j = D_j r**(3j) a_j(r) is a list of integer coefficients over one
+integer D_j.  Evaluating it at an index r = p/q costs one integer Horner
+pass and one ``Fraction``.  Results are exact (``Fraction``) when r is an
+int or Fraction and every cumulant is rational, and floats, rounded once,
+otherwise.
 
 The entropy and entropy-power expansions
 
@@ -37,7 +41,8 @@ follow from b-series = -1/(r-1) * log(a-series) and c-series =
 exp(2 * b-series).  With v = 1/(n r**3) the a-series is
 1 + sum_j (N_j(r)/D_j) v**j, a series in v with polynomial coefficients, so
 its logarithm is sum_j L_j(r) v**j with every L_j an exact polynomial in r,
-built once per (order, cumulants), and
+built once per law, as integers over one denominator, by the graded-integer
+log of :mod:`renyi_clt.exactpoly`, and
 
     b_j(r) = -L_j(r) / ((r-1) r**(3j))                  (1 < r < inf),
     b_j(1) = -L_j'(1)                   (L_j(1) = 0, as int p_n = 1),
@@ -47,7 +52,8 @@ So one route serves every r in [1, inf], r = 1 (Shannon) and r = inf
 (-log sup p_n) included.  The c-series is taken as exp(2 * b-series), not
 as (a-series)**(-2/(r-1)), because only that form has a limit at r = 1, so
 c_1 = 2 b_1.  The log, the exp and the powers are the exact truncated
-power series of :mod:`renyi_clt.exactpoly`.
+power series of :mod:`renyi_clt.exactpoly`.  At a rational r = p/q each b_j
+is one integer Horner pass over L_j and one ``Fraction``.
 
 The first coefficient b(r) = b_1(r), whose sign decides the eventual
 monotonicity of N_r(Z_n), is linear in r over r, so L_1 = (r-1) r**2
@@ -66,7 +72,7 @@ from math import factorial
 
 from .cumulants import CumulantVector, double_factorial
 from .edgeworth import correction_polynomial
-from .exactpoly import Poly, _exp_series, _log_series, _truncated_product
+from .exactpoly import Poly, _addmul, _exp_series, _graded_log, _horner, _truncated_product
 
 __all__ = [
     "falling_factorial",
@@ -121,41 +127,59 @@ def _is_exact(r, cumulants: CumulantVector) -> bool:
 
 
 @lru_cache(maxsize=64)
-def _laurent_numerator(j: int, cumulants: CumulantVector):
-    """(N_j, D) with a_j(r) = N_j(r) / (D r**(3j)), N_j an integer polynomial.
+def _laurent_numerators(cumulants: CumulantVector) -> tuple:
+    """((N_1, D_1), ..., (N_J, D_J)), J = [(m-2)/2] for order-m cumulants:
+    a_j(r) = N_j(r) / (D_j r**(3j)), with N_j a list of integer
+    coefficients (low degree first) and D_j a positive integer.
 
-    With U = sum_{i<=2j} Q_i s**i, the n**(-j) term of (1 + U)**r is
-    sum_k (r)_k [s**(2j)] U**k / k!, so P_k = [s**(2j)] U**k / k!.  With d the
-    common denominator of the Q_i (from the :func:`correction_polynomial`
-    cache), Y = d U is a series of integer polynomials, and its truncated
-    powers give P_k = [s**(2j)] Y**k / (k! d**k).  Each P_k, of degree at
-    most 6j, contributes (r)_k sum_i c_{k,i} r**(3j-i); D is the common
-    denominator of the c_{k,i}.  The Q_i are exact, float cumulants entering
-    at their binary values, so the build is exact for every law, keeps the
-    identities a_j(1) = 0 and deg L_j <= 3j + 1 that the limits rely on, and
-    depends only on the values: 1/2 and 0.5 share it.
+    With U = sum_{i<=2J} Q_i s**i, the n**(-j) term of (1 + U)**r is
+    sum_k (r)_k [s**(2j)] U**k / k!.  With d the common denominator of the
+    Q_i (from the :func:`correction_polynomial` cache), Y = d U is a series
+    of integer polynomials, and one run of its truncated powers Y**k,
+    k <= 2J, gives every P_{j,k} = [s**(2j)] Y**k / (k! d**k).  Each
+    P_{j,k}, of degree at most 6j, contributes (r)_k sum_i c_{k,i}
+    r**(3j-i), c_{k,i} = coeff_{2i}(P_{j,k}) (2i-1)!!, all over the
+    denominator (2j)! d**(2j), and each pair is reduced once.  The Q_i are
+    exact, float cumulants entering at their binary values, so the build is
+    exact for every law, keeps the identities a_j(1) = 0 and
+    deg L_j <= 3j + 1 that the limits rely on, and depends only on the
+    values: 1/2 and 0.5 share it.
     """
-    qs = [correction_polynomial(i, cumulants) for i in range(1, 2 * j + 1)]
-    d = math.lcm(*(c.denominator for q in qs for c in q.coeffs))
-    y = [0] + [Poly([c.numerator * (d // c.denominator) for c in q.coeffs]) for q in qs]
-    power = [1] + [0] * (2 * j)
-    rows = []
-    for k in range(1, 2 * j + 1):
+    terms = (cumulants.order - 2) // 2
+    qs = [correction_polynomial(i, cumulants)._integer_form() for i in range(1, 2 * terms + 1)]
+    d = math.lcm(*(den for _, den in qs))
+    y = [[0]] + [[v * (d // den) for v in nums] for nums, den in qs]
+    power = [[1]] + [[0]] * (2 * terms)
+    falling = [1]
+    numerators = [[0] for _ in range(terms)]
+    for k in range(1, 2 * terms + 1):
         power = _truncated_product(power, y)  # Y**k
-        p = Poly() + power[2 * j]
-        scale = factorial(k) * d**k
-        rows.append([Fraction(p.coeff(2 * i), scale) for i in range(3 * j + 1)])
-    den = math.lcm(*(c.denominator for row in rows for c in row))
-    num = Poly()
-    falling = Poly((1,))
-    for k, row in enumerate(rows, start=1):
-        falling = falling * Poly((1 - k, 1))  # (r)_k
-        moments = [
-            c.numerator * (den // c.denominator) * double_factorial(2 * i - 1)
-            for i, c in enumerate(row)
-        ]
-        num = num + falling * Poly(moments[::-1])
-    return num, den
+        falling = _addmul([0], falling, [1 - k, 1], 1)  # (r)_k
+        for j in range((k + 1) // 2, terms + 1):  # P_{j,k} = 0 for 2j < k
+            row = power[2 * j]
+            moments = [  # r**e carries c_{k,i} with i = 3j - e
+                row[2 * i] * double_factorial(2 * i - 1) if 2 * i < len(row) else 0
+                for i in range(3 * j, -1, -1)
+            ]
+            weight = factorial(2 * j) // factorial(k) * d ** (2 * j - k)
+            _addmul(numerators[j - 1], falling, moments, weight)
+    out = []
+    for j, num in enumerate(numerators, start=1):
+        den = factorial(2 * j) * d ** (2 * j)
+        g = math.gcd(den, *num)
+        out.append(([v // g for v in num], den // g))
+    return tuple(out)
+
+
+def _laurent_at(nums: list, shift: int, x: Fraction):
+    """(u, v) in ints with sum_k nums[k] x**(k - shift) = u / v at x = p/q
+    > 0: one integer Horner pass."""
+    p, q = x.numerator, x.denominator
+    top = len(nums) - 1
+    value = _horner(nums, p, q)  # q**top times the polynomial at x
+    if shift >= top:
+        return value * q ** (shift - top), p**shift
+    return value, q ** (top - shift) * p**shift
 
 
 def a_coefficient(j: int, r, cumulants: CumulantVector):
@@ -164,7 +188,7 @@ def a_coefficient(j: int, r, cumulants: CumulantVector):
         a_j(r) = sum_k (r)_k sum_{i<=3j} c_{k,i} r**(-i),
 
     the Laurent polynomial of the module docstring.  It is built once per
-    (j, cumulants) and cached, then evaluated at Fraction(r) exactly; int
+    law and cached, then evaluated at Fraction(r) exactly; int
     phi**r never enters, so a_j stays exact where it underflows (r above
     about 770).  The result is a ``Fraction`` when r is an int or Fraction
     and every cumulant is rational; otherwise it is rounded once to a
@@ -178,8 +202,9 @@ def a_coefficient(j: int, r, cumulants: CumulantVector):
         x = Fraction(r)
     except (OverflowError, ValueError):
         raise ValueError(f"index r must be finite, got {r}") from None
-    num, den = _laurent_numerator(j, cumulants)
-    total = num(x) / (den * x ** (3 * j))
+    num, den = _laurent_numerators(cumulants)[j - 1]
+    u, v = _laurent_at(num, 3 * j, x)
+    total = Fraction(u, den * v)
     if _is_exact(r, cumulants):
         return total
     try:
@@ -260,36 +285,58 @@ def a2_from_integrals(r: float, cumulants: CumulantVector) -> float:
 
 
 @lru_cache(maxsize=64)
-def _log_polynomials(terms: int, cumulants: CumulantVector):
-    """(L_1, ..., L_J), J = ``terms``: the exact polynomials of the module
-    docstring, with log(1 + sum_j a_j n**(-j)) = sum_j L_j(r) v**j,
-    v = 1/(n r**3).  :func:`_log_series` takes the log of
-    [1, N_1/D_1, ..., N_J/D_J] over ``Poly`` coefficients, slot j holding
-    v**j, at order J.
+def _all_log_polynomials(cumulants: CumulantVector) -> tuple:
+    """(L_1, ..., L_J), J = [(m-2)/2] for order-m cumulants: the exact
+    polynomials of the module docstring, with
+    log(1 + sum_j a_j n**(-j)) = sum_j L_j(r) v**j, v = 1/(n r**3).  The
+    a-series [1, N_1/D_1, ..., N_J/D_J] in v, slot j holding v**j, enters
+    :func:`~renyi_clt.exactpoly._graded_log` with c = lcm(D_j) and
+    A_j = c**j N_j / D_j, and L_j = Lambda_j / (j! c**j) keeps that integer
+    form for evaluation.
     """
-    coeffs = [1]
-    for j in range(1, terms + 1):
-        num, den = _laurent_numerator(j, cumulants)
-        coeffs.append(num * Fraction(1, den))
-    return tuple(Poly() + lj for lj in _log_series(coeffs)[1:])
+    numerators = _laurent_numerators(cumulants)
+    c = math.lcm(*(den for _, den in numerators))
+    series = [[1]] + [
+        [v * (c**j // den) for v in num] for j, (num, den) in enumerate(numerators, start=1)
+    ]
+    logs = _graded_log(series)[1:]
+    return tuple(Poly._over(lj, factorial(j) * c**j) for j, lj in enumerate(logs, start=1))
+
+
+def _log_polynomials(terms: int, cumulants: CumulantVector) -> tuple:
+    """(L_1, ..., L_terms), read off the law's one build."""
+    cumulants.require_order(2 * terms + 2)
+    return _all_log_polynomials(cumulants)[:terms] if terms else ()
+
+
+def _b_coefficients(terms: int, r, cumulants: CumulantVector) -> list:
+    """The exact b_1..b_terms (``Fraction``) at any 1 <= r <= inf from the
+    cached L_j = nums / den: b_j(r) = -L_j(r) / ((r - 1) r**(3j)), one
+    integer Horner pass and one ``Fraction`` at r = p/q, with its limits at
+    r = 1 (-L_j'(1)) and r = inf (minus the r**(3j+1) coefficient)."""
+    polys = _log_polynomials(terms, cumulants)
+    if r == math.inf:
+        return [-Fraction(lj.coeff(3 * j + 1)) for j, lj in enumerate(polys, start=1)]
+    if r == 1:
+        return [-Fraction(lj.derivative()(1)) for lj in polys]
+    x = Fraction(r)
+    p, q = x.numerator, x.denominator
+    out = []
+    for j, lj in enumerate(polys, start=1):
+        nums, den = lj._integer_form()
+        u, v = _laurent_at(nums, 3 * j, x)
+        out.append(Fraction(-u * q, den * v * (p - q)))  # 1/(r - 1) = q/(p - q)
+    return out
 
 
 def _entropy_coefficients(terms: int, r, cumulants: CumulantVector):
-    """(b, c) through order ``terms`` at any 1 <= r <= inf from the cached
-    L_j: b_j(r) = -L_j(r) / ((r - 1) r**(3j)) exactly, with its limits at
-    r = 1 (-L_j'(1)) and r = inf (minus the r**(3j+1) coefficient), and
-    c-series = exp(2 * b-series) taken exactly.  Each b_j and c_j is a
-    ``Fraction`` when r is an int, a Fraction or inf and every cumulant is
-    rational, and otherwise a float rounded once from the exact value.
+    """(b, c) through order ``terms`` at any 1 <= r <= inf: the b_j of
+    :func:`_b_coefficients` and the c-series = exp(2 * b-series) taken
+    exactly.  Each b_j and c_j is a ``Fraction`` when r is an int, a
+    Fraction or inf and every cumulant is rational, and otherwise a float
+    rounded once from the exact value.
     """
-    polys = _log_polynomials(terms, cumulants)
-    if r == math.inf:
-        b = [-Fraction(lj.coeff(3 * j + 1)) for j, lj in enumerate(polys, start=1)]
-    elif r == 1:
-        b = [-Fraction(lj.derivative()(1)) for lj in polys]
-    else:
-        x = Fraction(r)
-        b = [-lj(x) / ((x - 1) * x ** (3 * j)) for j, lj in enumerate(polys, start=1)]
+    b = _b_coefficients(terms, r, cumulants)
     c = _exp_series([0, *(bj * 2 for bj in b)])[1:]
     rounding = Fraction if _is_exact(r, cumulants) else float
     return tuple(map(rounding, b)), tuple(map(rounding, c))
@@ -297,8 +344,8 @@ def _entropy_coefficients(terms: int, r, cumulants: CumulantVector):
 
 def b_coefficient(r, cumulants: CumulantVector):
     """First-order entropy coefficient b(r) = b_1(r) at any 1 <= r <= inf,
-    the first b of :func:`_entropy_coefficients`, the route of every b_j, at
-    the law's own cumulants.  Its type follows the rule of every b_j
+    from :func:`_b_coefficients`, the route of every b_j, at the law's own
+    cumulants.  Its type follows the rule of every b_j
     (:func:`entropy_expansion`, :func:`limit_expansion`): a ``Fraction``
     when r is an int, a Fraction or inf and every cumulant is rational, and
     otherwise a float rounded once from the exact value.
@@ -306,7 +353,8 @@ def b_coefficient(r, cumulants: CumulantVector):
     cumulants.require_order(4)
     if not r >= 1:
         raise ValueError(f"index r must be >= 1 (or inf), got {r}")
-    return _entropy_coefficients(1, r, cumulants)[0][0]
+    b = _b_coefficients(1, r, cumulants)[0]
+    return b if _is_exact(r, cumulants) else float(b)
 
 
 @dataclass(frozen=True)
@@ -380,9 +428,8 @@ def sign_change_threshold(cumulants: CumulantVector):
     ``Fraction`` when every cumulant is rational, and otherwise a float
     rounded once; None when l_4 = 0 or r_0 <= 1 (b keeps one sign).
     """
-    cumulants.require_order(4)
     l1 = _log_polynomials(1, cumulants)[0]
-    l2, l4 = Fraction(l1.coeff(2)), Fraction(l1.coeff(4))
+    l2, l4 = l1.coeff(2), l1.coeff(4)
     if l4 == 0 or not l2 / l4 > 1:
         return None
     r0 = l2 / l4

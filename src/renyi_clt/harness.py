@@ -164,6 +164,11 @@ class ExperimentConfig:
 
     def build_spec(self) -> distributions.DistributionSpec:
         if self.distribution == "grid":
+            if set(self.params) - {"density_file"}:
+                # as distributions.from_name words it for a named law
+                raise ConfigError(
+                    f"expected parameters ['density_file'], got {sorted(self.params)}"
+                )
             path = self.params.get("density_file")
             if not isinstance(path, str):
                 raise ConfigError("grid distribution needs a density_file path")
@@ -459,13 +464,13 @@ def cmd_locallimit(cfg: ExperimentConfig, dump_dir=None):
         raise ConfigError("locallimit needs moment_order <= 6")
     model = EdgeworthModel.from_cumulants(cums, order=m)
     grids = _grids(cfg, spec, dump_dir)
+    # every grid of one config has the same points, so x, the weight, phi
+    # and each Q_k(x) are evaluated once
+    x = grids[cfg.n_values[0]].x
+    weight = 1.0 + np.abs(x) ** m
     errors = []
-    for n in cfg.n_values:
-        grid = grids[n]
-        x = grid.x
-        weight = 1.0 + np.abs(x) ** m
-        approx = model.density(n, x)
-        errors.append(float(np.max(weight * np.abs(grid.values - approx))))
+    for n, approx in zip(cfg.n_values, model.densities(cfg.n_values, x)):
+        errors.append(float(np.max(weight * np.abs(grids[n].values - approx))))
     if len(cfg.n_values) >= 2:
         slope = float(
             np.polyfit(np.log(cfg.n_values), np.log(errors), 1)[0]

@@ -4,7 +4,8 @@ These deliberately avoid the library's computational paths: the Irwin-Hall
 pieces are assembled from first principles with exact rational arithmetic,
 integration is plain antiderivative evaluation, the integrals against powers
 of the normal density are Gaussian moments and closed forms, the cumulants,
-the Edgeworth polynomials and the a_j are partition sums, the entropy and
+the Edgeworth polynomials and the a_j are partition sums, the series exp
+and log and Horner's rule take one Fraction operation at a time, the entropy and
 sup-norm coefficients and the threshold r_0 are hand-derived formulas, and
 the density fold adds
 whole frequency periods in complex arithmetic, as it was first written.
@@ -143,6 +144,57 @@ def hermite_integral(k: int, r) -> float:
     mass, x = gauss_power_mass(r), Fraction(r)
     j = k // 2
     return 0.0 if k % 2 else float(gauss_moment_exact(k) * (1 - x) ** j / x**j) * mass
+
+
+# -- the Fraction series engine and Horner ------------------------------------
+
+
+def truncated_product(p: list, q: list) -> list:
+    """p * q for coefficient lists of one length over any ring (int,
+    Fraction, float, Poly), truncated at that length."""
+    out = [0] * len(p)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q[: len(p) - i]):
+            if b != 0:
+                out[i + j] += a * b
+    return out
+
+
+def exp_series(coeffs: list) -> list:
+    """exp(sum_k coeffs[k] t**k) for coeffs[0] == 0 by the derivative
+    recursion k e_k = sum_{i=1}^{k} (i b_i) e_{k-i}, e_0 = 1, one Fraction
+    operation at every step: the library's series exp as first written."""
+    slopes = [i * c for i, c in enumerate(coeffs)]
+    out = [1]
+    for k in range(1, len(coeffs)):
+        terms = (slopes[i] * out[k - i] for i in range(1, k + 1) if slopes[i] != 0)
+        out.append(sum(terms, 0) * Fraction(1, k))
+    return out
+
+
+def log_series(coeffs: list) -> list:
+    """log(sum_k coeffs[k] t**k) for coeffs[0] == 1 by the derivative
+    recursion k l_k = k a_k - sum_{i=1}^{k-1} (i l_i) a_{k-i}, l_0 = 0, one
+    Fraction operation at every step: the library's series log as first
+    written."""
+    out = [0]
+    slopes = [0]
+    for k in range(1, len(coeffs)):
+        terms = (slopes[i] * coeffs[k - i] for i in range(1, k) if slopes[i] != 0)
+        out.append((k * coeffs[k] - sum(terms, 0)) * Fraction(1, k))
+        slopes.append(k * out[k])
+    return out
+
+
+def horner(p: Poly, x):
+    """p(x) by Horner's rule in the arithmetic of x and the coefficients,
+    one operation at a time: ``Poly.__call__`` as first written."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 # -- partition sums ------------------------------------------------------------

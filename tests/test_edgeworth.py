@@ -113,6 +113,29 @@ def test_density_single_term_form():
     assert np.allclose(model.density(n, x), expected, atol=1e-15)
 
 
+def test_densities_take_the_single_n_operations():
+    # several n on one x evaluate each Q_k(x) once, yet every density is
+    # bit for bit the sum taken one n at a time, term by term
+    rng = np.random.default_rng(31)
+    model = EdgeworthModel.from_cumulants(random_cumulants(rng))
+    x = np.linspace(-9, 9, 2001)
+    ns = [1, 4, 9, 64, 1000]
+
+    def one_at_a_time(n):
+        acc = 1.0
+        for k, q in enumerate(model.q_polys, start=1):
+            if not q.is_zero():
+                acc = acc + q(x) * n ** (-k / 2)
+        return normal_pdf(x) * acc
+
+    for n, density in zip(ns, model.densities(ns, x), strict=True):
+        assert np.array_equal(density, one_at_a_time(n))
+        assert np.array_equal(model.density(n, x), density)
+    assert model.correction_factor(4, F(1, 2)) == next(model.correction_factors([4], F(1, 2)))
+    with pytest.raises(ValueError, match="positive"):
+        next(model.densities([4, 0], x))
+
+
 def test_unit_mass_symbolic():
     # int phi_m = 1 exactly: every Q_k integrates to zero against phi
     rng = np.random.default_rng(5)

@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import exp_series, horner, log_series
 from renyi_clt.cumulants import double_factorial
-from renyi_clt.exactpoly import Poly, hermite
+from renyi_clt.exactpoly import Poly, _exp_series, _log_series, hermite
 
 X = Poly.x()
 
@@ -90,3 +93,66 @@ def test_pow():
     p = Poly((1, 1))
     assert p**3 == Poly((1, 3, 3, 1))
     assert p**0 == Poly((1,))
+
+
+# -- the graded-integer engine against the Fraction recursions ------------------
+
+_INTS = st.integers(-10**6, 10**6)
+_FRACTIONS = st.fractions(min_value=-50, max_value=50, max_denominator=10**4)
+_INT_POLYS = st.lists(st.integers(-20, 20), max_size=5).map(Poly)
+_POINTS = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=10**6),
+    st.floats(-30, 30, allow_nan=False).map(Fraction),
+)
+
+
+def _same(lib, ref):
+    """Equal, and of the same type: a ``Poly`` with the same coefficient
+    types, except that the graded engine gives a zero entry of a ``Poly``
+    series as the zero ``Poly`` where the recursion may leave the number 0."""
+    assert lib == ref
+    if isinstance(lib, Poly) and not isinstance(ref, Poly):
+        assert lib.is_zero() and ref == 0
+        return
+    assert type(lib) is type(ref)
+    if isinstance(lib, Poly):
+        assert [type(c) for c in lib.coeffs] == [type(c) for c in ref.coeffs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from([_INTS, _FRACTIONS, _INT_POLYS]),
+    data=st.data(),
+    order=st.integers(0, 7),
+)
+def test_graded_series_equal_the_fraction_recursions(kind, data, order):
+    tail = data.draw(st.lists(kind, min_size=order, max_size=order))
+    for lib, ref in (
+        (_exp_series([0, *tail]), exp_series([0, *tail])),
+        (_log_series([1, *tail]), log_series([1, *tail])),
+    ):
+        assert len(lib) == len(ref)
+        for a, b in zip(lib, ref):
+            _same(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(st.one_of(st.integers(-10**9, 10**9), _FRACTIONS), max_size=9),
+    x=_POINTS,
+)
+def test_integer_horner_equals_fraction_horner(coeffs, x):
+    p = Poly(coeffs)
+    value = p(x)
+    _same(value, horner(p, x))
+    assert p(x) == value  # the cached integer form gives it again
+
+
+def test_integer_horner_keeps_the_result_types():
+    assert type(Poly((1, 2))(3)) is int and Poly((1, 2))(3) == 7
+    assert type(Poly((Fraction(2), 2))(3)) is Fraction
+    assert type(Poly((1, 2))(Fraction(1, 2))) is Fraction
+    assert type(Poly((1,))(Fraction(0))) is Fraction  # an integral Fraction point
+    assert Poly()(Fraction(1, 3)) == 0 and type(Poly()(Fraction(1, 3))) is int
+    assert Poly((Fraction(1, 2), 3))(0.5) == 2.0 and type(Poly((1, 3))(0.5)) is float

@@ -12,6 +12,7 @@ import renyi_clt as rc
 from oracles import a_coefficient_by_compositions, b_closed_form, leading_entropy_coefficient
 from oracles import correction_polynomial_by_partitions, cumulant_by_partitions
 from oracles import gauss_power_integral, hermite_integral, sign_change_threshold_closed_form
+from oracles import truncated_product
 from renyi_clt.cumulants import CumulantVector, cumulants_from_moments, moments_from_cumulants
 from renyi_clt.expansion import (
     DECREASING,
@@ -30,8 +31,8 @@ from renyi_clt.expansion import (
     monotonicity_prediction,
     sign_change_threshold,
 )
-from renyi_clt.exactpoly import Poly, _exp_series, _log_series, _truncated_product
-from renyi_clt.expansion import _laurent_numerator, _log_polynomials
+from renyi_clt.exactpoly import Poly, _exp_series, _log_series
+from renyi_clt.expansion import _all_log_polynomials, _laurent_numerators, _log_polynomials
 
 F = Fraction
 UNIFORM = CumulantVector((0, 1, 0, F(-6, 5), 0, F(48, 7)))
@@ -92,7 +93,7 @@ def test_series_pow_additivity():
         s = [1.0] + list(rng.uniform(-0.5, 0.5, size=4))
         q1, q2 = rng.uniform(-2, 2, size=2)
         lhs = _pow(s, q1 + q2)
-        rhs = _truncated_product(_pow(s, q1), _pow(s, q2))
+        rhs = truncated_product(_pow(s, q1), _pow(s, q2))
         assert np.allclose(lhs, rhs, rtol=1e-11, atol=1e-12)
 
 
@@ -370,8 +371,8 @@ def test_a2_is_the_gaussian_average_of_the_edgeworth_power():
     ref = sympy_a(2)
     cums = rc.standard_cumulants("gamma", order=6, alpha=4)
     assert cums.values[2:] == tuple(SYMPY_GAMMA4.values())
-    num, den = _laurent_numerator(2, cums)
-    lib = sum(sp.Integer(c) * R**e for e, c in enumerate(num.coeffs)) / (den * R**6)
+    num, den = _laurent_numerators(cums)[1]
+    lib = sum(sp.Integer(c) * R**e for e, c in enumerate(num)) / (den * R**6)
     assert sp.simplify(lib - ref) == 0
 
 
@@ -386,28 +387,47 @@ def test_b2_limits_at_r1_and_rinf_match_sympy():
     assert sp.simplify(b2.subs(R, 2)) == sp.Rational(-1, 128)
 
 
-def test_expansion_builds_once_per_law(monkeypatch):
-    # the r-free work (the Q_k series and its powers) happens once per
-    # (order, cumulants); further indices only evaluate
+def test_expansion_builds_once_per_law():
+    # the r-free work (the Q_k series, the powers of U and the log) happens
+    # once per law; further indices only evaluate
     cums = rc.standard_cumulants("gamma", order=8, alpha=4)
-    entropy_expansion(8, 2.5, cums)  # fills the Hermite cache
-    calls = []
-    mul = Poly.__mul__
-
-    def counting(self, other):
-        calls.append(1)
-        return mul(self, other)
-
-    monkeypatch.setattr(Poly, "__mul__", counting)
-    counts = []
+    builders = (_laurent_numerators, _all_log_polynomials)
     for rs in ([1.5], [1.005, 1.5, 2, 3.4, 7.9, 800, 1e5, 12.25]):
-        _laurent_numerator.cache_clear()
-        _log_polynomials.cache_clear()
-        calls.clear()
+        for builder in builders:
+            builder.cache_clear()
         for r in rs:
             entropy_expansion(8, r, cums)
-        counts.append(len(calls))
-    assert counts[0] > 0 and counts[0] == counts[1]
+        assert [builder.cache_info().misses for builder in builders] == [1, 1]
+
+
+def stirling_gamma_b(j, r):
+    """b_j(r) of Gamma(4): the standardized sum of n Gamma(4) laws is a
+    standardized Gamma(k), k = 4n, with
+
+        (1 - r) h_r = log Gamma(r (k-1) + 1) - (r (k-1) + 1) log r
+                      - r log Gamma(k) - (1 - r) log(k) / 2,
+
+    and Stirling's series log Gamma(z + a) ~ (z + a - 1/2) log z - z
+    + log(2 pi)/2 + sum_m (-1)**(m+1) B_{m+1}(a) / (m (m+1) z**m), taken at
+    z = r k, a = 1 - r and at z = k, a = 0, leaves the n**(-j) term below
+    (sympy's Bernoulli polynomials)."""
+    r = sp.Rational(r.numerator, r.denominator)
+    x = sp.Symbol("x")
+    bern = sp.bernoulli(j + 1, x)
+    term = (-1) ** (j + 1) / (sp.Integer(j * (j + 1)) * 4**j)
+    return term * (bern.subs(x, 1 - r) / r**j - r * bern.subs(x, 0)) / (1 - r)
+
+
+@pytest.mark.parametrize("r", [F(2), F(7, 3)])
+def test_gamma4_at_order_20_follows_stirling(r):
+    # the exact engine at moment order 20, b_1..b_9, from the exact
+    # cumulants (k-1)!/2**(k-2) of Gamma(4)
+    gammas = [F(math.factorial(k - 1), 2 ** (k - 2)) for k in range(3, 21)]
+    cums = CumulantVector.from_gammas(*gammas)
+    b = entropy_expansion(20, r, cums).b
+    assert len(b) == 9
+    for j, bj in enumerate(b, start=1):
+        assert sp.Rational(bj.numerator, bj.denominator) == stirling_gamma_b(j, r)
 
 
 def test_rational_inputs_give_exact_expansion():
@@ -504,7 +524,7 @@ def test_equal_float_and_rational_cumulants_build_separately():
     from_floats = a_coefficient(2, 3, floats)
     assert type(from_floats) is float
     assert a_coefficient(2, 3, exact) == a_coefficient_by_compositions(2, 3, exact)
-    _laurent_numerator.cache_clear()
+    _laurent_numerators.cache_clear()
     assert type(a_coefficient(2, 3, exact)) is F
     assert a_coefficient(2, 3, floats) == from_floats
 

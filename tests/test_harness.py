@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 import renyi_clt as rc
 from renyi_clt import distributions, edgeworth, expansion, harness, numerics
-from renyi_clt.exactpoly import Poly
 from renyi_clt.harness import (
     ConfigError,
     ExperimentConfig,
@@ -111,12 +110,15 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
         {"n_values": [2, 10**400]},
         {"distribution": "gamma", "alpha": 1e-320},
         {"distribution": "gamma", "alpha": 10**400},
+        {"distribution": "gamma", "alpha": 2**1024},
         # a JSON true ran as Gamma(1)
         {"distribution": "gamma", "alpha": True},
         # a float cumulant overflowed (exit 3), and n_min = floor(1/alpha) + 1
         # failed with "cannot convert float infinity to integer"
         {"distribution": "gamma", "alpha": 1e-300},
         {"distribution": "gamma", "alpha": 5e-324},
+        # law parameters beside a density_file were ignored, with exit 0
+        {"distribution": "grid", "density_file": "table.csv", "alpha": 4},
     ],
 )
 def test_null_law_and_out_of_float_range_values_are_config_errors(
@@ -131,6 +133,14 @@ def test_null_law_and_out_of_float_range_values_are_config_errors(
         if overrides.get("alpha") in (1e-320, 1e-300, 5e-324):
             # a tiny alpha is named, with the overflow it causes
             assert f"alpha={overrides['alpha']}" in err and "overflow" in err
+        if overrides.get("alpha") in (10**400, 2**1024):
+            # was "int too large to convert to float", naming nothing
+            assert err == "config error: alpha is too large: it overflows a float\n"
+        if overrides.get("distribution") == "grid":
+            assert err == (
+                "config error: expected parameters ['density_file'], "
+                "got ['alpha', 'density_file']\n"
+            )
 
 
 @pytest.mark.parametrize(
@@ -409,36 +419,29 @@ def test_coeffs_a1_a2_match_hand_formulas(law):
         assert a2 == pytest.approx(rc.a2_from_integrals(r, cums), rel=1e-13, abs=0)
 
 
+_SYMBOLIC_BUILDERS = (
+    expansion._laurent_numerators,
+    expansion._all_log_polynomials,
+    edgeworth._correction_polynomials,
+)
+
+
 def _clear_symbolic_caches():
-    expansion._laurent_numerator.cache_clear()
-    expansion._log_polynomials.cache_clear()
-    edgeworth._correction_polynomials.cache_clear()
+    for builder in _SYMBOLIC_BUILDERS:
+        builder.cache_clear()
 
 
-def test_coeffs_builds_once_per_law(tmp_path, monkeypatch):
+def test_coeffs_builds_once_per_law(tmp_path):
     # the polynomial work happens once per law: further indices only evaluate
-    calls = []
-    mul = Poly.__mul__
-
-    def counting(self, other):
-        calls.append(1)
-        return mul(self, other)
-
-    monkeypatch.setattr(Poly, "__mul__", counting)
-    monkeypatch.setattr(Poly, "__rmul__", counting)
-
-    def mul_calls(r_values):
+    def builds(r_values):
         _clear_symbolic_caches()
         path = write_config(
             tmp_path, distribution="gamma", alpha=4, r_values=r_values, moment_order=8
         )
-        calls.clear()
         assert main(["coeffs", "--config", str(path), "--out", str(tmp_path / "c.csv")]) == 0
-        return len(calls)
+        return [builder.cache_info().misses for builder in _SYMBOLIC_BUILDERS]
 
-    mul_calls([2.5])  # fills the Hermite cache
-    one = mul_calls([2.5])
-    assert one > 0 and mul_calls(COEFF_RS) == one
+    assert builds([2.5]) == builds(COEFF_RS) == [1, 1, 1]
 
 
 def test_coeffs_and_verify_build_each_q_once(tmp_path):
@@ -451,15 +454,18 @@ def test_coeffs_and_verify_build_each_q_once(tmp_path):
         n_values=[16, 32],
         moment_order=8,
     )
-    builds = edgeworth._correction_polynomials.cache_info
+    def misses():
+        return [builder.cache_info().misses for builder in _SYMBOLIC_BUILDERS]
+
+    laurent = expansion._laurent_numerators.cache_info
     assert main(["coeffs", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
-    # one build of Q_1..Q_6 for the order-8 cumulants, shared by b(r), every
-    # a_j and every limit
-    assert builds().misses == 1
-    hits = builds().hits
+    # one build of Q_1..Q_6, of the a_j and of the L_j for the order-8
+    # cumulants, shared by b(r), every a_j and every limit
+    assert misses() == [1, 1, 1]
+    hits = laurent().hits
     assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 0
-    # verify takes every Q_k from the law's build: no new one
-    assert builds().misses == 1 and builds().hits > hits
+    # verify takes every a_j, and so every Q_k, from the law's build: no new one
+    assert misses() == [1, 1, 1] and laurent().hits > hits
 
 
 # -- verify -------------------------------------------------------------------

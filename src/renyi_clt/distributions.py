@@ -11,7 +11,7 @@ Every spec describes a law with mean 0 and variance 1 and exposes
                     or None when the law has none (the inversion then
                     evaluates whole frequency periods)
     moments(m)   -- raw moments alpha_1..alpha_m, exact rationals wherever
-                    the law allows it (m <= 8)
+                    the law allows it
     n_min        -- smallest n for which |cf(t/sqrt(n))|**n is integrable,
                     i.e. for which the normalized sum Z_n has a bounded
                     density recoverable by Fourier inversion
@@ -66,7 +66,7 @@ _CHIRP_BLOCK = 2**17
 # row length of the uniform cf's angle table: M points take M/128 + 128
 # sines and cosines
 _SINE_ROW = 128
-# a tabulated law's mass, mean and second moment must be 1, 0, 1 to this
+# a law's mass, mean and second moment must be 1, 0, 1 to this
 _STANDARDIZED_TOL = 1e-10
 
 
@@ -107,6 +107,19 @@ def _exact_sqrt(value):
     if num * num == frac.numerator and den * den == frac.denominator:
         return Fraction(num, den)
     return None
+
+
+def _require_standardized(law: str, mass, mean, second) -> None:
+    """Raise ``ValueError`` unless mass, mean and second moment are 1, 0
+    and 1 to ``_STANDARDIZED_TOL``; written so that NaN fails."""
+    if not (
+        abs(mass - 1) <= _STANDARDIZED_TOL
+        and abs(mean) <= _STANDARDIZED_TOL
+        and abs(second - 1) <= _STANDARDIZED_TOL
+    ):
+        raise ValueError(
+            f"{law} is not standardized: mass={mass}, mean={mean}, second moment={second}"
+        )
 
 
 class Lattice:
@@ -191,10 +204,6 @@ class DistributionSpec:
     def moments(self, order: int):
         raise NotImplementedError
 
-    def _check_order(self, order: int) -> None:
-        if not 1 <= order <= 8:
-            raise ValueError("moments are provided for orders 1..8")
-
     def __repr__(self):
         """The class with the law's parameters, named as in ``LAWS``."""
         _, names = LAWS.get(self.name, (None, ()))
@@ -263,7 +272,6 @@ class Uniform(DistributionSpec):
         return 1.0 if u <= 1.0 else 1.0 / u
 
     def moments(self, order: int):
-        self._check_order(order)
         out = []
         for k in range(1, order + 1):
             out.append(Fraction(3 ** (k // 2), k + 1) if k % 2 == 0 else 0)
@@ -282,6 +290,8 @@ class StandardizedGamma(DistributionSpec):
     def __init__(self, alpha):
         if not alpha > 0:
             raise ValueError("alpha must be positive")
+        if alpha == math.inf:
+            raise ValueError("alpha must be finite")
         if 1 / alpha == math.inf:
             raise ValueError(f"alpha={alpha} is too small: 1/alpha, and so n_min, overflows")
         try:
@@ -326,7 +336,6 @@ class StandardizedGamma(DistributionSpec):
         return gammas
 
     def moments(self, order: int):
-        self._check_order(order)
         alphas = moments_from_cumulants(self._cumulants(order)).values
         return list(alphas[:order])
 
@@ -357,7 +366,6 @@ class TwoSidedExponential(DistributionSpec):
         return 1.0 / (1.0 + t * t / 2.0)
 
     def moments(self, order: int):
-        self._check_order(order)
         return [
             Fraction(factorial(k), 2 ** (k // 2)) if k % 2 == 0 else 0
             for k in range(1, order + 1)
@@ -395,11 +403,7 @@ class GaussianMixture(DistributionSpec):
             w * (m * m + s * s)
             for w, m, s in zip(self.weights, self.means, self.sigmas)
         )
-        if not (abs(total - 1) <= 1e-10 and abs(mean) <= 1e-10 and abs(second - 1) <= 1e-10):
-            raise ValueError(
-                "mixture is not standardized: "
-                f"mass={total}, mean={mean}, second moment={second}"
-            )
+        _require_standardized("mixture", total, mean, second)
 
     @classmethod
     def standard_normal(cls) -> "GaussianMixture":
@@ -445,7 +449,6 @@ class GaussianMixture(DistributionSpec):
         )
 
     def moments(self, order: int):
-        self._check_order(order)
         exact = self._exact_params()
         if exact is not None:
             ws, ms, s2s = exact
@@ -499,15 +502,7 @@ class GridDensity(DistributionSpec):
         mass = _simpson(p, dx=self.h)
         mean = _simpson(p * x, dx=self.h)
         second = _simpson(p * x * x, dx=self.h)
-        if not (
-            abs(mass - 1) <= _STANDARDIZED_TOL
-            and abs(mean) <= _STANDARDIZED_TOL
-            and abs(second - 1) <= _STANDARDIZED_TOL
-        ):
-            raise ValueError(
-                "tabulated density is not standardized: "
-                f"mass={mass}, mean={mean}, second moment={second}"
-            )
+        _require_standardized("tabulated density", mass, mean, second)
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -541,7 +536,6 @@ class GridDensity(DistributionSpec):
         return out.reshape(t.shape)
 
     def moments(self, order: int):
-        self._check_order(order)
         return [
             _simpson(self.p * self.x**k, dx=self.h)
             for k in range(1, order + 1)

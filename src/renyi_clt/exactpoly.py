@@ -32,9 +32,11 @@ integer products and sums with no division (:func:`_graded_exp`,
 returns.  :func:`_exp_series` and :func:`_log_series` do so for a list of
 int, ``Fraction``, float or ``Poly`` coefficients.
 
-Evaluation at a rational point p/q is an integer Horner pass too: with the
-integer numerators n_k of a polynomial over one denominator d, the value is
-(sum_k n_k p**k q**(D-k)) / (d q**D), one ``Fraction`` at the end.
+The engine evaluates at a rational point p/q by an integer Horner pass
+too: with the integer numerators n_k of a polynomial over one denominator d
+(:func:`_integer_form`), :func:`_horner` gives sum_k n_k p**k q**(D-k), and
+the value is that over d q**D, one ``Fraction`` at the end
+(``expansion._laurent_at``).  ``Poly.__call__`` is the plain Horner rule.
 """
 
 from __future__ import annotations
@@ -45,10 +47,6 @@ from fractions import Fraction
 from ._lazy import np
 
 __all__ = ["Poly", "hermite"]
-
-
-def _is_zero(c) -> bool:
-    return c == 0
 
 
 def _is_array(x) -> bool:
@@ -68,7 +66,7 @@ class Poly:
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
-        while cs and _is_zero(cs[-1]):
+        while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "_float_cache", None)
@@ -86,13 +84,8 @@ class Poly:
     @classmethod
     def _over(cls, nums, den: int) -> "Poly":
         """The polynomial sum_k nums[k] x**k / den for integers ``nums`` and
-        ``den`` > 0, with ``Fraction`` coefficients and its reduced integer
-        form kept for evaluation."""
-        poly = cls(Fraction(v, den) for v in nums)
-        g = math.gcd(den, *nums)
-        form = [v // g for v in nums[: len(poly.coeffs)]], den // g
-        object.__setattr__(poly, "_int_cache", form)
-        return poly
+        ``den`` > 0, with ``Fraction`` coefficients."""
+        return cls(Fraction(v, den) for v in nums)
 
     # -- structure ----------------------------------------------------
 
@@ -124,7 +117,7 @@ class Poly:
             return "Poly(0)"
         terms = []
         for k, c in enumerate(self.coeffs):
-            if _is_zero(c):
+            if c == 0:
                 continue
             if k == 0:
                 terms.append(f"{c}")
@@ -164,16 +157,7 @@ class Poly:
             return Poly([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        right = [(j, b) for j, b in enumerate(other.coeffs) if not _is_zero(b)]
-        for i, a in enumerate(self.coeffs):
-            if _is_zero(a):
-                continue
-            for j, b in right:
-                out[i + j] += a * b
-        return Poly(out)
+        return Poly(_addmul([0], self.coeffs, other.coeffs, 1))
 
     __rmul__ = __mul__
 
@@ -197,16 +181,9 @@ class Poly:
     # -- evaluation -----------------------------------------------------
 
     def _integer_form(self):
-        """(nums, den) with coeffs[k] = nums[k] / den in ints, den the least
-        common denominator; None when a coefficient is not an int or a
-        ``Fraction``.  Cached."""
+        """The :func:`_integer_form` of the coefficients, cached."""
         if self._int_cache is None:
-            cs = self.coeffs
-            if not all(isinstance(c, (int, Fraction)) for c in cs):
-                return None
-            den = math.lcm(*(c.denominator for c in cs))
-            nums = [c.numerator * (den // c.denominator) for c in cs]
-            object.__setattr__(self, "_int_cache", (nums, den))
+            object.__setattr__(self, "_int_cache", _integer_form(self.coeffs))
         return self._int_cache
 
     def float_coeffs(self) -> np.ndarray:
@@ -217,14 +194,9 @@ class Poly:
         return self._float_cache
 
     def __call__(self, x):
-        """Horner evaluation.
-
-        Exact when ``x`` and the coefficients are rational: at an int or a
-        ``Fraction`` x = p/q an integer Horner pass over the cached integer
-        form, one ``Fraction`` at the end (an int when x and every
-        coefficient are ints).  Float otherwise.  numpy arrays are evaluated
-        with float coefficients.
-        """
+        """Horner evaluation in the arithmetic of ``x`` and the
+        coefficients: exact when both are rational, float otherwise.  numpy
+        arrays are evaluated with float coefficients."""
         if _is_array(x):
             cs = self.float_coeffs()
             acc = np.zeros_like(x, dtype=float)
@@ -232,20 +204,10 @@ class Poly:
                 acc *= x
                 acc += c
             return acc
-        form = self._integer_form() if type(x) in (int, Fraction) else None
-        if form is None:
-            acc = 0
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
-        nums, den = form
-        if not nums:
-            return 0
-        q = x.denominator
-        value = _horner(nums, x.numerator, q)
-        if type(x) is int and den == 1 and all(isinstance(c, int) for c in self.coeffs):
-            return value
-        return Fraction(value, den * q ** (len(nums) - 1))
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
 
 _HERMITE_CACHE = [Poly((1,)), Poly((0, 1))]
@@ -274,8 +236,9 @@ def _horner(nums: list, p: int, q: int) -> int:
 
 
 def _addmul(acc: list, p: list, q: list, w: int) -> list:
-    """acc += w p q in place, for polynomials as lists of integer
-    coefficients; acc grows to the length of the product."""
+    """acc += w p q in place, for polynomials as coefficient lists (of
+    integers in the engine) and an integer w; acc grows to the length of the
+    product."""
     top = len(p) + len(q) - 1
     if len(acc) < top:
         acc.extend([0] * (top - len(acc)))
@@ -300,20 +263,32 @@ def _truncated_product(p: list, q: list) -> list:
     return out
 
 
+def _integer_form(values) -> tuple:
+    """(nums, den) in ints with values[k] = nums[k] / den, den the least
+    common denominator, for int, ``Fraction`` or float values (a float at
+    its binary value)."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _graded(coeffs: list):
     """(A, c) for a series of int, ``Fraction``, float or ``Poly``
-    coefficients (a float at its binary value): c the common denominator of
-    every coefficient and A_k = c**k coeffs[k] as a list of integer
-    polynomial coefficients, a number being a constant."""
-    rows = [
-        [Fraction(v) for v in a.coeffs] if isinstance(a, Poly) else [Fraction(a)]
-        for a in coeffs
-    ]
-    c = math.lcm(*(v.denominator for row in rows for v in row))
+    coefficients: c the common denominator of every coefficient and
+    A_k = c**k coeffs[k] as a list of integer polynomial coefficients, a
+    number being a constant."""
+    rows = []
+    for a in coeffs:
+        if isinstance(a, Poly):
+            rows.append(a._integer_form())
+        else:  # a number, read through one Fraction
+            a = Fraction(a)
+            rows.append(([a.numerator], a.denominator))
+    c = math.lcm(*(den for _, den in rows))
     graded = []
-    for k, row in enumerate(rows):
-        scale = c**k
-        graded.append([v.numerator * (scale // v.denominator) for v in row])
+    for k, (nums, den) in enumerate(rows):
+        scale = c**k // den
+        graded.append([v * scale for v in nums])
     return graded, c
 
 

@@ -317,13 +317,13 @@ def _b_coefficients(terms: int, r, cumulants: CumulantVector) -> list:
     polys = _log_polynomials(terms, cumulants)
     if r == math.inf:
         return [-Fraction(lj.coeff(3 * j + 1)) for j, lj in enumerate(polys, start=1)]
+    forms = [lj._integer_form() for lj in polys]
     if r == 1:
-        return [-Fraction(lj.derivative()(1)) for lj in polys]
+        return [Fraction(-sum(k * v for k, v in enumerate(nums)), den) for nums, den in forms]
     x = Fraction(r)
     p, q = x.numerator, x.denominator
     out = []
-    for j, lj in enumerate(polys, start=1):
-        nums, den = lj._integer_form()
+    for j, (nums, den) in enumerate(forms, start=1):
         u, v = _laurent_at(nums, 3 * j, x)
         out.append(Fraction(-u * q, den * v * (p - q)))  # 1/(r - 1) = q/(p - q)
     return out

@@ -202,12 +202,15 @@ class ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
+    """The config at ``path``, read as UTF-8 JSON.  Whatever json cannot
+    parse is a config error: a syntax error, a byte that is not UTF-8, an
+    integer past Python's digit limit, or nesting past the recursion limit."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return ExperimentConfig(data)
 

@@ -234,8 +234,11 @@ def _band_length(spec: DistributionSpec, n: int, N: int, dt: float):
     the density, and the frequencies beyond the period, under the 1/t**2
     envelope the ringing test assumes, at most M**2 dt/(N pi) times it.
     Together that is below bound = (N dt/pi) E(M dt/sqrt(n))**n, taken in
-    log space.  The band is enough once bound is below both ``_BAND_FLOOR``
-    and ``_TAIL_BOUND``; None when no M qualifies or the law has no envelope.
+    log space.  The band is enough once bound is below ``_BAND_FLOOR``, and
+    so is E(M dt/sqrt(n))**n itself: N dt/pi = N/extent falls below 1 only
+    on a grid too coarse for f_n, where bound no longer bounds the power and
+    its 1/t**2 tail has not begun.  None when no M qualifies or the law has
+    no envelope.
     """
     log_span = math.log(N * dt / math.pi)
     M = 256
@@ -243,8 +246,9 @@ def _band_length(spec: DistributionSpec, n: int, N: int, dt: float):
         env = spec.cf_envelope(M * dt / math.sqrt(n))
         if env is None:
             return None
-        bound = math.exp(log_span + n * math.log(env)) if env > 0 else 0.0
-        if bound < min(_BAND_FLOOR, _TAIL_BOUND):
+        log_power = n * math.log(env) if env > 0 else -math.inf
+        bound = math.exp(log_span + log_power)
+        if bound < _BAND_FLOOR and log_power < math.log(_BAND_FLOOR):
             return M, bound
         M *= 2
     return None
@@ -295,7 +299,10 @@ def _folded_density(spec: DistributionSpec, n: int, N: int, L: float):
     period is evaluated, and it is kept when a conservative bound on its
     residual ringing (the tail integral of |f_n| over its last quarter,
     divided by pi and assuming at worst a 1/t**2 envelope) is below
-    ``_TAIL_BOUND``.  Otherwise the number of periods K doubles.  Under that envelope the
+    ``_TAIL_BOUND``.  Both bounds assume a tail that has begun, so when
+    |f_n| still exceeds 1/2 at the period's last bin the grid step is too
+    coarse for f_n, and :class:`GridError` says so at once.  Otherwise the
+    number of periods K doubles.  Under that envelope the
     error of the K-period fold S_K falls like 1/K, so two-point Richardson
     extrapolation R_K = 2 S_2K - S_K cancels its leading term.
     After each doubling R_K is inverted; folding stops once two consecutive
@@ -322,6 +329,11 @@ def _folded_density(spec: DistributionSpec, n: int, N: int, L: float):
     quarter = N // 4
     max_periods = max(1, _EVAL_CAP // N)
     fold = _add_periods(None, spec, n, N, dt, 0, 1)
+    if abs(fold[-1]) > 0.5:  # no tail to bound or fold: f_n has not decayed
+        raise GridError(
+            f"grid step {h:.3g} is too coarse for n={n}: |f_n| is {abs(fold[-1]):.3g} "
+            f"at the end of the first frequency period, t = {(N - 1) * dt:.3g}"
+        )
     tail_int = float(np.abs(fold[-quarter:]).sum()) * dt
     ringing = tail_int * (N * dt / (quarter * dt)) / math.pi
     if not ringing >= _TAIL_BOUND or max_periods < 2:
@@ -358,7 +370,7 @@ def density_of_normalized_sum(
     many frequency periods as the tail needs (see ``_folded_density``) and
     inverted with one real-output inverse FFT per fold tried.  When the
     law's ``cf_envelope`` bounds what lies beyond a band of the first period
-    below 2**-60 and ``_TAIL_BOUND`` (5e-9), only that band of a few hundred
+    below 2**-60, only that band of a few hundred
     to a few thousand frequencies is evaluated.  Other grids whose
     characteristic power decays fast enough use the whole first period;
     slowly decaying ones (small n, laws with kinks or jumps) double the
@@ -383,8 +395,9 @@ def density_of_normalized_sum(
     of at most ``_EVAL_CAP`` (a larger grid would fold one period past the
     cap) and a finite extent of at least 12; these argument checks are its
     only ``ValueError``.  Raises
-    :class:`GridError` when the mass defect is not below 1e-6 or a sample
-    is not at least -1e-8, a NaN included; samples in [-1e-8, 0) are
+    :class:`GridError` when the grid step is too coarse for f_n (see
+    ``_folded_density``), when the mass defect is not below 1e-6 or when a
+    sample is not at least -1e-8, a NaN included; samples in [-1e-8, 0) are
     clipped to zero and the pre-clip minimum is kept in ``min_value``.
     """
     if n < 1:

@@ -183,3 +183,46 @@ def test_dyadic_float_mixture_stays_exact():
     cums = standard_cumulants(GaussianMixture((0.25, 0.75), (1.5, -0.5), (0.5, 0.5)), order=6)
     assert cums.gamma(3) == Fraction(3, 4) and cums.gamma(4) == Fraction(-3, 8)
     assert sign_change_threshold(cums) == Fraction(3, 2)
+
+
+def _bernoulli_law_cumulants(top: int, p: Fraction) -> list:
+    """kappa_1..kappa_top of a Bernoulli(p) variable by the classical
+    recursion kappa_{k+1} = p (1 - p) d kappa_k / dp, in sympy."""
+    import sympy
+
+    q = sympy.symbols("q")
+    kappa, out = q, []
+    for _ in range(top):
+        out.append(Fraction(str(kappa.subs(q, sympy.Rational(p.numerator, p.denominator)))))
+        kappa = sympy.expand(q * (1 - q) * sympy.diff(kappa, q))
+    return out
+
+
+def test_standard_cumulants_at_any_order_follow_closed_forms():
+    # moments(order) serves every order; the laws capped it at 8 before
+    import math
+
+    from sympy import bernoulli
+
+    # the dyadic mixture is -1/2 + 2 B with B ~ Bernoulli(1/4), plus a normal
+    # part that adds only to kappa_2
+    bern = _bernoulli_law_cumulants(20, Fraction(1, 4))
+    closed = {
+        "uniform": lambda k: Fraction(str(bernoulli(k))) * 12 ** (k // 2) / k if k % 2 == 0 else 0,
+        "two_sided_exponential": (
+            lambda k: Fraction(2 * math.factorial(k - 1), 2 ** (k // 2)) if k % 2 == 0 else 0
+        ),
+        "gamma": lambda k: math.factorial(k - 1) * Fraction(2) ** (2 - k),
+        "gaussian_mixture": lambda k: 2**k * bern[k - 1],
+    }
+    params = {
+        "gamma": {"alpha": 4},
+        "gaussian_mixture": {"weights": [0.25, 0.75], "means": [1.5, -0.5], "sigmas": [0.5, 0.5]},
+    }
+    for name, kappa in closed.items():
+        for order in range(10, 21):
+            cums = standard_cumulants(name, order=order, **params.get(name, {}))
+            assert len(cums.values) == order
+            for k in range(3, order + 1):
+                assert cums.gamma(k) == kappa(k), (name, order, k)
+                assert isinstance(cums.gamma(k), (int, Fraction))

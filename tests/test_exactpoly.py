@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import exp_series, horner, log_series
 from renyi_clt.cumulants import double_factorial
 from renyi_clt.exactpoly import Poly, _exp_series, _log_series, hermite
+from renyi_clt.expansion import _laurent_at
 
 X = Poly.x()
 
@@ -141,12 +142,27 @@ def test_graded_series_equal_the_fraction_recursions(kind, data, order):
 @given(
     coeffs=st.lists(st.one_of(st.integers(-10**9, 10**9), _FRACTIONS), max_size=9),
     x=_POINTS,
+    shift=st.integers(0, 12),
 )
-def test_integer_horner_equals_fraction_horner(coeffs, x):
+def test_integer_horner_equals_fraction_horner(coeffs, x, shift):
+    # the engine's integer Horner pass (expansion._laurent_at over the
+    # integer form) gives sum_k c_k x**(k - shift) exactly
     p = Poly(coeffs)
-    value = p(x)
-    _same(value, horner(p, x))
-    assert p(x) == value  # the cached integer form gives it again
+    point = Fraction(x)
+    shift = shift if point else 0
+    nums, den = p._integer_form()
+    u, v = _laurent_at(nums, shift, point)
+    assert Fraction(u, den * v) == horner(p, point) / point**shift
+    assert p._integer_form() is p._integer_form()  # cached
+    # Poly.__call__ is Horner's rule in the arithmetic of x and the coefficients
+    _same(p(x), horner(p, x))
+
+
+def test_integer_form_reads_floats_at_their_binary_value():
+    # one integer form for every coefficient type: no float is refused
+    assert Poly((0.5, Fraction(1, 3), 2))._integer_form() == ([3, 2, 12], 6)
+    assert Poly((0.1,))._integer_form() == ([3602879701896397], 2**55)
+    assert Poly()._integer_form() == ([], 1)
 
 
 def test_integer_horner_keeps_the_result_types():

@@ -119,6 +119,8 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
         {"distribution": "gamma", "alpha": 5e-324},
         # law parameters beside a density_file were ignored, with exit 0
         {"distribution": "grid", "density_file": "table.csv", "alpha": 4},
+        # json reads Infinity: "cannot convert Infinity to integer ratio"
+        {"distribution": "gamma", "alpha": math.inf},
     ],
 )
 def test_null_law_and_out_of_float_range_values_are_config_errors(
@@ -141,6 +143,42 @@ def test_null_law_and_out_of_float_range_values_are_config_errors(
                 "config error: expected parameters ['density_file'], "
                 "got ['alpha', 'density_file']\n"
             )
+        if overrides.get("alpha") == math.inf:
+            assert err == "config error: alpha must be finite\n"
+
+
+@pytest.mark.parametrize(
+    "command, extent", [("verify", 1e20), ("verify", 1e25), ("locallimit", 1e300)]
+)
+def test_grid_step_too_coarse_is_numerical_failure(tmp_path, capsys, command, extent):
+    # these exited 0, printing h_2 = 38.8 and 52.1 for a predicted 1.25, and nan
+    path = write_config(tmp_path, distribution="gamma", alpha=4, n_values=[8, 9],
+                        moment_order=6, grid_points=1024, grid_extent=extent)
+    start = time.perf_counter()
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: grid step ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b'{"distribution": "uniform",}', "Expecting property name"),
+        # these three ended in a traceback with exit 1
+        (b'{"distribution": "gamma", "alpha": 1' + b"0" * 5000 + b"}", ""),
+        (b'{"distribution": "uniform"\xff}', "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100000 + b"]" * 100000, "recursion"),
+    ],
+    ids=["syntax", "5001-digits", "not-utf-8", "deep-nesting"],
+)
+def test_config_that_json_cannot_parse_is_config_error(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    assert main(["coeffs", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert message in err
 
 
 @pytest.mark.parametrize(

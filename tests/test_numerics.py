@@ -780,6 +780,25 @@ def test_grid_error_without_cap_leaves_it_out(monkeypatch):
     assert "cap" not in str(info.value)
 
 
+@pytest.mark.parametrize("extent", [1e20, 1e25, 1e300])
+def test_grid_step_too_coarse_for_f_n_is_grid_error(monkeypatch, extent):
+    # on 1024 points over this extent |f_n| is 1 over the whole first
+    # period, yet the band bound (N/extent) E**n and the one-period ringing
+    # bound read 1e-17 or less: the grids were kept, and printed h_2 = 38.8
+    # (1e20, one period) and 52.1 (1e25, a band) against a predicted 1.25.
+    # The band is refused, and the fold stops after its first period.
+    spec = rc.StandardizedGamma(4)
+    points = []
+    monkeypatch.setattr(spec, "cf", lambda t, cf=spec.cf: points.append(np.size(t)) or cf(t))
+    assert rc.numerics._band_length(spec, 8, 1024, math.pi / extent) is None
+    with pytest.raises(rc.GridError, match=(
+        r"^grid step \S+ is too coarse for n=8: \|f_n\| is 1 at the end of the "
+        r"first frequency period, t = \S+$"
+    )):
+        rc.density_of_normalized_sum(spec, 8, npoints=1024, extent=extent)
+    assert sum(points) == 1024
+
+
 def test_exact_phase_gaussian_and_gamma(grid_for):
     # one-period grids whose only error is roundoff in the inversion itself
     g = grid_for("gaussian", 4)

@@ -15,6 +15,8 @@ Every spec describes a law with mean 0 and variance 1 and exposes
     n_min        -- smallest n for which |cf(t/sqrt(n))|**n is integrable,
                     i.e. for which the normalized sum Z_n has a bounded
                     density recoverable by Fourier inversion
+    support      -- a half-width s with the law inside [-s, s], inf when
+                    unbounded; Z_n then lies in [-sqrt(n) s, sqrt(n) s]
 
 The inversion asks for its frequencies as a ``Lattice``, the points
 ((first + j)*dt)/sqrt(n) of a fold block or a band, so a law that can use the
@@ -165,10 +167,17 @@ class Lattice:
 
 
 class DistributionSpec:
-    """Interface shared by all standardized base laws."""
+    """Interface shared by all standardized base laws.
+
+    ``support`` is a half-width s such that the law puts no mass outside
+    [-s, s], and inf for a law of unbounded support.  ``numerics`` folds
+    the full-period inversion of Z_n, which lies in [-sqrt(n) s,
+    sqrt(n) s], over the narrowest dyadic part of the grid that holds it.
+    """
 
     name = "base"
     n_min = 1
+    support = math.inf
 
     def density(self, x):
         raise NotImplementedError
@@ -216,6 +225,7 @@ class Uniform(DistributionSpec):
 
     name = "uniform"
     n_min = 2
+    support = _SQRT3
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -479,7 +489,8 @@ class GridDensity(DistributionSpec):
     to 1e-10 at construction (a sum that overflows to NaN fails the check).
     ``n_min`` is 1 for every table: the interpolant's cf carries the factor
     sinc(t*h/(2*pi))**2, so |cf(t)| = O(t**-2) is integrable and Z_1
-    already inverts.
+    already inverts.  ``support`` is max(|x_0|, |x_end|) + h: the hat of
+    an end node reaches one step past it.
     """
 
     name = "grid"
@@ -499,6 +510,7 @@ class GridDensity(DistributionSpec):
         self.x = x
         self.p = p
         self.h = float(steps.mean())
+        self.support = float(max(abs(x[0]), abs(x[-1]))) + self.h
         mass = _simpson(p, dx=self.h)
         mean = _simpson(p * x, dx=self.h)
         second = _simpson(p * x * x, dx=self.h)

@@ -36,6 +36,17 @@ wherever the cf is computed point by point; a whole-lattice cf moves by
 rounding with the block it is given.  The fold takes the dtype of the law's
 cf: real for a symmetric law, complex otherwise.
 
+A law of compact support (``support`` s finite: the uniform law, a table)
+puts Z_n inside [-sqrt(n) s, sqrt(n) s].  A grid on the full-period path
+then folds only its narrowest dyadic sub-extent [-L_f, L_f) that holds
+that interval, on the N_f = N L_f/L bins of the same step: by Poisson
+summation the fold at dt = pi/L_f gives the periodized density, which on
+[-L_f, L_f) is p_n itself, with nothing to alias, so the N_f samples are
+placed at the centre of the N-point grid and the rest of it is exactly 0.
+Each period then takes N_f cf points instead of N.  The halving stops at
+1024 bins and at an odd N_f/2; the period cap stays that of the requested
+N, and the band is decided on the whole grid, so band grids are unchanged.
+
 A band grid is a trigonometric polynomial of M terms, M of 256 to 8192,
 periodic over the grid's extent.  The trapezoid and Simpson sums of such a
 smooth periodic integrand are exact to rounding on a few times M points
@@ -83,7 +94,9 @@ MAX_N = 2**33
 
 _NEGATIVE_CLIP = 1e-8
 _MASS_DEFECT_LIMIT = 1e-6
-# most cf lattice points one inversion may fold (2**10 periods at 2**17 points)
+# caps the periods one inversion may fold at _EVAL_CAP // N of the requested
+# N points (2**10 periods at 2**17 points), also when the fold runs on a
+# sub-extent of fewer bins
 _EVAL_CAP = 2**27
 # bins per block of the fold: the block's cf values, their power and its
 # slice of the fold stay in cache while every period is added to it.  A
@@ -316,6 +329,11 @@ def _folded_density(spec: DistributionSpec, n: int, N: int, L: float):
     ``spectrum`` is then None.  Every period, the first and those of each
     doubling, is added by ``_add_periods``, block by block in period order,
     in the dtype of the law's cf.
+
+    The full-period fold, with its checks, runs on the sub-extent
+    (N_f, L_f) of ``_support_extent`` at dt = pi/L_f, to at most
+    ``_EVAL_CAP // N`` periods; its N_f samples are the centre of the N
+    returned, the rest being 0.
     """
     h = 2 * L / N
     dt = 2 * math.pi / (N * h)
@@ -326,8 +344,35 @@ def _folded_density(spec: DistributionSpec, n: int, N: int, L: float):
         size = min(N, max(1024, 4 * M))
         return _invert_band(spectrum, size, 2 * L / size), 1, False, bound, spectrum
 
+    N_f, L_f = _support_extent(spec, n, N, L)
+    values, folds, cap_hit, ringing = _fold_periods(
+        spec, n, N_f, L_f, max(1, _EVAL_CAP // N))
+    if N_f < N:  # the sub-extent's samples at the centre, zero elsewhere
+        centred = np.zeros(N)
+        centred[(N - N_f) // 2:(N + N_f) // 2] = values
+        values = centred
+    return values, folds, cap_hit, ringing, None
+
+
+def _support_extent(spec: DistributionSpec, n: int, N: int, L: float):
+    """(N_f, L_f), the narrowest dyadic sub-extent [-L_f, L_f) of the grid,
+    at its step, that holds the support of Z_n, [-sqrt(n) s, sqrt(n) s] for
+    a law of support [-s, s].  (N, L) halve while L/2 >= sqrt(n) s and N/2
+    is even and at least 1024; a law of unbounded support keeps (N, L)."""
+    reach = math.sqrt(n) * spec.support
+    while L / 2 >= reach and N % 4 == 0 and N // 2 >= 1024:
+        N, L = N // 2, L / 2
+    return N, L
+
+
+def _fold_periods(spec: DistributionSpec, n: int, N: int, L: float,
+                  max_periods: int):
+    """(samples, folds, cap_hit, ringing_bound) of the full-period fold of
+    f_n onto N points of [-L, L), doubling to at most ``max_periods``
+    periods (see ``_folded_density``)."""
+    h = 2 * L / N
+    dt = 2 * math.pi / (N * h)
     quarter = N // 4
-    max_periods = max(1, _EVAL_CAP // N)
     fold = _add_periods(None, spec, n, N, dt, 0, 1)
     if abs(fold[-1]) > 0.5:  # no tail to bound or fold: f_n has not decayed
         raise GridError(
@@ -337,7 +382,7 @@ def _folded_density(spec: DistributionSpec, n: int, N: int, L: float):
     tail_int = float(np.abs(fold[-quarter:]).sum()) * dt
     ringing = tail_int * (N * dt / (quarter * dt)) / math.pi
     if not ringing >= _TAIL_BOUND or max_periods < 2:
-        return _invert_fold(fold, h), 1, ringing >= _TAIL_BOUND, ringing, None
+        return _invert_fold(fold, h), 1, ringing >= _TAIL_BOUND, ringing
 
     # three N-bin buffers serve every doubling: S_K, S_2K and R_K
     periods, values, step, calm = 1, None, math.inf, 0
@@ -354,8 +399,8 @@ def _folded_density(spec: DistributionSpec, n: int, N: int, L: float):
             step = float(np.abs(previous, out=previous).max())
             calm = calm + 1 if not step >= _TAIL_BOUND else 0
             if calm == 2:
-                return values, periods, False, step, None
-    return values, periods, True, step, None
+                return values, periods, False, step
+    return values, periods, True, step
 
 
 def density_of_normalized_sum(
@@ -388,6 +433,15 @@ def density_of_normalized_sum(
     enough: every sample of the N-point grid is the periodized density,
     which is not negative, plus less than the band's bound, itself below
     2**-60, plus rounding, so no skipped sample can fall below -1e-8.
+
+    A full-period grid of a law with finite ``support`` s folds only the
+    narrowest dyadic sub-extent [-L_f, L_f), at the same step, that holds
+    [-sqrt(n) s, sqrt(n) s] (halving stops at 1024 points and at an odd
+    half): there the fold at dt = pi/L_f is p_n, with nothing to alias, and
+    the rest of the grid is exactly 0.  Each period takes 2**k times fewer
+    cf points, while ``folds``, ``cap_hit`` and the cap on periods are those
+    of the requested grid.  The mass and negativity checks below run on
+    all N samples.
 
     Requires spec.n_min <= n <= ``MAX_N`` (below n_min the characteristic
     power is not integrable and the inversion is meaningless; above MAX_N

@@ -512,49 +512,67 @@ def test_fast_decaying_cfs_fold_once(grid_for):
         assert 0 <= g.ringing_bound < 5e-9
 
 
-def _counted_grid(spec, n, **kwargs):
-    """(grid, cf points evaluated) for one inversion."""
+def _lattice_grid(spec, n, **kwargs):
+    """(grid, the lattices its cf was handed) for one inversion."""
     seen = []
     cf = spec.cf
-    spec.cf = lambda t: seen.append(np.size(t)) or cf(t)
+    spec.cf = lambda t: seen.append(t) or cf(t)
     try:
         grid = rc.density_of_normalized_sum(spec, n, **kwargs)
     finally:
         del spec.cf
-    return grid, sum(seen)
+    return grid, seen
 
 
-@pytest.mark.parametrize("n,npoints", [(2, 2**15), (8, 2**17)], ids=["fold", "band"])
-def test_inversion_hands_the_law_its_integer_lattice(n, npoints):
+def _assert_folds_on(grid, seen, bins, half, n):
+    """Every lattice the law was handed lies on the fold of ``bins`` bins of
+    [-half, half), at dt = pi/half, and they cover each period once."""
+    dt = 2 * math.pi / (bins * (2 * half / bins))
+    assert all(isinstance(t, Lattice) and (t.dt, t.root) == (dt, math.sqrt(n)) for t in seen)
+    assert sorted(t.first for t in seen) == sorted(
+        k * bins + lo for k in range(grid.folds)
+        for lo in range(0, bins, rc.numerics._FOLD_BLOCK))
+    assert sum(t.size for t in seen) == grid.folds * bins
+
+
+def _counted_grid(spec, n, **kwargs):
+    """(grid, cf points evaluated) for one inversion."""
+    grid, seen = _lattice_grid(spec, n, **kwargs)
+    return grid, sum(np.size(t) for t in seen)
+
+
+@pytest.mark.parametrize(
+    "n,npoints,bins,half",
+    [(2, 2**15, 2**13, 3.0), (8, 2**17, 2**17, 12.0)], ids=["fold", "band"],
+)
+def test_inversion_hands_the_law_its_integer_lattice(n, npoints, bins, half):
     # through a cf set on the instance, as the benchmark's tracer sets one:
     # every call is a Lattice of the doubles dt*m/sqrt(n), np.size counts
-    # its points, and together they cover each folded period once
-    spec, seen = rc.Uniform(), []
-    cf = spec.cf
-    spec.cf = lambda t: seen.append(t) or cf(t)
-    try:
-        grid = rc.density_of_normalized_sum(spec, n, npoints=npoints, extent=12.0)
-    finally:
-        del spec.cf
-    dt = 2 * math.pi / (npoints * (2 * 12.0 / npoints))
+    # its points, and together they cover each folded period once.  The fold
+    # runs on the 2**13 bins of [-3, 3), which holds Z_2's support
+    # [-sqrt(6), sqrt(6)], at dt = pi/3; the band is decided on the whole grid
+    grid, seen = _lattice_grid(rc.Uniform(), n, npoints=npoints, extent=12.0)
+    dt = 2 * math.pi / (bins * (2 * half / bins))
     for t in seen:
         assert isinstance(t, Lattice) and (t.dt, t.root) == (dt, math.sqrt(n))
         expected = dt * np.arange(t.first, t.first + t.size) / math.sqrt(n)
         assert np.array_equal(np.asarray(t), expected)
-    counted = sum(np.size(t) for t in seen)
+        assert np.size(t) == t.size
     if grid.band:
         assert [(t.first, t.size) for t in seen] == [(0, grid.band)]
     else:
-        assert grid.folds == 64 and counted == grid.folds * npoints
-        firsts = sorted(t.first for t in seen)
-        assert firsts == sorted(k * npoints + lo for k in range(grid.folds)
-                                for lo in range(0, npoints, rc.numerics._FOLD_BLOCK))
+        assert grid.folds == 64
+        _assert_folds_on(grid, seen, bins, half, n)
 
 
-def _full_period_grid(spec, n, **kwargs):
-    """The grid and cf count with the envelope hidden: the full-period path."""
+def _full_period_grid(spec, n, full_extent=False, **kwargs):
+    """The grid and cf count with the envelope hidden: the full-period path,
+    folded over the whole extent when ``full_extent`` also hides the law's
+    support."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(type(spec), "cf_envelope", lambda self, t: None)
+        if full_extent:
+            mp.setattr(spec, "support", math.inf)
         return _counted_grid(spec, n, **kwargs)
 
 
@@ -566,7 +584,7 @@ def _full_period_grid(spec, n, **kwargs):
 def test_band_grid_equals_full_period(key, n):
     spec = _ENVELOPE_LAWS[key]
     band, band_points = _counted_grid(spec, n)
-    full, full_points = _full_period_grid(spec, n)
+    full, full_points = _full_period_grid(spec, n, full_extent=True)
     assert np.array_equal(band.values, full.values)
     assert band_points < full_points == 2**17
     assert band_points >= 256 and band_points & (band_points - 1) == 0
@@ -623,10 +641,13 @@ def test_band_functionals_match_full_grid(key, n, band):
      ("laplace", 1, {})],
 )
 def test_slow_envelopes_keep_full_period(key, n, kwargs):
+    # the uniform grids fold the 2**12 bins of [-3, 3) and the 2**15 of
+    # [-4, 4), which hold the support of Z_2 and Z_3; Laplace folds them all
     spec = _ENVELOPE_LAWS[key]
+    bins = {("uniform", 2): 2**12, ("uniform", 3): 2**15, ("laplace", 1): 2**17}[key, n]
     grid, points = _counted_grid(spec, n, **kwargs)
     full, full_points = _full_period_grid(spec, n, **kwargs)
-    assert points == full_points == grid.folds * len(grid.values)
+    assert points == full_points == grid.folds * bins
     assert np.array_equal(grid.values, full.values)
     assert grid.ringing_bound == full.ringing_bound
     assert grid.band == full.band == 0
@@ -634,26 +655,36 @@ def test_slow_envelopes_keep_full_period(key, n, kwargs):
 
 def test_fold_heavy_grids_fold_their_pinned_periods():
     # the benchmark's fold-heavy grids on the default grid: the cf points
-    # and periods they fold are the work a faster fold must keep
+    # and periods they fold are the work a faster fold must keep.  The
+    # uniform grids fold the 2**15 bins of [-4, 4), which hold the support
+    # of Z_2..Z_4, and Laplace all 2**17
     counted = [_counted_grid(spec, n) for spec, n in
                [(rc.Uniform(), 2), (rc.Uniform(), 3), (rc.Uniform(), 4),
                 (rc.TwoSidedExponential(), 1), (rc.TwoSidedExponential(), 2)]]
     folds = [grid.folds for grid, _ in counted]
-    assert sum(points for _, points in counted) == 42336256
+    assert sum(points for _, points in counted) == 16973824
     assert sum(folds) == 323 and max(folds) == 256
     assert not any(grid.cap_hit for grid, _ in counted)
-    assert all(points == grid.folds * 2**17 for grid, points in counted)
+    bins = [2**15, 2**15, 2**15, 2**17, 2**17]
+    assert [points for _, points in counted] == [
+        grid.folds * b for (grid, _), b in zip(counted, bins)]
 
 
-def _fold_pair(spec, n, npoints, extent):
-    """The library's folded inversion and the period-at-a-time oracle's."""
+def _fold_pair(spec, n, npoints, extent, bins=None):
+    """The library's folded inversion and the period-at-a-time oracle's, on
+    the ``bins`` central points that the library folds (default all), the
+    rest of its grid being zero."""
+    bins = bins or npoints
     h = 2 * extent / npoints
-    dt = 2 * math.pi / (npoints * h)
+    dt = 2 * math.pi / (bins * h)
     values, folds, cap_hit, ringing, spectrum = rc.numerics._folded_density(
         spec, n, npoints, extent
     )
     assert spectrum is None
-    return (values, folds, cap_hit, ringing), period_at_a_time_fold(spec, n, npoints, dt, h)
+    lo = (npoints - bins) // 2
+    assert not values[:lo].any() and not values[lo + bins:].any()
+    return ((values[lo:lo + bins], folds, cap_hit, ringing),
+            period_at_a_time_fold(spec, n, bins, dt, h))
 
 
 @pytest.mark.parametrize(
@@ -683,11 +714,11 @@ def test_blocked_fold_is_bit_identical(monkeypatch, spec, n, npoints, periods):
 def test_blocked_uniform_fold_matches_to_rounding(monkeypatch):
     # the uniform cf takes a lattice's sines from a table built for the
     # block it is given, so its values, and the fold, move by rounding with
-    # the blocks (two of 2**14 bins here); the tolerance is fixed from the
-    # dtype, not measured
-    monkeypatch.setattr(rc.numerics, "_FOLD_BLOCK", 2**14)
+    # the blocks (two of 2**12 bins here, over the 2**13 of [-3, 3) that
+    # Z_2 is folded on); the tolerance is fixed from the dtype, not measured
+    monkeypatch.setattr(rc.numerics, "_FOLD_BLOCK", 2**12)
     (values, *record), (expected, *expected_record) = _fold_pair(
-        rc.Uniform(), 2, 2**15, 12.0
+        rc.Uniform(), 2, 2**15, 12.0, bins=2**13
     )
     tol = 16 * 2.0**-52 * expected.max()
     assert np.abs(values - expected).max() <= tol
@@ -710,6 +741,75 @@ def test_tabulated_law_keeps_full_period():
     spec = _table(4001, 12.0, rc.normal_pdf)
     grid, points = _counted_grid(spec, 2, npoints=2**14, extent=12.0)
     assert points == grid.folds * 2**14
+
+
+def _triangle(points):
+    """The density of uniform Z_2, tabulated on ``points`` nodes of its
+    support [-sqrt(6), sqrt(6)]."""
+    x = np.linspace(-math.sqrt(6.0), math.sqrt(6.0), points)
+    return rc.GridDensity(x, np.maximum(math.sqrt(6.0) - np.abs(x), 0.0) / 6.0)
+
+
+@pytest.mark.parametrize(
+    "n,kwargs,bins,tol",
+    [(2, {}, 2**15, None), (3, {}, 2**15, None), (4, {}, 2**15, None),
+     (2, {"npoints": 2**14, "extent": 12.0}, 2**12, 1e-12)],
+    ids=["n2", "n3", "n4", "n2-coarse"],
+)
+def test_uniform_folds_its_support_only(n, kwargs, bins, tol):
+    # Z_2..Z_4 lie in [-4, 4), so the default grid folds its central 2**15
+    # bins there, and [-3, 3) holds Z_2 on the coarse grid: by Poisson
+    # summation that fold is p_n itself, which the whole-extent fold
+    # (support hidden) matches to rounding, with the same periods
+    grid, seen = _lattice_grid(rc.Uniform(), n, **kwargs)
+    _assert_folds_on(grid, seen, bins, bins * grid.h / 2, n)
+    full = rc.Uniform()
+    full.support = math.inf
+    reference = rc.density_of_normalized_sum(full, n, **kwargs)
+    tol = tol or 16 * 2.0**-52 * reference.values.max()
+    assert np.abs(grid.values - reference.values).max() <= tol
+    lo = (len(grid) - bins) // 2
+    assert lo > 0 and not grid.values[:lo].any() and not grid.values[lo + bins:].any()
+    assert (grid.folds, grid.cap_hit) == (reference.folds, reference.cap_hit)
+
+
+def test_tabulated_triangle_folds_its_support_only():
+    # a 101-node table of the uniform Z_2 density reaches sqrt(6) + h, so
+    # its Z_2 lies inside [-3.5, 3.5] and folds on the 2**11 bins of [-6, 6)
+    spec = _triangle(101)
+    grid, seen = _lattice_grid(spec, 2, npoints=2**12, extent=12.0)
+    _assert_folds_on(grid, seen, 2**11, 6.0, 2)
+    spec.support = math.inf
+    full = rc.density_of_normalized_sum(spec, 2, npoints=2**12, extent=12.0)
+    assert np.abs(grid.values - full.values).max() <= grid.ringing_bound
+    assert (grid.folds, grid.cap_hit) == (full.folds, full.cap_hit)
+
+
+@pytest.mark.parametrize(
+    "spec,n", [(rc.TwoSidedExponential(), 1), (_table(4001, 12.0, rc.normal_pdf), 2)],
+    ids=["laplace", "wide-table"],
+)
+def test_wide_support_folds_the_whole_grid(monkeypatch, spec, n):
+    # an unbounded law, and a table whose Z_2 reaches past L/2 = 6, fold all
+    # 2**14 bins at dt = pi/12, bit for bit as with no support at all
+    grid, seen = _lattice_grid(spec, n, npoints=2**14, extent=12.0)
+    _assert_folds_on(grid, seen, 2**14, 12.0, n)
+    monkeypatch.setattr(spec, "support", math.inf)
+    full = rc.density_of_normalized_sum(spec, n, npoints=2**14, extent=12.0)
+    assert np.array_equal(grid.values, full.values)
+    assert (grid.folds, grid.ringing_bound) == (full.folds, full.ringing_bound)
+
+
+@pytest.mark.parametrize(
+    "npoints,bins,half", [(2048, 1024, 6.0), (2052, 1026, 6.0), (1026, 1026, 12.0)],
+)
+def test_support_fold_keeps_1024_bins_and_an_even_half(npoints, bins, half):
+    # uniform Z_3 lies in [-3, 3], which [-3, 3) would hold, but a fold
+    # halves only to at least 1024 bins, and only an N whose half is even
+    assert rc.numerics._support_extent(rc.Uniform(), 3, npoints, 12.0) == (bins, half)
+    grid, seen = _lattice_grid(rc.Uniform(), 3, npoints=npoints, extent=12.0)
+    _assert_folds_on(grid, seen, bins, half, 3)
+    assert len(grid) == npoints
 
 
 def test_eval_cap_is_flagged(monkeypatch):

@@ -362,14 +362,14 @@ class TwoSidedExponential(DistributionSpec):
         return np.exp(-self._RATE * np.abs(x)) / self._RATE
 
     def cf(self, t):
-        """1/(1 + t**2/2), computed in place in one new buffer, which is
-        returned: the argument is never written, and a scalar gives a
-        scalar."""
-        t = np.asarray(t, dtype=float)
-        s = np.multiply(t, t, out=np.empty_like(t))
-        s *= 0.5
-        s += 1.0
-        return np.divide(1.0, s, out=s)[()]
+        """2/(2 + t**2), the same doubles as 1/(1 + t**2/2) since scaling
+        by 2 commutes with rounding, computed in place in one buffer, which
+        is returned: a ``Lattice``'s fresh points, or else a copy of the
+        argument, which is never written.  A scalar gives a scalar."""
+        s = t.points() if isinstance(t, Lattice) else np.array(t, dtype=float)
+        s *= s
+        s += 2.0
+        return np.divide(2.0, s, out=s)[()]
 
     def cf_envelope(self, t: float):
         """|cf(t)| = 1/(1 + t**2/2) exactly."""

@@ -15,17 +15,19 @@ period is evaluated, and when |f_n| still decays too slowly over it (small
 n, laws with kinks or jumps), further periods are folded onto the same
 bins: their count K doubles, and two-point Richardson extrapolation
 2 S_2K - S_K cancels the 1/K truncation error of the K-period fold S_K.
-Doubling stops after two consecutive sup-norm steps between extrapolants
-fall below the tail bound, or at a fixed cap on cf evaluations.  Each grid
-records its fold count, whether the cap stopped it, and its ringing bound.
+Doubling stops after two consecutive steps between extrapolants, each the
+l1 norm of the two-sided bins of R_K - R_{K/2} over N h (a bound at every
+x), fall below the tail bound, or at a fixed cap on cf evaluations; only the
+last extrapolant is inverted.  Each grid records its fold count, whether
+the cap stopped it, and its ringing bound.
 Periods are added in blocks of 2**15 bins, each block taking every new
 period in turn, so that a block's cf values, their power and its slice of
 the fold stay in cache.  Each pass over the bins does its arithmetic once:
 the power is taken in place in the cf's own array, and not at all at
-n = 1; the inversion builds its Hermitian bins from slices and scales in
-place; and the doubling loop keeps three N-bin buffers, S_K, S_2K and the
-extrapolant, writing each doubling into them and its step into the
-previous samples.  The law is handed each block as a
+n = 1; the Hermitian bins, of the inversion and of each step, are built
+from slices, the inversion's as complex and scaled in place; and the
+doubling loop keeps three N-bin buffers, S_K, S_2K and S_2K - S_K, writing
+each doubling into them.  The law is handed each block as a
 ``distributions.Lattice``, the indices k*N + b of its bins with the
 frequency step and sqrt(n): a pointwise law reads it as the doubles of
 dt times the integer lattice over sqrt(n), and a law that evaluates a
@@ -110,7 +112,7 @@ _FOLD_BLOCK = 2**15
 # then matches the full-period one to an ulp, mostly bit for bit
 _BAND_FLOOR = 2.0**-60
 # sup-norm bound on what folding may leave of the tail: the one-period
-# ringing bound, two consecutive Richardson steps, and a band's bound
+# ringing bound, two consecutive spectral Richardson steps, and a band's bound
 _TAIL_BOUND = 5e-9
 
 
@@ -128,9 +130,9 @@ class DensityGrid:
     part of the first period), ``cap_hit`` when the fold stopped at the
     evaluation cap before settling, and ``ringing_bound``, the estimated
     residual truncation error: the envelope bound on what a band drops, the
-    one-period tail bound, or the last Richardson step.  ``band`` is the
-    number M of cf values a band grid was built from, and 0 when the full
-    period was evaluated.
+    one-period tail bound, or the last Richardson step's spectral bound on
+    |R_K - R_{K/2}| at every x.  ``band`` is the number M of cf values a
+    band grid was built from, and 0 when the full period was evaluated.
 
     The constructor takes the point count N (``size``) and the quadrature
     samples, on which ``mass_defect`` and ``min_value`` were taken: the N
@@ -199,32 +201,38 @@ def _cf_power(spec: DistributionSpec, n: int, t) -> np.ndarray:
     return values
 
 
-def _invert_fold(fold: np.ndarray, h: float) -> np.ndarray:
-    """Density samples from a positive-frequency fold over the N bins.
-
-    Bins 0..N/2 of the full two-sided fold: bin b also receives every m < 0
-    with m mod N == b, i.e. the conjugate of the positive fold at -b mod N
-    (minus the double-counted m = 0 term, where f_n = 1).  The phase
-    exp(-i b dt x0) of the offset x0 = -L is exactly (-1)**b since dt*L = pi,
-    and the Hermitian spectrum makes the sum real.  The bins are built from
-    slices, bins 1..N/2 from the fold and its reversed tail, and conjugated
-    and scaled in place: the arithmetic of the plain formula, once.
-    """
-    N = len(fold)
-    half = N // 2
-    complex_fold = np.iscomplexobj(fold)
-    fn = np.empty(half + 1, dtype=fold.dtype)
+def _hermitian_bins(fold: np.ndarray, dtype) -> np.ndarray:
+    """Bins 0..N/2, in ``dtype``, of the two-sided fold of a positive-frequency
+    fold over the N bins: bin b also receives every m < 0 with m mod N == b,
+    so it is fold[b] + conj(fold[-b]), built from slices of the fold and its
+    reversed tail.  Bins N/2+1..N-1 are the conjugates of bins N/2-1..1."""
+    half = len(fold) // 2
+    fn = np.empty(half + 1, dtype=dtype)
     fn[0] = fold[0] + np.conj(fold[0])
-    fn[0] -= 1.0
-    if complex_fold:
+    if np.iscomplexobj(fold):
         np.conjugate(fold[:half - 1:-1], out=fn[1:])
         fn[1:] += fold[1:half + 1]
     else:
         np.add(fold[1:half + 1], fold[:half - 1:-1], out=fn[1:])
+    return fn
+
+
+def _invert_fold(fold: np.ndarray, h: float) -> np.ndarray:
+    """Density samples from a positive-frequency fold over the N bins.
+
+    The Hermitian bins of ``_hermitian_bins``, less the m = 0 term that
+    they count twice (where f_n = 1), are built as complex, the input
+    ``np.fft.irfft`` takes without a cast.  The phase exp(-i b dt x0) of
+    the offset x0 = -L is exactly (-1)**b since dt*L = pi, and the
+    Hermitian spectrum makes the sum real.  The bins are conjugated and
+    scaled in place: the arithmetic of the plain formula, once.
+    """
+    fn = _hermitian_bins(fold, complex)
+    fn[0] -= 1.0
     fn[1::2] *= -1.0
-    if complex_fold:
+    if np.iscomplexobj(fold):
         np.conjugate(fn, out=fn)
-    values = np.fft.irfft(fn, n=N)
+    values = np.fft.irfft(fn, n=len(fold))
     values /= h
     return values
 
@@ -318,10 +326,12 @@ def _folded_density(spec: DistributionSpec, n: int, N: int, L: float):
     number of periods K doubles.  Under that envelope the
     error of the K-period fold S_K falls like 1/K, so two-point Richardson
     extrapolation R_K = 2 S_2K - S_K cancels its leading term.
-    After each doubling R_K is inverted; folding stops once two consecutive
-    sup-norm steps max|R_K - R_{K/2}| fall below ``_TAIL_BOUND`` (a single
-    step can pass early on a still-converging sequence), or when the next
-    doubling would exceed ``_EVAL_CAP`` lattice points.  A bound or a step
+    The step R_K - R_{K/2} = 2 (S_2K - S_K) - (S_K - S_{K/2}) is formed on
+    the spectrum and measured as the l1 norm of its two-sided bins over N h,
+    which bounds it at every x.  Folding stops once two consecutive steps
+    fall below ``_TAIL_BOUND`` (a single step can pass early on a sequence
+    still converging), or when the next doubling would exceed ``_EVAL_CAP``
+    lattice points; only then is R_K inverted.  A bound or a step
     that is NaN counts as settled, so that a cf with a NaN stops at once
     with NaN samples, which the mass check rejects.  The reported
     ringing bound is then the plain one-period bound, or else the last
@@ -384,23 +394,24 @@ def _fold_periods(spec: DistributionSpec, n: int, N: int, L: float,
     if not ringing >= _TAIL_BOUND or max_periods < 2:
         return _invert_fold(fold, h), 1, ringing >= _TAIL_BOUND, ringing
 
-    # three N-bin buffers serve every doubling: S_K, S_2K and R_K
-    periods, values, step, calm = 1, None, math.inf, 0
-    wider, extrapolant = np.empty_like(fold), np.empty_like(fold)
-    while 2 * periods <= max_periods:
+    # three N-bin buffers serve every doubling: S_K, S_2K and S_2K - S_K,
+    # whose Hermitian bins are kept for the next doubling's step
+    periods, bins, step, calm = 1, None, math.inf, 0
+    wider, spare = np.empty_like(fold), np.empty_like(fold)
+    while 2 * periods <= max_periods and calm < 2:
         np.copyto(wider, fold)
         _add_periods(wider, spec, n, N, dt, periods, 2 * periods)
-        np.multiply(wider, 2.0, out=extrapolant)
-        extrapolant -= fold
-        previous, values = values, _invert_fold(extrapolant, h)
+        previous, bins = bins, _hermitian_bins(np.subtract(wider, fold, out=spare), fold.dtype)
         fold, wider, periods = wider, fold, 2 * periods
         if previous is not None:
-            previous -= values
-            step = float(np.abs(previous, out=previous).max())
+            # R_K - R_{K/2} = 2 (S_2K - S_K) - (S_K - S_{K/2}), and the l1
+            # norm of its two-sided bins over N h bounds it at every x
+            terms = np.abs(np.subtract(2.0 * bins, previous, out=previous))
+            step = float(2.0 * terms.sum() - terms[0] - terms[-1]) / (N * h)
             calm = calm + 1 if not step >= _TAIL_BOUND else 0
-            if calm == 2:
-                return values, periods, False, step
-    return values, periods, True, step
+    np.multiply(fold, 2.0, out=spare)
+    spare -= wider
+    return _invert_fold(spare, h), periods, calm < 2, step
 
 
 def density_of_normalized_sum(
@@ -413,14 +424,15 @@ def density_of_normalized_sum(
 
     f_n is sampled on the lattice reciprocal to the grid, folded over as
     many frequency periods as the tail needs (see ``_folded_density``) and
-    inverted with one real-output inverse FFT per fold tried.  When the
+    inverted with one real-output inverse FFT.  When the
     law's ``cf_envelope`` bounds what lies beyond a band of the first period
     below 2**-60, only that band of a few hundred
     to a few thousand frequencies is evaluated.  Other grids whose
     characteristic power decays fast enough use the whole first period;
     slowly decaying ones (small n, laws with kinks or jumps) double the
-    period count under Richardson extrapolation until two consecutive steps
-    fall below ``_TAIL_BOUND``.  The grid records ``folds``, ``cap_hit``
+    period count under Richardson extrapolation until two consecutive steps,
+    each bounded on the spectrum at every x, fall below ``_TAIL_BOUND``.
+    The grid records ``folds``, ``cap_hit``
     (the doubling stopped at ``_EVAL_CAP`` cf points before settling),
     ``ringing_bound`` and ``band``.
 
@@ -503,7 +515,8 @@ def lr_integral(grid: DensityGrid, r: float) -> float:
     (r >= 1)."""
     if not r >= 1:
         raise ValueError("r must be >= 1")
-    return _simpson(grid._samples**r, dx=grid._step)
+    v = grid._samples
+    return _simpson(np.power(v, r, out=np.zeros_like(v), where=v > 0), dx=grid._step)
 
 
 def renyi_entropy(grid: DensityGrid, r: float) -> float:
@@ -541,10 +554,9 @@ def entropy_power(grid: DensityGrid, r: float) -> float:
 def shannon_entropy(grid: DensityGrid) -> float:
     """h = -int p log p with 0 log 0 = 0."""
     v = grid._samples
-    integrand = np.zeros_like(v)
-    pos = v > 0
-    integrand[pos] = -v[pos] * np.log(v[pos])
-    return _simpson(integrand, dx=grid._step)
+    integrand = np.log(v, out=np.zeros_like(v), where=v > 0)
+    integrand *= v
+    return -_simpson(integrand, dx=grid._step)
 
 
 def sup_norm(grid: DensityGrid) -> float:

@@ -75,7 +75,9 @@ def period_at_a_time_fold(spec, n: int, N: int, dt: float, h: float):
     was first written: whole periods of f_n added one after the other, in
     complex arithmetic, then inverted as ``numerics._invert_fold`` does.  Each
     period reaches the law as one ``Lattice``.  The stopping rule is the
-    library's, with its ``_TAIL_BOUND`` and ``_EVAL_CAP`` read at call time."""
+    library's, with its ``_TAIL_BOUND`` and ``_EVAL_CAP`` read at call time:
+    the step between extrapolants is the l1 norm over N h of the two-sided
+    bins of R_K - R_{K/2} = 2 (S_2K - S_K) - (S_K - S_{K/2})."""
     import numpy as np
     from renyi_clt import numerics
     from renyi_clt.distributions import Lattice
@@ -84,9 +86,12 @@ def period_at_a_time_fold(spec, n: int, N: int, dt: float, h: float):
         t = Lattice(k * N, N, dt)
         return np.asarray(spec.cf(t / sqrt(n)), dtype=complex) ** n
 
-    def invert(fold):
+    def bins(fold):
         b = np.arange(N // 2 + 1)
-        fn = fold[b] + np.conj(fold[-b])
+        return fold[b] + np.conj(fold[-b])
+
+    def invert(fold):
+        fn = bins(fold)
         fn[0] -= 1.0
         fn[1::2] *= -1.0
         return np.fft.irfft(np.conj(fn), n=N) / h
@@ -101,19 +106,18 @@ def period_at_a_time_fold(spec, n: int, N: int, dt: float, h: float):
     if ringing < bound or max_periods < 2:
         return invert(fold), 1, ringing >= bound, ringing
 
-    periods, values, step, calm = 1, None, inf, 0
-    while 2 * periods <= max_periods:
+    periods, difference, step, calm = 1, None, inf, 0
+    while 2 * periods <= max_periods and calm < 2:
         wider = fold.copy()
         for k in range(periods, 2 * periods):
             wider += period(k)
-        previous, values = values, invert(2.0 * wider - fold)
-        fold, periods = wider, 2 * periods
+        previous, difference = difference, bins(wider - fold)
+        extrapolant, fold, periods = 2.0 * wider - fold, wider, 2 * periods
         if previous is not None:
-            step = float(np.abs(values - previous).max())
+            sizes = np.abs(2.0 * difference - previous)
+            step = float(2.0 * sizes.sum() - sizes[0] - sizes[-1]) / (N * h)
             calm = calm + 1 if step < bound else 0
-            if calm == 2:
-                return values, periods, False, step
-    return values, periods, True, step
+    return invert(extrapolant), periods, calm < 2, step
 
 
 def richardson(estimate_n: float, estimate_2n: float) -> float:

@@ -316,6 +316,14 @@ def test_cf_leaves_its_argument_unchanged(spec):
     assert np.array_equal(lattice.points(), before)
 
 
+def test_laplace_cf_is_the_plain_formula():
+    # 2/(2 + t**2), in place in a lattice's points, is 1/(1 + t**2/2) bit
+    # for bit: scaling by 2 commutes with rounding
+    lattice = Lattice(3 * 2**15, 2**15, math.pi / 16, math.sqrt(3.0))
+    t = np.asarray(lattice)
+    assert np.array_equal(rc.TwoSidedExponential().cf(lattice), 1.0 / (1.0 + t * t / 2.0))
+
+
 def test_uniform_cf_off_progression_is_np_sinc():
     # every array keeps np.sinc's bits: a lattice's own points, scattered,
     # short, multi-dimensional and scalar t, and a wide linspace whose
@@ -670,6 +678,43 @@ def test_fold_heavy_grids_fold_their_pinned_periods():
         grid.folds * b for (grid, _), b in zip(counted, bins)]
 
 
+@pytest.mark.parametrize("spec,n", [(rc.Uniform(), 2), (rc.TwoSidedExponential(), 1)],
+                         ids=["uniform", "laplace"])
+def test_spectral_step_bounds_the_sampled_step(monkeypatch, spec, n):
+    # the two slowest default grids measure their steps on the spectrum, so
+    # only the settled extrapolant reaches the inverse FFT.  On every
+    # doubling that step, the l1 norm over N h of the two-sided bins of
+    # R_K - R_{K/2}, is at least the largest sampled |R_K - R_{K/2}| and at
+    # most 1.5 times it; the last one is the grid's ringing bound
+    lengths, irfft = [], np.fft.irfft
+
+    def counted_irfft(a, n=None, *args, **kwargs):
+        lengths.append(n)
+        return irfft(a, n, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.fft, "irfft", counted_irfft)
+        grid = rc.density_of_normalized_sum(spec, n)
+    assert grid.folds > 1 and not grid.cap_hit and len(lengths) == 1
+    N, L = rc.numerics._support_extent(spec, n, rc.numerics.DEFAULT_GRID_POINTS,
+                                       rc.numerics.DEFAULT_GRID_EXTENT)
+    h, dt = 2 * L / N, math.pi / L
+    folds = [rc.numerics._add_periods(None, spec, n, N, dt, 0, 1)]
+    while 2 ** (len(folds) - 1) < grid.folds:
+        K = 2 ** (len(folds) - 1)
+        folds.append(rc.numerics._add_periods(folds[-1].copy(), spec, n, N, dt, K, 2 * K))
+    extrapolants = [2.0 * wider - fold for fold, wider in zip(folds, folds[1:])]
+    b = np.arange(N // 2 + 1)
+    for older, newer in zip(extrapolants, extrapolants[1:]):
+        sampled = np.abs(rc.numerics._invert_fold(newer, h)
+                         - rc.numerics._invert_fold(older, h)).max()
+        step = newer - older
+        sizes = np.abs(step[b] + np.conj(step[-b]))
+        spectral = (2 * sizes.sum() - sizes[0] - sizes[-1]) / (N * h)
+        assert sampled <= spectral <= 1.5 * sampled
+    assert spectral == pytest.approx(grid.ringing_bound, rel=1e-9)
+
+
 def _fold_pair(spec, n, npoints, extent, bins=None):
     """The library's folded inversion and the period-at-a-time oracle's, on
     the ``bins`` central points that the library folds (default all), the
@@ -700,7 +745,9 @@ def test_blocked_fold_is_bit_identical(monkeypatch, spec, n, npoints, periods):
     # after the other.  Gamma(1) and the table stop at a cap of 8 periods
     # (three doublings), the table also with no tail bound to settle under.
     # Blocks of 2**14 bins split the 2**15-bin grids in two, and the table's
-    # 2**14 bins are one block, so its chirps are the oracle's.
+    # 2**14 bins are one block, so its chirps are the oracle's.  Laplace
+    # settles at 128 periods: its spectral step at 32 periods is 6.07e-9,
+    # over the 5e-9 tail bound, where the sampled step was 4.79e-9
     monkeypatch.setattr(rc.numerics, "_FOLD_BLOCK", 2**14)
     if periods is not None:
         monkeypatch.setattr(rc.numerics, "_EVAL_CAP", periods * npoints)
@@ -708,7 +755,7 @@ def test_blocked_fold_is_bit_identical(monkeypatch, spec, n, npoints, periods):
     (values, *record), (expected, *expected_record) = _fold_pair(spec, n, npoints, 12.0)
     assert np.array_equal(values, expected)
     assert record == expected_record
-    assert record[0] == (periods or 64) and record[1] == (periods is not None)
+    assert record[0] == (periods or 128) and record[1] == (periods is not None)
 
 
 def test_blocked_uniform_fold_matches_to_rounding(monkeypatch):
@@ -974,6 +1021,21 @@ def test_lr_integral_gaussian(grid_for):
     assert rc.lr_integral(g, 2) == pytest.approx(1 / (2 * math.sqrt(math.pi)), abs=1e-10)
     # Simpson and the Riemann mass bookkeeping differ by the end-correction
     assert rc.lr_integral(g, 1) == pytest.approx(1.0, abs=g.mass_defect + 1e-10)
+
+
+def test_functionals_skip_exact_zeros_bit_for_bit(grid_for):
+    # the uniform n = 2 grid is mostly exact zeros beyond Z_2's support:
+    # skipping them keeps every bit of the plain power's Simpson sum, and
+    # of the plain -p log p with 0 log 0 = 0
+    g = grid_for("uniform", 2)
+    v = g._samples
+    assert (v == 0).mean() > 0.8
+    for r in (1.0, 1.5, 2.0, 2.347, 3.0, 7.5):
+        assert rc.lr_integral(g, r) == _simpson(v**r, dx=g._step)
+    pos = v > 0
+    integrand = np.zeros_like(v)
+    integrand[pos] = -v[pos] * np.log(v[pos])
+    assert rc.shannon_entropy(g) == _simpson(integrand, dx=g._step)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -55,7 +55,7 @@ smooth periodic integrand are exact to rounding on a few times M points
 (Trefethen and Weideman, SIAM Review 56, 2014), so its functionals and
 checks run on N' = min(N, max(1024, 4M)) samples of the same extent, which
 are every (N/N')-th point of the N-point grid, and its N samples are built
-only when read.  Other grids keep their N samples.
+only when read, each from the band's own M bins.  Others keep N samples.
 
 Simpson quadrature on these samples yields L^r integrals, Renyi/Shannon
 entropies and entropy powers.  The sup-norm is refined by Newton steps on a
@@ -218,31 +218,36 @@ def _hermitian_bins(fold: np.ndarray, dtype) -> np.ndarray:
 
 
 def _invert_fold(fold: np.ndarray, h: float) -> np.ndarray:
-    """Density samples from a positive-frequency fold over the N bins.
-
-    The Hermitian bins of ``_hermitian_bins``, less the m = 0 term that
-    they count twice (where f_n = 1), are built as complex, the input
-    ``np.fft.irfft`` takes without a cast.  The phase exp(-i b dt x0) of
-    the offset x0 = -L is exactly (-1)**b since dt*L = pi, and the
-    Hermitian spectrum makes the sum real.  The bins are conjugated and
-    scaled in place: the arithmetic of the plain formula, once.
-    """
+    """Density samples from a positive-frequency fold over the N bins, from
+    its Hermitian bins built as complex, which ``np.fft.irfft`` takes."""
     fn = _hermitian_bins(fold, complex)
-    fn[0] -= 1.0
-    fn[1::2] *= -1.0
-    if np.iscomplexobj(fold):
-        np.conjugate(fn, out=fn)
-    values = np.fft.irfft(fn, n=len(fold))
-    values /= h
-    return values
+    return _invert_bins(fn, len(fn), np.iscomplexobj(fold), h)
 
 
 def _invert_band(band: np.ndarray, N: int, h: float) -> np.ndarray:
     """Density samples at N points of spacing h from f_n on the band m < M,
-    M < N/2: the fold of a band grid, zero beyond the band."""
-    fold = np.zeros(N, dtype=band.dtype)
-    fold[: len(band)] = band
-    return _invert_fold(fold, h)
+    M < N/2, inverted from its own M bins: the fold's bins N - b, 0 < b <=
+    N/2, are 0, so its Hermitian bins are the band, bin 0 doubled, then 0,
+    and no N-bin fold is built."""
+    fn = np.zeros(N // 2 + 1, dtype=complex)
+    fn[:len(band)] = band
+    fn[0] = band[0] + np.conj(band[0])
+    return _invert_bins(fn, len(band), np.iscomplexobj(band), h)
+
+
+def _invert_bins(fn: np.ndarray, used: int, conjugate: bool, h: float) -> np.ndarray:
+    """Density samples at 2 (len(fn) - 1) points of spacing h from the
+    Hermitian bins of a two-sided fold, nonzero below ``used`` only, less the
+    m = 0 term (f_n = 1) that bin 0 counts twice, at the phase (-1)**b of
+    x0 = -L (dt*L = pi), conjugated for a complex fold; all in place."""
+    head = fn[:used]
+    head[0] -= 1.0
+    head[1::2] *= -1.0
+    if conjugate:
+        np.conjugate(head, out=head)
+    values = np.fft.irfft(fn, n=2 * len(fn) - 2)
+    values /= h
+    return values
 
 
 def _band_length(spec: DistributionSpec, n: int, N: int, dt: float):
@@ -515,8 +520,7 @@ def lr_integral(grid: DensityGrid, r: float) -> float:
     (r >= 1)."""
     if not r >= 1:
         raise ValueError("r must be >= 1")
-    v = grid._samples
-    return _simpson(np.power(v, r, out=np.zeros_like(v), where=v > 0), dx=grid._step)
+    return _simpson(_on_positive(np.power, grid, r), dx=grid._step)
 
 
 def renyi_entropy(grid: DensityGrid, r: float) -> float:
@@ -553,10 +557,17 @@ def entropy_power(grid: DensityGrid, r: float) -> float:
 
 def shannon_entropy(grid: DensityGrid) -> float:
     """h = -int p log p with 0 log 0 = 0."""
-    v = grid._samples
-    integrand = np.log(v, out=np.zeros_like(v), where=v > 0)
-    integrand *= v
+    integrand = _on_positive(np.log, grid)
+    integrand *= grid._samples
     return -_simpson(integrand, dx=grid._step)
+
+
+def _on_positive(ufunc, grid: DensityGrid, *args) -> np.ndarray:
+    """``ufunc(samples, *args)`` where positive, else 0; unmasked if min_value > 0."""
+    v = grid._samples
+    if grid.min_value > 0:
+        return ufunc(v, *args)
+    return ufunc(v, *args, out=np.zeros_like(v), where=v > 0)
 
 
 def sup_norm(grid: DensityGrid) -> float:
@@ -586,14 +597,15 @@ def _band_peak(grid: DensityGrid, x: float) -> float:
     span = grid.h * len(grid)
     theta = (2 * math.pi / span) * np.arange(grid.band)
     weighted = grid._spectrum * np.where(theta > 0, 2.0, 1.0) / span
+    phase, square = -1j * theta, theta * theta
     for _ in range(8):
-        terms = weighted * np.exp(-1j * theta * x)
+        terms = weighted * np.exp(phase * x)
         slope = float((theta @ terms).imag)
-        curvature = -float(((theta * theta) @ terms).real)
+        curvature = -float((square @ terms).real)
         if not curvature < 0:
             break
         step = slope / curvature
         x -= step
         if abs(step) < 1e-12:
             break
-    return float(np.real(weighted @ np.exp(-1j * theta * x)))
+    return float(np.real(weighted @ np.exp(phase * x)))

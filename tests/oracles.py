@@ -8,7 +8,9 @@ the Edgeworth polynomials and the a_j are partition sums, the series exp
 and log and Horner's rule take one Fraction operation at a time, the entropy and
 sup-norm coefficients and the threshold r_0 are hand-derived formulas, and
 the density fold adds
-whole frequency periods in complex arithmetic, as it was first written.
+whole frequency periods in complex arithmetic, as it was first written, a
+band grid is inverted from its zero-padded N-bin fold, and the local limit
+error is taken over the whole grid at once.
 """
 
 from dataclasses import dataclass
@@ -118,6 +120,38 @@ def period_at_a_time_fold(spec, n: int, N: int, dt: float, h: float):
             step = float(2.0 * sizes.sum() - sizes[0] - sizes[-1]) / (N * h)
             calm = calm + 1 if step < bound else 0
     return invert(extrapolant), periods, calm < 2, step
+
+
+def zero_padded_band_inversion(band, N: int, h: float):
+    """Density samples at N points of spacing h from f_n on the band m < M,
+    as ``numerics._invert_band`` was first written: the band zero-padded to
+    an N-bin fold, whose N/2 + 1 Hermitian bins are all made, less the
+    m = 0 term, phase-shifted and conjugated before the inverse FFT."""
+    import numpy as np
+    from renyi_clt import numerics
+
+    fold = np.zeros(N, dtype=band.dtype)
+    fold[: len(band)] = band
+    fn = numerics._hermitian_bins(fold, complex)
+    fn[0] -= 1.0
+    fn[1::2] *= -1.0
+    if np.iscomplexobj(fold):
+        np.conjugate(fn, out=fn)
+    values = np.fft.irfft(fn, n=N)
+    values /= h
+    return values
+
+
+def one_shot_locallimit_errors(model, grids: dict, ns) -> list:
+    """max_x (1 + |x|**m) |p_n(x) - phi_m(x)| for each n of ``ns``, taken
+    over the whole grid at once, as ``harness.cmd_locallimit`` was first
+    written."""
+    import numpy as np
+
+    x = grids[ns[0]].x
+    weight = 1.0 + np.abs(x) ** model.order
+    return [float(np.max(weight * np.abs(grids[n].values - approx)))
+            for n, approx in zip(ns, model.densities(ns, x))]
 
 
 def richardson(estimate_n: float, estimate_2n: float) -> float:

@@ -29,7 +29,7 @@ from renyi_clt.harness import (
     load_config,
     main,
 )
-from oracles import richardson
+from oracles import one_shot_locallimit_errors, richardson
 
 FAST_GRID = {"grid_points": 2**14, "grid_extent": 12.0}
 
@@ -808,6 +808,19 @@ def test_locallimit_rejects_large_order():
         cmd_locallimit(cfg)
 
 
+@pytest.mark.parametrize("points", [1024, 2**15, 2**15 + 2, numerics.DEFAULT_GRID_POINTS])
+def test_locallimit_blocks_equal_the_one_shot_error(points):
+    # the error is taken block by block of x, one ragged at 2**15 + 2
+    # points; each error is still the whole grid's maximum, to the bit
+    cfg = ExperimentConfig({"distribution": "gamma", "alpha": 4, "n_values": [4, 8, 16, 64],
+                            "moment_order": 6, "grid_points": points})
+    _, rows = cmd_locallimit(cfg)
+    spec, cums = harness._law(cfg, 6)
+    model = edgeworth.EdgeworthModel.from_cumulants(cums, order=6)
+    expected = one_shot_locallimit_errors(model, harness._grids(cfg, spec), cfg.n_values)
+    assert [row[1] for row in rows] == expected
+
+
 def test_locallimit_uniform_decreasing():
     cfg = ExperimentConfig(
         {
@@ -980,6 +993,18 @@ def test_cli_help_mentions_config_keys():
     for key in ("distribution", "r_values", "n_values", "moment_order",
                 "grid_points", "grid_extent"):
         assert key in proc.stdout
+
+
+def test_cli_usage_errors_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--config", str(path)])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # coeffs builds no grid, so a dump directory is a usage error, on one line
+    assert main(["coeffs", "--config", str(path), "--dump-density", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == "renyi-clt: error: coeffs builds no density to dump\n"
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize("name", sorted(distributions.LAWS))

@@ -21,6 +21,7 @@ from oracles import (
     normalized_uniform_sum_density,
     normalized_uniform_sum_lr,
     period_at_a_time_fold,
+    zero_padded_band_inversion,
 )
 
 F = Fraction
@@ -604,6 +605,38 @@ def test_band_evaluates_few_cf_points():
     grid, points = _counted_grid(rc.StandardizedGamma(4), 16)
     assert points <= 4096
     assert grid.band == points
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"npoints": 2**14, "extent": 12.0}])
+@pytest.mark.parametrize(
+    "key,ns",
+    [("gamma4", (4, 8, 64)), ("dyadic_mixture", (1, 8, 40)), ("laplace", (5, 8, 12)),
+     ("uniform", (8, 12, 64))],
+)
+def test_band_inverts_from_its_own_bins(key, ns, kwargs):
+    # the band's N' samples and its N values built on read, byte for byte
+    # those of the band zero-padded to a full N-bin fold
+    for n in ns:
+        grid = rc.density_of_normalized_sum(_ENVELOPE_LAWS[key], n, **kwargs)
+        assert grid.band
+        N, extent = len(grid), -grid.x0
+        size = len(grid._samples)
+        samples = zero_padded_band_inversion(grid._spectrum, size, 2 * extent / size)
+        values = zero_padded_band_inversion(grid._spectrum, N, grid.h)
+        assert np.maximum(samples, 0.0).tobytes() == grid._samples.tobytes()
+        assert np.maximum(values, 0.0).tobytes() == grid.values.tobytes()
+
+
+def test_functionals_skip_the_mask_on_a_positive_grid():
+    # no sample is 0, so the power and the log run unmasked; the same
+    # samples behind a min_value of 0 run masked, to the same bits
+    grid = rc.density_of_normalized_sum(rc.TwoSidedExponential(), 1, npoints=2**14, extent=12.0)
+    assert grid.min_value > 0 and grid.band == 0
+    masked = rc.DensityGrid(12.0, 2**14, grid.values, None, 1, mass_defect=0.0, min_value=0.0,
+                            folds=1, cap_hit=False, ringing_bound=0.0)
+    for r in (1.005, 2, 2.347, 7.9):
+        assert rc.lr_integral(grid, r) == rc.lr_integral(masked, r)
+    assert rc.shannon_entropy(grid) == rc.shannon_entropy(masked)
 
 
 def _plain_grid(extent, samples, n=1):

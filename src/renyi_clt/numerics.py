@@ -13,13 +13,14 @@ f_n is negligible beyond a short band of the first period, only that band
 is evaluated and the rest of the period is zero.  Otherwise the whole first
 period is evaluated, and when |f_n| still decays too slowly over it (small
 n, laws with kinks or jumps), further periods are folded onto the same
-bins: their count K doubles, and two-point Richardson extrapolation
-2 S_2K - S_K cancels the 1/K truncation error of the K-period fold S_K.
-Doubling stops after two consecutive steps between extrapolants, each the
-l1 norm of the two-sided bins of R_K - R_{K/2} over N h (a bound at every
-x), fall below the tail bound, or at a fixed cap on cf evaluations; only the
-last extrapolant is inverted.  Each grid records its fold count, whether
-the cap stopped it, and its ringing bound.
+bins: their count K doubles, and two columns of Richardson extrapolation
+cancel the 1/K, and then also the 1/K**3, term of the truncation error of
+the K-period fold S_K.  Doubling stops once one column's steps between
+extrapolants, each the l1 norm of the two-sided bins of R_K - R_{K/2} over
+N h (a bound at every x), fall below the tail bound on two consecutive
+doublings, or at a fixed cap on cf evaluations; only the settled
+extrapolant is inverted.  Each grid records its fold count, whether the
+cap stopped it, and its ringing bound.
 Periods are added in blocks of 2**15 bins, each block taking every new
 period in turn, so that a block's cf values, their power and its slice of
 the fold stay in cache.  Each pass over the bins does its arithmetic once:
@@ -130,9 +131,10 @@ class DensityGrid:
     part of the first period), ``cap_hit`` when the fold stopped at the
     evaluation cap before settling, and ``ringing_bound``, the estimated
     residual truncation error: the envelope bound on what a band drops, the
-    one-period tail bound, or the last Richardson step's spectral bound on
-    |R_K - R_{K/2}| at every x.  ``band`` is the number M of cf values a
-    band grid was built from, and 0 when the full period was evaluated.
+    one-period tail bound, or the spectral bound at every x on the last step
+    R_K - R_{K/2} of the Richardson column that settled.  ``band`` is the
+    number M of cf values a band grid was built from, and 0 when the full
+    period was evaluated.
 
     The constructor takes the point count N (``size``) and the quadrature
     samples, on which ``mass_defect`` and ``min_value`` were taken: the N
@@ -328,19 +330,26 @@ def _folded_density(spec: DistributionSpec, n: int, N: int, L: float):
     ``_TAIL_BOUND``.  Both bounds assume a tail that has begun, so when
     |f_n| still exceeds 1/2 at the period's last bin the grid step is too
     coarse for f_n, and :class:`GridError` says so at once.  Otherwise the
-    number of periods K doubles.  Under that envelope the
-    error of the K-period fold S_K falls like 1/K, so two-point Richardson
-    extrapolation R_K = 2 S_2K - S_K cancels its leading term.
-    The step R_K - R_{K/2} = 2 (S_2K - S_K) - (S_K - S_{K/2}) is formed on
-    the spectrum and measured as the l1 norm of its two-sided bins over N h,
-    which bounds it at every x.  Folding stops once two consecutive steps
-    fall below ``_TAIL_BOUND`` (a single step can pass early on a sequence
-    still converging), or when the next doubling would exceed ``_EVAL_CAP``
-    lattice points; only then is R_K inverted.  A bound or a step
-    that is NaN counts as settled, so that a cf with a NaN stops at once
-    with NaN samples, which the mass check rejects.  The reported
-    ringing bound is then the plain one-period bound, or else the last
-    Richardson step (inf if the cap left room for one extrapolant only).
+    number of periods K doubles.  Under that envelope the error of the
+    K-period fold S_K runs c_1/K + c_2/K**2 + c_3/K**3 + ..., where c_2 = 0
+    at a bin b >= 1, whose two sides are tails at offsets b/N and 1 - b/N.
+    The first Richardson column R1_K = 2 S_2K - S_K cancels c_1; its step
+    d_K = R1_K - R1_{K/2} = 2 (S_2K - S_K) - (S_K - S_{K/2}).  The second,
+    R2_K = R1_K + d_K/7, cancels c_3 too and steps by (8 d_K - d_{K/2})/7.
+    Bin 0 lacks m = -KN and keeps c_2, so it takes R1_K + (11 d_K -
+    d_{K/2})/21 from the exponent-(1, 2, 3) row instead.  A step is formed
+    on the spectrum and measured as the l1 norm of its two-sided bins over
+    N h, which bounds it at every x.  A column settles once two consecutive
+    steps fall below ``_TAIL_BOUND`` (a single step can pass early on a
+    sequence still converging), the second only on steps not above the
+    first's at the same doubling (it is erratic on uniform n = 2), and the
+    first wins a tie.  Folding stops then, inverting the settled
+    extrapolant, or when the next doubling would exceed ``_EVAL_CAP``
+    lattice points, inverting R1.  A bound or a first-column step that is
+    NaN counts as settled, so that a cf with a NaN stops at once with NaN
+    samples, which the mass check rejects.  The reported ringing bound is
+    then the plain one-period bound, or else the last step of the column
+    inverted (inf if the cap left room for one extrapolant only).
     ``spectrum`` is then None.  Every period, the first and those of each
     doubling, is added by ``_add_periods``, block by block in period order,
     in the dtype of the law's cf.
@@ -399,24 +408,38 @@ def _fold_periods(spec: DistributionSpec, n: int, N: int, L: float,
     if not ringing >= _TAIL_BOUND or max_periods < 2:
         return _invert_fold(fold, h), 1, ringing >= _TAIL_BOUND, ringing
 
-    # three N-bin buffers serve every doubling: S_K, S_2K and S_2K - S_K,
-    # whose Hermitian bins are kept for the next doubling's step
-    periods, bins, step, calm = 1, None, math.inf, 0
+    # three N-bin buffers serve every doubling: S_K, S_2K and S_2K - S_K.
+    # Hermitian bins are kept of the last difference and of the first
+    # column's last two steps, newest first
+    periods, bins, deltas, steps, calm = 1, None, [None, None], [math.inf] * 2, [0, 0]
     wider, spare = np.empty_like(fold), np.empty_like(fold)
-    while 2 * periods <= max_periods and calm < 2:
+    while 2 * periods <= max_periods and max(calm) < 2:
         np.copyto(wider, fold)
         _add_periods(wider, spec, n, N, dt, periods, 2 * periods)
         previous, bins = bins, _hermitian_bins(np.subtract(wider, fold, out=spare), fold.dtype)
         fold, wider, periods = wider, fold, 2 * periods
         if previous is not None:
-            # R_K - R_{K/2} = 2 (S_2K - S_K) - (S_K - S_{K/2}), and the l1
-            # norm of its two-sided bins over N h bounds it at every x
-            terms = np.abs(np.subtract(2.0 * bins, previous, out=previous))
-            step = float(2.0 * terms.sum() - terms[0] - terms[-1]) / (N * h)
-            calm = calm + 1 if not step >= _TAIL_BOUND else 0
+            deltas = [np.subtract(2.0 * bins, previous, out=previous), deltas[0]]
+            steps[0] = _spectral_norm(deltas[0], N * h)
+            calm[0] = calm[0] + 1 if not steps[0] >= _TAIL_BOUND else 0
+        if deltas[1] is not None:
+            steps[1] = _spectral_norm((8.0 * deltas[0] - deltas[1]) * (1 / 7), N * h)
+            calm[1] = calm[1] + 1 if steps[1] < _TAIL_BOUND and steps[1] <= steps[0] else 0
     np.multiply(fold, 2.0, out=spare)
     spare -= wider
-    return _invert_fold(spare, h), periods, calm < 2, step
+    if calm[0] == 2 or calm[1] < 2:
+        return _invert_fold(spare, h), periods, calm[0] < 2, steps[0]
+    fn = _hermitian_bins(spare, complex)  # R2 = R1 + its step/7, bin 0 by its own row
+    head = fn[0] + (11.0 * deltas[0][0] - deltas[1][0]) * (1 / 21)
+    fn += deltas[0] * (1 / 7)
+    fn[0] = head
+    return _invert_bins(fn, len(fn), np.iscomplexobj(fold), h), periods, False, steps[1]
+
+
+def _spectral_norm(bins: np.ndarray, span: float) -> float:
+    """The l1 norm over ``span`` = N h of two-sided bins whose 0..N/2 are ``bins``."""
+    terms = np.abs(bins)
+    return float(2.0 * terms.sum() - terms[0] - terms[-1]) / span
 
 
 def density_of_normalized_sum(
@@ -435,8 +458,9 @@ def density_of_normalized_sum(
     to a few thousand frequencies is evaluated.  Other grids whose
     characteristic power decays fast enough use the whole first period;
     slowly decaying ones (small n, laws with kinks or jumps) double the
-    period count under Richardson extrapolation until two consecutive steps,
-    each bounded on the spectrum at every x, fall below ``_TAIL_BOUND``.
+    period count under two columns of Richardson extrapolation until one
+    column's steps, each bounded on the spectrum at every x, fall below
+    ``_TAIL_BOUND`` on two consecutive doublings.
     The grid records ``folds``, ``cap_hit``
     (the doubling stopped at ``_EVAL_CAP`` cf points before settling),
     ``ringing_bound`` and ``band``.

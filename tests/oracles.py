@@ -77,9 +77,16 @@ def period_at_a_time_fold(spec, n: int, N: int, dt: float, h: float):
     was first written: whole periods of f_n added one after the other, in
     complex arithmetic, then inverted as ``numerics._invert_fold`` does.  Each
     period reaches the law as one ``Lattice``.  The stopping rule is the
-    library's, with its ``_TAIL_BOUND`` and ``_EVAL_CAP`` read at call time:
-    the step between extrapolants is the l1 norm over N h of the two-sided
-    bins of R_K - R_{K/2} = 2 (S_2K - S_K) - (S_K - S_{K/2})."""
+    library's, with its ``_TAIL_BOUND`` and ``_EVAL_CAP`` read at call time.
+    The first Richardson column R1_K = 2 S_2K - S_K steps by
+    d_K = 2 (S_2K - S_K) - (S_K - S_{K/2}), the second R2_K = R1_K + d_K/7
+    by (8 d_K - d_{K/2})/7, each step's size being the l1 norm over N h of
+    its two-sided bins.  A column settles after two calm doublings, the
+    first winning a tie; the second's doubling is calm only when its step
+    is also not above the first's.  The second column's bin 0 is
+    R1_K + (11 d_K - d_{K/2})/21.  Its weights are products by 1/7 and
+    1/21, as in the library: real and complex products round alike, where
+    numpy's complex division by 7 does not match the real one."""
     import numpy as np
     from renyi_clt import numerics
     from renyi_clt.distributions import Lattice
@@ -92,8 +99,11 @@ def period_at_a_time_fold(spec, n: int, N: int, dt: float, h: float):
         b = np.arange(N // 2 + 1)
         return fold[b] + np.conj(fold[-b])
 
-    def invert(fold):
-        fn = bins(fold)
+    def size(fn):
+        sizes = np.abs(fn)
+        return float(2.0 * sizes.sum() - sizes[0] - sizes[-1]) / (N * h)
+
+    def invert(fn):
         fn[0] -= 1.0
         fn[1::2] *= -1.0
         return np.fft.irfft(np.conj(fn), n=N) / h
@@ -106,20 +116,29 @@ def period_at_a_time_fold(spec, n: int, N: int, dt: float, h: float):
     tail_int = float(np.abs(fold[-quarter:]).sum()) * dt
     ringing = tail_int * (N * dt / (quarter * dt)) / pi
     if ringing < bound or max_periods < 2:
-        return invert(fold), 1, ringing >= bound, ringing
+        return invert(bins(fold)), 1, ringing >= bound, ringing
 
-    periods, difference, step, calm = 1, None, inf, 0
-    while 2 * periods <= max_periods and calm < 2:
+    periods, difference, d, first, second, calm = 1, None, [None, None], inf, inf, [0, 0]
+    while 2 * periods <= max_periods and max(calm) < 2:
         wider = fold.copy()
         for k in range(periods, 2 * periods):
             wider += period(k)
         previous, difference = difference, bins(wider - fold)
         extrapolant, fold, periods = 2.0 * wider - fold, wider, 2 * periods
         if previous is not None:
-            sizes = np.abs(2.0 * difference - previous)
-            step = float(2.0 * sizes.sum() - sizes[0] - sizes[-1]) / (N * h)
-            calm = calm + 1 if step < bound else 0
-    return invert(extrapolant), periods, calm < 2, step
+            d = [2.0 * difference - previous, d[0]]
+            first = size(d[0])
+            calm[0] = calm[0] + 1 if first < bound else 0
+        if d[1] is not None:
+            second = size((8.0 * d[0] - d[1]) * (1 / 7))
+            calm[1] = calm[1] + 1 if second < bound and second <= first else 0
+    fn = bins(extrapolant)
+    if calm[0] == 2 or calm[1] < 2:
+        return invert(fn), periods, calm[0] < 2, first
+    head = fn[0] + (11.0 * d[0][0] - d[1][0]) * (1 / 21)
+    fn = fn + d[0] * (1 / 7)
+    fn[0] = head
+    return invert(fn), periods, False, second
 
 
 def zero_padded_band_inversion(band, N: int, h: float):

@@ -22,8 +22,8 @@ The inversion asks for its frequencies as a ``Lattice``, the points
 ((first + j)*dt)/sqrt(n) of a fold block or a band, so a law that can use the
 structure reads it from the indices and need not detect it.
 
-The built-in families, each but the table named in ``LAWS`` with the
-parameters :func:`from_name` builds it from:
+The built-in families, each named in ``LAWS`` with the parameters
+:func:`from_name` builds it from:
 
 * ``Uniform``: uniform on (-sqrt(3), sqrt(3)); |cf| ~ 1/|t|, n_min = 2.
   Its cf on a lattice takes the sines from a two-level table of unit phases
@@ -33,11 +33,12 @@ parameters :func:`from_name` builds it from:
   smallest n with n*alpha > 1.
 * ``TwoSidedExponential``: Laplace with variance 1; cf = 1/(1 + t**2/2).
 * ``GaussianMixture``: finite normal mixture, standardized by construction.
-* ``GridDensity``: a tabulated density on a uniform grid.  Its cf is the
-  exact transform of the piecewise-linear interpolant, evaluated on a
-  lattice by a chirp z-transform; its moments come by Simpson quadrature.
-  It has no cf envelope: the lattice sum revives near every multiple of
-  2*pi/h, so no useful monotone bound exists.
+* ``GridDensity``: a tabulated density on a uniform grid, named ``grid``
+  and read from a ``density_file`` of x,p rows.  Its cf is the exact
+  transform of the piecewise-linear interpolant, evaluated on a lattice by
+  a chirp z-transform; its moments come by Simpson quadrature.  It has no
+  cf envelope: the lattice sum revives near every multiple of 2*pi/h, so no
+  useful monotone bound exists.
 """
 
 from __future__ import annotations
@@ -490,10 +491,13 @@ class GridDensity(DistributionSpec):
     ``n_min`` is 1 for every table: the interpolant's cf carries the factor
     sinc(t*h/(2*pi))**2, so |cf(t)| = O(t**-2) is integrable and Z_1
     already inverts.  ``support`` is max(|x_0|, |x_end|) + h: the hat of
-    an end node reaches one step past it.
+    an end node reaches one step past it.  ``density_file`` names the file
+    a table was read from (:meth:`from_file`), and is None for one built
+    from arrays.
     """
 
     name = "grid"
+    density_file = None
 
     def __init__(self, x, p):
         x = np.asarray(x, dtype=float)
@@ -515,6 +519,39 @@ class GridDensity(DistributionSpec):
         mean = _simpson(p * x, dx=self.h)
         second = _simpson(p * x * x, dx=self.h)
         _require_standardized("tabulated density", mass, mean, second)
+
+    @classmethod
+    def from_file(cls, density_file) -> "GridDensity":
+        """The table in ``density_file``, a UTF-8 CSV of two finite numbers
+        x,p a row, after an optional header such as x,p.  A path that is
+        not a string, a file that cannot be read and a row that is not two
+        numbers are each a one-line ``ValueError`` naming the cause, as is a
+        table that :class:`GridDensity` refuses."""
+        if not isinstance(density_file, str):
+            raise ValueError("grid distribution needs a density_file path")
+        import csv  # here, so that ``import renyi_clt`` does not load it
+
+        xs, ps = [], []
+        try:
+            with open(density_file, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                for row in reader:
+                    # a header such as x,p may come before the first row
+                    if not row or not xs and row[0].lstrip().startswith("x"):
+                        continue
+                    if len(row) != 2:
+                        raise ValueError(
+                            f"line {reader.line_num} has {len(row)} cells, not the two x,p"
+                        )
+                    xs.append(float(row[0]))
+                    ps.append(float(row[1]))
+        except OSError as exc:
+            raise ValueError(f"cannot read density_file: {exc}") from exc
+        except (ValueError, csv.Error) as exc:  # UnicodeDecodeError included
+            raise ValueError(f"malformed density_file: {exc}") from exc
+        table = cls(np.array(xs), np.array(ps))
+        table.density_file = density_file
+        return table
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
@@ -584,12 +621,12 @@ LAWS = {
     "two_sided_exponential": (TwoSidedExponential, ()),
     "gaussian_mixture": (GaussianMixture, ("weights", "means", "sigmas")),
     "gaussian": (GaussianMixture.standard_normal, ()),
+    "grid": (GridDensity.from_file, ("density_file",)),
 }
 
 
 def from_name(name: str, **params) -> DistributionSpec:
-    """The law ``name`` of :data:`LAWS`, built from exactly its parameters.
-    A tabulated law has no name: build its :class:`GridDensity` instead."""
+    """The law ``name`` of :data:`LAWS`, built from exactly its parameters."""
     law = LAWS.get(name.strip().lower())
     if law is None:
         raise ValueError(f"unsupported distribution {name!r}")

@@ -56,7 +56,6 @@ _LAW_PARAMS = tuple(dict.fromkeys(p for _, ps in distributions.LAWS.values() for
 _CONFIG_KEYS = {
     "distribution",
     *_LAW_PARAMS,
-    "density_file",
     "r_values",
     "n_values",
     "moment_order",
@@ -103,11 +102,12 @@ class ExperimentConfig:
         self.distribution = data["distribution"]
         if not isinstance(self.distribution, str):
             raise ConfigError("distribution must be a name string")
-        self.params = {k: data[k] for k in (*_LAW_PARAMS, "density_file") if k in data}
+        self.params = {k: data[k] for k in _LAW_PARAMS if k in data}
         for key in _LAW_PARAMS:
             value = self.params.get(key)
             values = value if isinstance(value, list) else [value]
-            if any(isinstance(v, bool) for v in values):
+            # a table's density_file is a path, which the table's reader checks
+            if key != "density_file" and any(isinstance(v, bool) for v in values):
                 raise ConfigError(f"{key} must be numbers, not true or false")
 
         r_values = data.get("r_values", [2])
@@ -168,38 +168,6 @@ class ExperimentConfig:
         return int(math.floor(self.moment_order))
 
     def build_spec(self) -> distributions.DistributionSpec:
-        if self.distribution == "grid":
-            if set(self.params) - {"density_file"}:
-                # as distributions.from_name words it for a named law
-                raise ConfigError(
-                    f"expected parameters ['density_file'], got {sorted(self.params)}"
-                )
-            path = self.params.get("density_file")
-            if not isinstance(path, str):
-                raise ConfigError("grid distribution needs a density_file path")
-            xs, ps = [], []
-            try:
-                with open(path, newline="", encoding="utf-8") as fh:
-                    reader = csv.reader(fh)
-                    for row in reader:
-                        # a header such as x,p may come before the first row
-                        if not row or not xs and row[0].lstrip().startswith("x"):
-                            continue
-                        if len(row) != 2:
-                            raise ValueError(
-                                f"line {reader.line_num} has {len(row)} cells, "
-                                "not the two x,p"
-                            )
-                        xs.append(float(row[0]))
-                        ps.append(float(row[1]))
-            except OSError as exc:
-                raise ConfigError(f"cannot read density_file: {exc}") from exc
-            except (ValueError, csv.Error) as exc:  # UnicodeDecodeError included
-                raise ConfigError(f"malformed density_file: {exc}") from exc
-            try:
-                return distributions.GridDensity(np.array(xs), np.array(ps))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
         try:
             return distributions.from_name(self.distribution, **self.params)
         except (ValueError, TypeError, OverflowError) as exc:
@@ -294,7 +262,8 @@ def _grids(cfg: ExperimentConfig, spec, dump_dir=None):
         if grid.cap_hit:
             print(
                 f"warning: n={n} density stopped at the cf evaluation cap after "
-                f"{grid.folds} periods; ringing bound {grid.ringing_bound:.3g}",
+                f"{grid.folds} periods, unsettled; last step between extrapolants "
+                f"{grid.ringing_bound:.3g}",
                 file=sys.stderr,
             )
         out[n] = grid
@@ -322,7 +291,7 @@ def _mass_term(j: int, r, cums):
     return total
 
 
-def cmd_coeffs(cfg: ExperimentConfig):
+def cmd_coeffs(cfg: ExperimentConfig, dump_dir=None):
     """Per-index table: b(r), B1(r) = -b(r), A1 and A2, the N_inf pair, r0
     and the verdicts.  b(r), r0 and the verdicts are read off the cached
     exact L_1 (:func:`~renyi_clt.expansion.b_coefficient` and
@@ -331,7 +300,9 @@ def cmd_coeffs(cfg: ExperimentConfig):
     (:func:`~renyi_clt.expansion.gauss_power_mass`); the hand formulas
     :func:`~renyi_clt.expansion.a1_closed_form` and
     :func:`~renyi_clt.expansion.a2_from_integrals` are independent
-    cross-checks, used by the benchmark and the tests.
+    cross-checks, used by the benchmark and the tests.  It builds no
+    density grid, so ``dump_dir`` is unused: the parser refuses
+    ``--dump-density`` for it.
     """
     order = cfg.integer_order
     _, cums = _law(cfg, order)
@@ -414,7 +385,10 @@ def cmd_verify(cfg: ExperimentConfig, dump_dir=None):
 
 
 def cmd_monotonicity(cfg: ExperimentConfig, dump_dir=None):
-    spec, cums = _law(cfg, max(4, cfg.integer_order))
+    spec, cums = _law(cfg, cfg.integer_order)
+    if cfg.moment_order < 4:
+        # the predicted verdict reads b_1, which needs gamma_4
+        raise ConfigError("monotonicity needs moment_order >= 4")
     if len(cfg.n_values) < 3:
         raise ConfigError("monotonicity needs at least three n values")
     if any(b - a != 1 for a, b in zip(cfg.n_values, cfg.n_values[1:])):
@@ -506,7 +480,10 @@ _COMMANDS = {
     "locallimit": cmd_locallimit,
 }
 
-_EPILOG = """commands:
+# the largest grid_points and n, both powers of two, as --help writes them
+_MAX_POINTS, _MAX_N = (f"2**{v.bit_length() - 1}" for v in (numerics._EVAL_CAP, numerics.MAX_N))
+
+_EPILOG = f"""commands:
   coeffs         expansion coefficient table per entropy index
   verify         measured vs predicted entropies per (n, r)
   monotonicity   finite differences of N_r(Z_n) vs predicted verdict
@@ -522,12 +499,13 @@ config keys:
   r_values       entropy indexes: numbers > 1, 1 (Shannon), or "inf"
   n_values       strictly ascending positive integers
   moment_order   real s in [2, 8] (moments assumed finite up to s)
-  grid_points    inversion grid size, even, 1024..2**27 (default 131072)
-  grid_extent    spatial half-width, >= 12 (default 16.0)
+  grid_points    inversion grid size, even, 1024..{_MAX_POINTS} \
+(default {numerics.DEFAULT_GRID_POINTS})
+  grid_extent    spatial half-width, >= 12 (default {numerics.DEFAULT_GRID_EXTENT})
   out            default output CSV path (overridden by --out)
 
 exit codes: 0 success; 2 config error, including an n outside the law's
-n_min..2**33, grid_points above 2**27, a malformed density_file and an
+n_min..{_MAX_N}, grid_points above {_MAX_POINTS}, a malformed density_file and an
 output CSV or density dump that cannot be written; 3 numerical failure,
 including running out of memory
 """
@@ -562,10 +540,7 @@ def main(argv=None) -> int:
     out, dump_dir = args.out or cfg.out, args.dump_density
     try:
         _prepare_outputs(out, dump_dir)
-        if args.command == "coeffs":
-            header, rows = cmd_coeffs(cfg)
-        else:
-            header, rows = _COMMANDS[args.command](cfg, dump_dir=dump_dir)
+        header, rows = _COMMANDS[args.command](cfg, dump_dir=dump_dir)
         _write_rows(out, header, rows)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

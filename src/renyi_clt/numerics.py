@@ -5,30 +5,83 @@ The normalized sum Z_n = (X_1 + ... + X_n)/sqrt(n) has characteristic
 function f_n(t) = f(t/sqrt(n))**n.  n is a positive integer, so the
 principal complex power is exact and needs no phase tracking.
 
-The density is recovered on a uniform spatial grid by a discrete Fourier
-inversion whose frequency lattice is the reciprocal of the spatial one, so
-one real-output inverse FFT turns a folded spectrum into density samples.
-When the law gives a cf envelope (a non-increasing bound on |f|) under which
-f_n is negligible beyond a short band of the first period, only that band
-is evaluated and the rest of the period is zero.  Otherwise the whole first
-period is evaluated, and when |f_n| still decays too slowly over it (small
-n, laws with kinks or jumps), further periods are folded onto the same
-bins: their count K doubles, and two columns of Richardson extrapolation
-cancel the 1/K, and then also the 1/K**3, term of the truncation error of
-the K-period fold S_K.  Doubling stops once one column's steps between
-extrapolants, each the l1 norm of the two-sided bins of R_K - R_{K/2} over
-N h (a bound at every x), fall below the tail bound on two consecutive
-doublings, or at a fixed cap on cf evaluations; only the settled
-extrapolant is inverted.  Each grid records its fold count, whether the
-cap stopped it, and its ringing bound.
-Periods are added in blocks of 2**15 bins, each block taking every new
-period in turn, so that a block's cf values, their power and its slice of
-the fold stay in cache.  Each pass over the bins does its arithmetic once:
-the power is taken in place in the cf's own array, and not at all at
+One inversion.  The density is sampled at the N points x_j = -L + j h,
+h = 2L/N, from f_n on the reciprocal lattice t_m = m dt, dt = pi/L.  Since
+N dt x_0 = -pi N with N even, frequencies m and m + N land in the same FFT
+bin with the same phase: the positive frequencies fold onto N bins, bin b
+summing f_n((k N + b) dt) over the periods k, and the negative ones are
+their conjugates.  Every grid is inverted by one routine from the Hermitian
+bins 0..N/2 of that two-sided fold, of which only a leading part may be
+nonzero: it drops the m = 0 term (f_n = 1) that bin 0 counts twice, applies
+the phase (-1)**b of x_0, conjugates a complex fold and takes one
+real-output inverse FFT.  Grids differ only in the frequencies they fold.
+
+Band.  When the law gives a cf envelope E (a non-increasing bound on |f|),
+the band m < M of the first period may be enough, M doubling from 256
+while below N/2.  The samples the band drops, and the frequencies beyond
+the period under the 1/t**2 envelope assumed below, add at most
+(N dt/pi) E(M dt/sqrt(n))**n to the density.  The band is taken once that
+bound, and E(M dt/sqrt(n))**n itself, are below 2**-60, far under the
+rounding near the mode, so the grid matches the full-period one to an ulp,
+mostly bit for bit; the rest of the period is zero.  A band grid is a
+trigonometric polynomial of M terms, M of 256 to 8192, periodic over the
+grid's extent.  The trapezoid and Simpson sums of such a smooth periodic
+integrand are exact to rounding on a few times M points (Trefethen and
+Weideman, SIAM Review 56, 2014), so its functionals and checks run on
+N' = min(N, max(1024, 4M)) samples of the same extent, every (N/N')-th
+point of the N-point grid up to rounding, and its N samples are built only
+when read, each from the band's own M bins.  Checking negativity on the N'
+samples is enough: each of the N samples is the periodized density, which
+is not negative, plus less than the band's bound, plus rounding.
+
+Full period and Richardson folding.  Without an envelope that allows a
+band, the whole first period is evaluated.  It is kept when its ringing
+bound, the tail integral of |f_n| over its last quarter divided by pi,
+assuming at worst a 1/t**2 envelope, is below the tail bound 5e-9.  That
+bound and the band's assume a tail that has begun, so a grid where |f_n|
+still exceeds 1/2 at the period's last bin has a step too coarse for f_n
+and fails at once.  Otherwise (small n, laws with kinks or jumps) the
+period count K doubles.  Under that envelope the error of the K-period fold
+S_K runs c_1/K + c_2/K**2 + c_3/K**3 + ..., where c_2 = 0 at a bin b >= 1,
+whose two sides are tails at offsets b/N and 1 - b/N.  The first Richardson
+column R1_K = 2 S_2K - S_K cancels c_1; its step is
+d_K = R1_K - R1_{K/2} = 2 (S_2K - S_K) - (S_K - S_{K/2}).  The second,
+R2_K = R1_K + d_K/7, cancels c_3 too and steps by (8 d_K - d_{K/2})/7.
+Bin 0 lacks m = -KN and keeps c_2, so it takes R1_K + (11 d_K - d_{K/2})/21,
+the exponent-(1, 2, 3) row, instead.  Each step is formed on the spectrum
+and measured as the l1 norm of its two-sided bins over N h, which bounds it
+at every x, so only the settled extrapolant is inverted.  A column settles
+once two consecutive steps fall below the tail bound (one step can pass
+early on a sequence still converging), the second only on steps not above
+the first's at the same doubling (it is erratic on uniform n = 2), and the
+first wins a tie.  Doubling stops then, or where the next doubling would
+pass a cap of 2**27 cf points, keeping R1.  A bound or a first-column step
+that is NaN counts as settled, so a cf with a NaN stops at once with NaN
+samples, which the mass check rejects.  The last step measures how far the
+extrapolants still move, not how far they are from their limit: at a kink
+of p_n the error expansion is not the smooth one, and Gamma(1) at n = 2 on
+2**15 points of [-12, 12) settles with a last step of 4.5e-10 and an error
+of 6.4e-9 at the kink.
+
+Compact support.  A law of compact support (``support`` s finite: the
+uniform law, a table) puts Z_n inside [-sqrt(n) s, sqrt(n) s].  A grid on
+the full-period path then folds only its narrowest dyadic sub-extent
+[-L_f, L_f) that holds that interval, on the N_f = N L_f/L bins of the same
+step: by Poisson summation the fold at dt = pi/L_f gives the periodized
+density, which on [-L_f, L_f) is p_n itself, with nothing to alias, so the
+N_f samples are placed at the centre of the N-point grid and the rest of it
+is exactly 0.  Each period then takes N_f cf points instead of N.  The
+halving stops at 1024 bins and at an odd N_f/2; the period cap stays that
+of the requested N, and the band is decided on the whole grid.
+
+Blocks.  Periods are added in blocks of 2**15 bins, each block taking every
+new period in turn, so that a block's cf values, their power and its slice
+of the fold stay in cache.  Each pass over the bins does its arithmetic
+once: the power is taken in place in the cf's own array, and not at all at
 n = 1; the Hermitian bins, of the inversion and of each step, are built
-from slices, the inversion's as complex and scaled in place; and the
-doubling loop keeps three N-bin buffers, S_K, S_2K and S_2K - S_K, writing
-each doubling into them.  The law is handed each block as a
+from slices in the fold's dtype and inverted in place; and the doubling
+loop keeps three N-bin buffers, S_K, S_2K and S_2K - S_K, writing each
+doubling into them.  The law is handed each block as a
 ``distributions.Lattice``, the indices k*N + b of its bins with the
 frequency step and sqrt(n): a pointwise law reads it as the doubles of
 dt times the integer lattice over sqrt(n), and a law that evaluates a
@@ -39,29 +92,10 @@ wherever the cf is computed point by point; a whole-lattice cf moves by
 rounding with the block it is given.  The fold takes the dtype of the law's
 cf: real for a symmetric law, complex otherwise.
 
-A law of compact support (``support`` s finite: the uniform law, a table)
-puts Z_n inside [-sqrt(n) s, sqrt(n) s].  A grid on the full-period path
-then folds only its narrowest dyadic sub-extent [-L_f, L_f) that holds
-that interval, on the N_f = N L_f/L bins of the same step: by Poisson
-summation the fold at dt = pi/L_f gives the periodized density, which on
-[-L_f, L_f) is p_n itself, with nothing to alias, so the N_f samples are
-placed at the centre of the N-point grid and the rest of it is exactly 0.
-Each period then takes N_f cf points instead of N.  The halving stops at
-1024 bins and at an odd N_f/2; the period cap stays that of the requested
-N, and the band is decided on the whole grid, so band grids are unchanged.
-
-A band grid is a trigonometric polynomial of M terms, M of 256 to 8192,
-periodic over the grid's extent.  The trapezoid and Simpson sums of such a
-smooth periodic integrand are exact to rounding on a few times M points
-(Trefethen and Weideman, SIAM Review 56, 2014), so its functionals and
-checks run on N' = min(N, max(1024, 4M)) samples of the same extent, which
-are every (N/N')-th point of the N-point grid, and its N samples are built
-only when read, each from the band's own M bins.  Others keep N samples.
-
-Simpson quadrature on these samples yields L^r integrals, Renyi/Shannon
-entropies and entropy powers.  The sup-norm is refined by Newton steps on a
-band grid's polynomial, and by a parabola through the sample argmax and its
-neighbours otherwise.
+Functionals.  Simpson quadrature on the samples yields L^r integrals,
+Renyi/Shannon entropies and entropy powers.  The sup-norm is refined by
+Newton steps on a band grid's polynomial, and by a parabola through the
+sample argmax and its neighbours otherwise.
 """
 
 from __future__ import annotations
@@ -112,8 +146,9 @@ _FOLD_BLOCK = 2**15
 # far under the rounding of the samples near the mode (about 5e-17): the grid
 # then matches the full-period one to an ulp, mostly bit for bit
 _BAND_FLOOR = 2.0**-60
-# sup-norm bound on what folding may leave of the tail: the one-period
-# ringing bound, two consecutive spectral Richardson steps, and a band's bound
+# what folding may leave of the tail: a single period is kept when its
+# ringing bound, and a Richardson column settles when two consecutive
+# spectral steps, fall below this
 _TAIL_BOUND = 5e-9
 
 
@@ -129,10 +164,13 @@ class DensityGrid:
     most negative raw sample before clipping.  The grid also says how it was
     folded: ``folds`` frequency periods (1 also for a band that covers only
     part of the first period), ``cap_hit`` when the fold stopped at the
-    evaluation cap before settling, and ``ringing_bound``, the estimated
-    residual truncation error: the envelope bound on what a band drops, the
-    one-period tail bound, or the spectral bound at every x on the last step
-    R_K - R_{K/2} of the Richardson column that settled.  ``band`` is the
+    evaluation cap before settling, and ``ringing_bound``.  For a band that
+    is the envelope's bound on what the band drops, and for one period the
+    tail bound; both bound the truncation at every x.  For a folded grid it
+    is the spectral size of the last step R_K - R_{K/2} of the Richardson
+    column that settled (of the first column at the cap, inf if the cap left
+    room for one extrapolant only): how far the extrapolants still moved,
+    not an error bound, which a kink of p_n can exceed.  ``band`` is the
     number M of cf values a band grid was built from, and 0 when the full
     period was evaluated.
 
@@ -172,7 +210,7 @@ class DensityGrid:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            values = _invert_band(self._spectrum, self._size, self.h)
+            values = _invert(_band_bins(self._spectrum), self._size, self.h)
             self._values = np.maximum(values, 0.0, out=values)
         return self._values
 
@@ -203,51 +241,40 @@ def _cf_power(spec: DistributionSpec, n: int, t) -> np.ndarray:
     return values
 
 
-def _hermitian_bins(fold: np.ndarray, dtype) -> np.ndarray:
-    """Bins 0..N/2, in ``dtype``, of the two-sided fold of a positive-frequency
-    fold over the N bins: bin b also receives every m < 0 with m mod N == b,
-    so it is fold[b] + conj(fold[-b]), built from slices of the fold and its
-    reversed tail.  Bins N/2+1..N-1 are the conjugates of bins N/2-1..1."""
+def _hermitian_bins(fold: np.ndarray) -> np.ndarray:
+    """Bins 0..N/2, in the fold's dtype, of the two-sided fold of a
+    positive-frequency fold over the N bins: bin b also receives every m < 0
+    with m mod N == b, so it is fold[b] + conj(fold[-b]), built from slices
+    of the fold and its reversed tail.  Bins N/2+1..N-1 are the conjugates
+    of bins N/2-1..1."""
     half = len(fold) // 2
-    fn = np.empty(half + 1, dtype=dtype)
+    fn = np.empty(half + 1, dtype=fold.dtype)
     fn[0] = fold[0] + np.conj(fold[0])
-    if np.iscomplexobj(fold):
-        np.conjugate(fold[:half - 1:-1], out=fn[1:])
-        fn[1:] += fold[1:half + 1]
-    else:
-        np.add(fold[1:half + 1], fold[:half - 1:-1], out=fn[1:])
+    np.conjugate(fold[:half - 1:-1], out=fn[1:])
+    fn[1:] += fold[1:half + 1]
     return fn
 
 
-def _invert_fold(fold: np.ndarray, h: float) -> np.ndarray:
-    """Density samples from a positive-frequency fold over the N bins, from
-    its Hermitian bins built as complex, which ``np.fft.irfft`` takes."""
-    fn = _hermitian_bins(fold, complex)
-    return _invert_bins(fn, len(fn), np.iscomplexobj(fold), h)
+def _band_bins(band: np.ndarray) -> np.ndarray:
+    """The Hermitian bins of f_n on a band m < M < N/2: the fold's bins
+    N - b, 0 < b <= N/2, are 0, so they are a copy of the band with bin 0
+    doubled, and bins M..N/2 are 0."""
+    fn = band.copy()
+    fn[0] += np.conj(fn[0])
+    return fn
 
 
-def _invert_band(band: np.ndarray, N: int, h: float) -> np.ndarray:
-    """Density samples at N points of spacing h from f_n on the band m < M,
-    M < N/2, inverted from its own M bins: the fold's bins N - b, 0 < b <=
-    N/2, are 0, so its Hermitian bins are the band, bin 0 doubled, then 0,
-    and no N-bin fold is built."""
-    fn = np.zeros(N // 2 + 1, dtype=complex)
-    fn[:len(band)] = band
-    fn[0] = band[0] + np.conj(band[0])
-    return _invert_bins(fn, len(band), np.iscomplexobj(band), h)
-
-
-def _invert_bins(fn: np.ndarray, used: int, conjugate: bool, h: float) -> np.ndarray:
-    """Density samples at 2 (len(fn) - 1) points of spacing h from the
-    Hermitian bins of a two-sided fold, nonzero below ``used`` only, less the
-    m = 0 term (f_n = 1) that bin 0 counts twice, at the phase (-1)**b of
-    x0 = -L (dt*L = pi), conjugated for a complex fold; all in place."""
-    head = fn[:used]
-    head[0] -= 1.0
-    head[1::2] *= -1.0
-    if conjugate:
-        np.conjugate(head, out=head)
-    values = np.fft.irfft(fn, n=2 * len(fn) - 2)
+def _invert(fn: np.ndarray, N: int, h: float) -> np.ndarray:
+    """Density samples at N points of spacing h from the Hermitian bins
+    0..len(fn)-1 of a two-sided fold, those up to N/2 beyond them being 0.
+    In place, it drops the m = 0 term (f_n = 1) that bin 0 counts twice,
+    applies the phase (-1)**b of x0 = -L (dt*L = pi) and conjugates a
+    complex fold; ``np.fft.irfft`` pads the bins with zeros to N/2 + 1."""
+    fn[0] -= 1.0
+    fn[1::2] *= -1.0
+    if np.iscomplexobj(fn):
+        np.conjugate(fn, out=fn)
+    values = np.fft.irfft(fn, n=N)
     values /= h
     return values
 
@@ -309,55 +336,13 @@ def _add_periods(fold, spec: DistributionSpec, n: int, N: int, dt: float,
 
 
 def _folded_density(spec: DistributionSpec, n: int, N: int, L: float):
-    """(samples, folds, cap_hit, ringing_bound, spectrum) of the folded
-    inversion of f_n onto N points of [-L, L).
+    """(samples, folds, cap_hit, ringing_bound, spectrum) of the inversion
+    of f_n onto N points of [-L, L), as the module docstring describes.
 
-    The inversion lattice t_m = m*dt, dt = pi/L, aliases with period N:
-    because the grid offset satisfies N*dt*x0 = -pi*N (even N),
-    contributions from m and m + N land in the same FFT bin with the same
-    phase, so folding frequency periods refines the single-period truncation
-    at the cost of cf evaluations only.
-
-    When the cf envelope shows f_n negligible beyond a band m < M of the
-    first period (see ``_band_length``), only the band is evaluated and
-    returned as ``spectrum``, with its samples at N' = min(N, max(1024, 4M))
-    points of the same extent: the rest of the fold is zero, and the ringing
-    bound is the envelope's bound on what was dropped.
-    Otherwise (no envelope, or one that decays too slowly) the whole first
-    period is evaluated, and it is kept when a conservative bound on its
-    residual ringing (the tail integral of |f_n| over its last quarter,
-    divided by pi and assuming at worst a 1/t**2 envelope) is below
-    ``_TAIL_BOUND``.  Both bounds assume a tail that has begun, so when
-    |f_n| still exceeds 1/2 at the period's last bin the grid step is too
-    coarse for f_n, and :class:`GridError` says so at once.  Otherwise the
-    number of periods K doubles.  Under that envelope the error of the
-    K-period fold S_K runs c_1/K + c_2/K**2 + c_3/K**3 + ..., where c_2 = 0
-    at a bin b >= 1, whose two sides are tails at offsets b/N and 1 - b/N.
-    The first Richardson column R1_K = 2 S_2K - S_K cancels c_1; its step
-    d_K = R1_K - R1_{K/2} = 2 (S_2K - S_K) - (S_K - S_{K/2}).  The second,
-    R2_K = R1_K + d_K/7, cancels c_3 too and steps by (8 d_K - d_{K/2})/7.
-    Bin 0 lacks m = -KN and keeps c_2, so it takes R1_K + (11 d_K -
-    d_{K/2})/21 from the exponent-(1, 2, 3) row instead.  A step is formed
-    on the spectrum and measured as the l1 norm of its two-sided bins over
-    N h, which bounds it at every x.  A column settles once two consecutive
-    steps fall below ``_TAIL_BOUND`` (a single step can pass early on a
-    sequence still converging), the second only on steps not above the
-    first's at the same doubling (it is erratic on uniform n = 2), and the
-    first wins a tie.  Folding stops then, inverting the settled
-    extrapolant, or when the next doubling would exceed ``_EVAL_CAP``
-    lattice points, inverting R1.  A bound or a first-column step that is
-    NaN counts as settled, so that a cf with a NaN stops at once with NaN
-    samples, which the mass check rejects.  The reported ringing bound is
-    then the plain one-period bound, or else the last step of the column
-    inverted (inf if the cap left room for one extrapolant only).
-    ``spectrum`` is then None.  Every period, the first and those of each
-    doubling, is added by ``_add_periods``, block by block in period order,
-    in the dtype of the law's cf.
-
-    The full-period fold, with its checks, runs on the sub-extent
-    (N_f, L_f) of ``_support_extent`` at dt = pi/L_f, to at most
-    ``_EVAL_CAP // N`` periods; its N_f samples are the centre of the N
-    returned, the rest being 0.
+    A band grid returns its N' = min(N, max(1024, 4M)) samples and its M cf
+    values as ``spectrum``.  Any other returns its N samples, those outside
+    the sub-extent of ``_support_extent`` being 0, with ``spectrum`` None.
+    Raises :class:`GridError` when the grid step is too coarse for f_n.
     """
     h = 2 * L / N
     dt = 2 * math.pi / (N * h)
@@ -366,11 +351,11 @@ def _folded_density(spec: DistributionSpec, n: int, N: int, L: float):
         M, bound = band
         spectrum = _cf_power(spec, n, Lattice(0, M, dt))
         size = min(N, max(1024, 4 * M))
-        return _invert_band(spectrum, size, 2 * L / size), 1, False, bound, spectrum
+        return _invert(_band_bins(spectrum), size, 2 * L / size), 1, False, bound, spectrum
 
     N_f, L_f = _support_extent(spec, n, N, L)
-    values, folds, cap_hit, ringing = _fold_periods(
-        spec, n, N_f, L_f, max(1, _EVAL_CAP // N))
+    fn, folds, cap_hit, ringing = _fold_periods(spec, n, N_f, L_f, max(1, _EVAL_CAP // N))
+    values = _invert(fn, N_f, 2 * L_f / N_f)
     if N_f < N:  # the sub-extent's samples at the centre, zero elsewhere
         centred = np.zeros(N)
         centred[(N - N_f) // 2:(N + N_f) // 2] = values
@@ -391,9 +376,12 @@ def _support_extent(spec: DistributionSpec, n: int, N: int, L: float):
 
 def _fold_periods(spec: DistributionSpec, n: int, N: int, L: float,
                   max_periods: int):
-    """(samples, folds, cap_hit, ringing_bound) of the full-period fold of
-    f_n onto N points of [-L, L), doubling to at most ``max_periods``
-    periods (see ``_folded_density``)."""
+    """(bins, folds, cap_hit, ringing_bound) of the full-period fold of f_n
+    onto N points of [-L, L), doubling to at most ``max_periods`` periods:
+    ``bins`` are the Hermitian bins 0..N/2, in the dtype of the law's cf, of
+    the column that settled, that is the first period, R1 or R2 with its own
+    bin 0 (see the module docstring).  Each period is added by
+    ``_add_periods``, block by block in period order."""
     h = 2 * L / N
     dt = 2 * math.pi / (N * h)
     quarter = N // 4
@@ -406,7 +394,7 @@ def _fold_periods(spec: DistributionSpec, n: int, N: int, L: float,
     tail_int = float(np.abs(fold[-quarter:]).sum()) * dt
     ringing = tail_int * (N * dt / (quarter * dt)) / math.pi
     if not ringing >= _TAIL_BOUND or max_periods < 2:
-        return _invert_fold(fold, h), 1, ringing >= _TAIL_BOUND, ringing
+        return _hermitian_bins(fold), 1, ringing >= _TAIL_BOUND, ringing
 
     # three N-bin buffers serve every doubling: S_K, S_2K and S_2K - S_K.
     # Hermitian bins are kept of the last difference and of the first
@@ -416,7 +404,7 @@ def _fold_periods(spec: DistributionSpec, n: int, N: int, L: float,
     while 2 * periods <= max_periods and max(calm) < 2:
         np.copyto(wider, fold)
         _add_periods(wider, spec, n, N, dt, periods, 2 * periods)
-        previous, bins = bins, _hermitian_bins(np.subtract(wider, fold, out=spare), fold.dtype)
+        previous, bins = bins, _hermitian_bins(np.subtract(wider, fold, out=spare))
         fold, wider, periods = wider, fold, 2 * periods
         if previous is not None:
             deltas = [np.subtract(2.0 * bins, previous, out=previous), deltas[0]]
@@ -427,13 +415,14 @@ def _fold_periods(spec: DistributionSpec, n: int, N: int, L: float,
             calm[1] = calm[1] + 1 if steps[1] < _TAIL_BOUND and steps[1] <= steps[0] else 0
     np.multiply(fold, 2.0, out=spare)
     spare -= wider
+    fn = _hermitian_bins(spare)
     if calm[0] == 2 or calm[1] < 2:
-        return _invert_fold(spare, h), periods, calm[0] < 2, steps[0]
-    fn = _hermitian_bins(spare, complex)  # R2 = R1 + its step/7, bin 0 by its own row
+        return fn, periods, calm[0] < 2, steps[0]
+    # R2 = R1 + its step/7, bin 0 by its own row
     head = fn[0] + (11.0 * deltas[0][0] - deltas[1][0]) * (1 / 21)
     fn += deltas[0] * (1 / 7)
     fn[0] = head
-    return _invert_bins(fn, len(fn), np.iscomplexobj(fold), h), periods, False, steps[1]
+    return fn, periods, False, steps[1]
 
 
 def _spectral_norm(bins: np.ndarray, span: float) -> float:
@@ -448,52 +437,23 @@ def density_of_normalized_sum(
     npoints: int = DEFAULT_GRID_POINTS,
     extent: float = DEFAULT_GRID_EXTENT,
 ) -> DensityGrid:
-    """Density p_n of Z_n on [-extent, extent) by Fourier inversion.
-
-    f_n is sampled on the lattice reciprocal to the grid, folded over as
-    many frequency periods as the tail needs (see ``_folded_density``) and
-    inverted with one real-output inverse FFT.  When the
-    law's ``cf_envelope`` bounds what lies beyond a band of the first period
-    below 2**-60, only that band of a few hundred
-    to a few thousand frequencies is evaluated.  Other grids whose
-    characteristic power decays fast enough use the whole first period;
-    slowly decaying ones (small n, laws with kinks or jumps) double the
-    period count under two columns of Richardson extrapolation until one
-    column's steps, each bounded on the spectrum at every x, fall below
-    ``_TAIL_BOUND`` on two consecutive doublings.
-    The grid records ``folds``, ``cap_hit``
-    (the doubling stopped at ``_EVAL_CAP`` cf points before settling),
-    ``ringing_bound`` and ``band``.
-
-    A band of M values is inverted once at N' = min(N, max(1024, 4M))
-    points over the same extent.  The frequency step dt = pi/extent does not
-    depend on the point count, so these are exactly every (N/N')-th sample
-    of the N-point grid, up to rounding; the checks below and every
-    functional use them, and the N samples are built from the band only
-    when ``values`` is read.  Checking negativity on the N' samples is
-    enough: every sample of the N-point grid is the periodized density,
-    which is not negative, plus less than the band's bound, itself below
-    2**-60, plus rounding, so no skipped sample can fall below -1e-8.
-
-    A full-period grid of a law with finite ``support`` s folds only the
-    narrowest dyadic sub-extent [-L_f, L_f), at the same step, that holds
-    [-sqrt(n) s, sqrt(n) s] (halving stops at 1024 points and at an odd
-    half): there the fold at dt = pi/L_f is p_n, with nothing to alias, and
-    the rest of the grid is exactly 0.  Each period takes 2**k times fewer
-    cf points, while ``folds``, ``cap_hit`` and the cap on periods are those
-    of the requested grid.  The mass and negativity checks below run on
-    all N samples.
+    """Density p_n of Z_n on [-extent, extent) by Fourier inversion: a band
+    of the first period, the whole period, or Richardson-extrapolated
+    periods, as the module docstring describes.  The grid records how it
+    was made (``folds``, ``cap_hit``, ``ringing_bound``, ``band``); a band
+    grid's checks and functionals run on its N' samples.
 
     Requires spec.n_min <= n <= ``MAX_N`` (below n_min the characteristic
     power is not integrable and the inversion is meaningless; above MAX_N
     its rounding error alone exceeds the mass tolerance), an even npoints
-    of at most ``_EVAL_CAP`` (a larger grid would fold one period past the
-    cap) and a finite extent of at least 12; these argument checks are its
-    only ``ValueError``.  Raises
-    :class:`GridError` when the grid step is too coarse for f_n (see
-    ``_folded_density``), when the mass defect is not below 1e-6 or when a
-    sample is not at least -1e-8, a NaN included; samples in [-1e-8, 0) are
-    clipped to zero and the pre-clip minimum is kept in ``min_value``.
+    from 1024 to ``_EVAL_CAP`` (a larger grid would fold one period past
+    the cap), a finite extent of at least 12 and a grid step 2 extent/npoints
+    that does not overflow; these argument checks are its only
+    ``ValueError``.  Raises :class:`GridError` when |f_n| still exceeds 1/2
+    at the end of the first frequency period (a grid step too coarse for
+    f_n), when the mass defect is not below 1e-6 or when a sample is not at
+    least -1e-8, a NaN included; samples in [-1e-8, 0) are clipped to zero
+    and the pre-clip minimum is kept in ``min_value``.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -513,6 +473,8 @@ def density_of_normalized_sum(
         raise ValueError(
             "grid extent must be finite and cover at least 12 standard deviations"
         )
+    if not math.isfinite(2 * extent / npoints):
+        raise ValueError(f"grid step 2*extent/npoints overflows a float at extent={extent:g}")
 
     N = int(npoints)
     L = float(extent)

@@ -75,7 +75,7 @@ def normalized_uniform_sum_density(n: int, x):
 def period_at_a_time_fold(spec, n: int, N: int, dt: float, h: float):
     """(samples, folds, cap_hit, ringing_bound) of the full-period fold as it
     was first written: whole periods of f_n added one after the other, in
-    complex arithmetic, then inverted as ``numerics._invert_fold`` does.  Each
+    complex arithmetic, then inverted from their Hermitian bins.  Each
     period reaches the law as one ``Lattice``.  The stopping rule is the
     library's, with its ``_TAIL_BOUND`` and ``_EVAL_CAP`` read at call time.
     The first Richardson column R1_K = 2 S_2K - S_K steps by
@@ -143,18 +143,19 @@ def period_at_a_time_fold(spec, n: int, N: int, dt: float, h: float):
 
 def zero_padded_band_inversion(band, N: int, h: float):
     """Density samples at N points of spacing h from f_n on the band m < M,
-    as ``numerics._invert_band`` was first written: the band zero-padded to
-    an N-bin fold, whose N/2 + 1 Hermitian bins are all made, less the
-    m = 0 term, phase-shifted and conjugated before the inverse FFT."""
+    as the band inversion was first written: the band zero-padded to a
+    complex N-bin fold, whose N/2 + 1 Hermitian bins are all made, less the
+    m = 0 term, phase-shifted and, for a complex cf, conjugated before the
+    inverse FFT."""
     import numpy as np
-    from renyi_clt import numerics
 
-    fold = np.zeros(N, dtype=band.dtype)
+    fold = np.zeros(N, dtype=complex)
     fold[: len(band)] = band
-    fn = numerics._hermitian_bins(fold, complex)
+    b = np.arange(N // 2 + 1)
+    fn = fold[b] + np.conj(fold[-b])
     fn[0] -= 1.0
     fn[1::2] *= -1.0
-    if np.iscomplexobj(fold):
+    if np.iscomplexobj(band):
         np.conjugate(fn, out=fn)
     values = np.fft.irfft(fn, n=N)
     values /= h

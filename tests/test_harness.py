@@ -204,9 +204,10 @@ def test_malformed_mixture_is_config_error(tmp_path, capsys, mixture, message):
         assert message in err
 
 
-@pytest.mark.parametrize("density_file", [["table.csv"], 1.5, 12345])
+@pytest.mark.parametrize("density_file", [["table.csv"], 1.5, 12345, True])
 def test_non_string_density_file_is_config_error(tmp_path, capsys, density_file):
-    # an int would be opened as a file descriptor, 0 being standard input
+    # an int would be opened as a file descriptor, 0 being standard input; a
+    # JSON true is refused as a path too, not as a number like alpha's true
     path = write_config(tmp_path, distribution="grid", density_file=density_file)
     assert main(["verify", "--config", str(path)]) == 2
     err = capsys.readouterr().err
@@ -246,6 +247,30 @@ def test_malformed_density_file_is_config_error(tmp_path, capsys, row, message):
     assert main(["coeffs", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}") and err.count("\n") == 1, err
+
+
+def test_grid_without_density_file_names_its_parameter(tmp_path, capsys):
+    # the table is a row of distributions.LAWS, checked as every named law is
+    path = write_config(tmp_path, distribution="grid")
+    assert main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: expected parameters ['density_file'], got []\n"
+    )
+
+
+def test_named_table_is_the_table_of_its_rows(tmp_path):
+    # from_name reads the file into the very GridDensity that its rows build
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"x,p\n" + b"\n".join(_NORMAL_ROWS) + b"\n")
+    named = rc.from_name("grid", density_file=str(path))
+    built = rc.GridDensity(_NORMAL_X, rc.normal_pdf(_NORMAL_X))
+    assert named.x.tobytes() == built.x.tobytes()
+    assert named.p.tobytes() == built.p.tobytes()
+    assert (named.h, named.support) == (built.h, built.support)
+    lattice = distributions.Lattice(3, 5000, math.pi / 12, math.sqrt(2.0))
+    assert named.cf(lattice).tobytes() == built.cf(lattice).tobytes()
+    assert repr(named) == f"GridDensity(density_file={path})"
+    assert repr(built) == "GridDensity(density_file=None)"
 
 
 def test_non_numeric_grid_extent_is_config_error(tmp_path, capsys):
@@ -730,6 +755,16 @@ def test_monotonicity_requires_consecutive():
     )
     with pytest.raises(ConfigError, match="consecutive"):
         cmd_monotonicity(cfg)
+
+
+def test_monotonicity_needs_order4(tmp_path, capsys):
+    # at moment order 3 it read Gamma(4)'s gamma_4 all the same and printed a
+    # verdict predicted from b_1, with exit 0, where coeffs refused
+    path = write_config(tmp_path, distribution="gamma", alpha=4, n_values=[8, 9, 10],
+                        moment_order=3)
+    for command in ("monotonicity", "coeffs"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == f"config error: {command} needs moment_order >= 4\n"
 
 
 def test_monotonicity_uniform_short_run():

@@ -546,6 +546,12 @@ def _period_folds(spec, n, npoints, extent, periods):
     return folds, h
 
 
+def _samples(fold, h):
+    """Density samples from an N-bin positive-frequency fold, through the
+    library's one inversion of its Hermitian bins."""
+    return rc.numerics._invert(rc.numerics._hermitian_bins(fold), len(fold), h)
+
+
 def _spectral_size(step, h):
     """The l1 norm over N h of the two-sided bins of an N-bin ``step``."""
     b = np.arange(len(step) // 2 + 1)
@@ -564,7 +570,7 @@ def test_second_column_yields_to_a_smaller_first_step(npoints, extent):
     assert (grid.folds, grid.cap_hit) == (128, False)
     folds, h = _period_folds(rc.Uniform(), 2, npoints, extent, 128)
     first = 2.0 * folds[-1] - folds[-2]
-    values = rc.numerics._invert_fold(first, h)
+    values = _samples(first, h)
     lo = (npoints - len(values)) // 2
     assert np.array_equal(grid.values[lo:lo + len(values)], np.maximum(values, 0.0))
     assert grid.ringing_bound == pytest.approx(
@@ -815,8 +821,7 @@ def test_spectral_step_bounds_the_sampled_step(monkeypatch, spec, n, column):
     extrapolants = [2.0 * wider - fold for fold, wider in zip(folds, folds[1:])]
     d = [newer - older for older, newer in zip(extrapolants, extrapolants[1:])]
     for older, newer, step in zip(extrapolants, extrapolants[1:], d):
-        sampled = np.abs(rc.numerics._invert_fold(newer, h)
-                         - rc.numerics._invert_fold(older, h)).max()
+        sampled = np.abs(_samples(newer, h) - _samples(older, h)).max()
         spectral = _spectral_size(step, h)
         assert sampled <= spectral <= 1.5 * sampled
     if column == 2:
@@ -1097,6 +1102,15 @@ def test_non_finite_extent_rejected(extent):
     # inf to raise a math domain error
     with pytest.raises(ValueError, match="extent must be finite"):
         rc.density_of_normalized_sum(rc.Uniform(), 4, extent=extent)
+
+
+@pytest.mark.parametrize("spec", [rc.Uniform(), rc.GaussianMixture.standard_normal()],
+                         ids=["uniform", "normal"])
+def test_overflowing_grid_step_rejected(spec):
+    # 2 * 1.7e308 overflows, so dt was 0 and the band's log of it raised
+    # "math domain error"; the step is now an argument check of its own
+    with pytest.raises(ValueError, match=r"^grid step 2\*extent/npoints overflows a float"):
+        rc.density_of_normalized_sum(spec, 2, 1024, 1.7e308)
 
 
 def test_grid_bookkeeping(grid_for):

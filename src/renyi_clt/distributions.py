@@ -625,9 +625,14 @@ LAWS = {
 }
 
 
+def _law_key(name: str) -> str:
+    """The :data:`LAWS` key that ``name`` stands for, in any case and spacing."""
+    return name.strip().lower()
+
+
 def from_name(name: str, **params) -> DistributionSpec:
     """The law ``name`` of :data:`LAWS`, built from exactly its parameters."""
-    law = LAWS.get(name.strip().lower())
+    law = LAWS.get(_law_key(name))
     if law is None:
         raise ValueError(f"unsupported distribution {name!r}")
     build, names = law

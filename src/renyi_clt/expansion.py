@@ -119,6 +119,12 @@ def _require_r(r) -> None:
         raise ValueError(f"index r must exceed 1, got {r}")
 
 
+def _check_index(r) -> None:
+    """The entropy index's one rule, 1 <= r <= inf, NaN refused."""
+    if not r >= 1:
+        raise ValueError(f"index r must be >= 1 (or inf), got {r}")
+
+
 def _is_exact(r, cumulants: CumulantVector) -> bool:
     """Whether r and every cumulant are int or Fraction: results stay exact.
     r = inf counts as exact, as its coefficients are read off, not evaluated."""
@@ -351,8 +357,7 @@ def b_coefficient(r, cumulants: CumulantVector):
     otherwise a float rounded once from the exact value.
     """
     cumulants.require_order(4)
-    if not r >= 1:
-        raise ValueError(f"index r must be >= 1 (or inf), got {r}")
+    _check_index(r)
     b = _b_coefficients(1, r, cumulants)[0]
     return b if _is_exact(r, cumulants) else float(b)
 

@@ -38,6 +38,7 @@ from .expansion import (
     DECREASING,
     INCREASING,
     INDETERMINATE,
+    _check_index,
     a_coefficient,
     b_coefficient,
     entropy_expansion,
@@ -88,6 +89,15 @@ def _finite_real(value):
     return out if math.isfinite(out) else None
 
 
+def _as_config(prefix: str, call, *args):
+    """``call(*args)``, a library function that states an input rule, with
+    the ``ValueError`` it raises turned into a config error after ``prefix``."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
 class ExperimentConfig:
     """Validated experiment parameters (see ``_EPILOG`` for the keys)."""
 
@@ -119,8 +129,7 @@ class ExperimentConfig:
                 r = math.inf
             elif _finite_real(r) is None:
                 raise ConfigError(f"invalid r value {r!r}")
-            elif r != 1 and not r > 1:
-                raise ConfigError(f"r values must be 1, > 1, or 'inf'; got {r}")
+            _as_config("r_values: ", _check_index, r)
             self.r_values.append(r)
 
         self.n_values = data.get("n_values", [])
@@ -139,25 +148,15 @@ class ExperimentConfig:
             raise ConfigError("moment_order must lie in [2, 8]")
 
         self.grid_points = data.get("grid_points", numerics.DEFAULT_GRID_POINTS)
-        if (
-            not isinstance(self.grid_points, int)
-            or not 1024 <= self.grid_points <= numerics._EVAL_CAP
-            or self.grid_points % 2
-        ):
-            raise ConfigError(
-                f"grid_points must be an even integer from 1024 to {numerics._EVAL_CAP}"
-            )
+        if not isinstance(self.grid_points, int):
+            raise ConfigError("grid_points must be an integer")
         self.grid_extent = _finite_real(
             data.get("grid_extent", numerics.DEFAULT_GRID_EXTENT)
         )
-        if (
-            self.grid_extent is None
-            or not self.grid_extent >= 12
-            or not math.isfinite(2 * self.grid_extent / self.grid_points)
-        ):
-            raise ConfigError(
-                "grid_extent must be a finite number >= 12 with a finite grid step"
-            )
+        if self.grid_extent is None:
+            raise ConfigError("grid_extent must be a finite number")
+        _as_config(f"grid_points={self.grid_points}, grid_extent={self.grid_extent:g}: ",
+                   numerics._check_grid, self.grid_points, self.grid_extent)
         self.out = data.get("out")
         if self.out is not None and not isinstance(self.out, str):
             # an int would be opened as a file descriptor
@@ -242,8 +241,9 @@ def _law(cfg: ExperimentConfig, order: int):
 
 def _grids(cfg: ExperimentConfig, spec, dump_dir=None):
     """Density grids for every configured n, in ascending order, each also
-    written to ``dump_dir``, when given (an existing directory), as CSV with
-    columns x, p_n.
+    written to ``dump_dir``, when given (an existing directory), as the CSV
+    ``density_<law>_n<n>.csv`` with columns x, p_n, where <law> is the
+    ``distributions.LAWS`` key that the configured name stands for.
 
     An argument the inversion rejects, such as an n outside the law's
     ``n_min``..``numerics.MAX_N``, is a config error with the inversion's
@@ -253,22 +253,15 @@ def _grids(cfg: ExperimentConfig, spec, dump_dir=None):
     """
     out = {}
     for n in cfg.n_values:
-        try:
-            grid = numerics.density_of_normalized_sum(
-                spec, n, npoints=cfg.grid_points, extent=cfg.grid_extent
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        grid = _as_config("", numerics.density_of_normalized_sum,
+                          spec, n, cfg.grid_points, cfg.grid_extent)
         if grid.cap_hit:
-            print(
-                f"warning: n={n} density stopped at the cf evaluation cap after "
-                f"{grid.folds} periods, unsettled; last step between extrapolants "
-                f"{grid.ringing_bound:.3g}",
-                file=sys.stderr,
-            )
+            note = numerics._cap_note(grid.folds, grid.ringing_bound)
+            print(f"warning: n={n} density {note}", file=sys.stderr)
         out[n] = grid
         if dump_dir is not None:
-            path = os.path.join(dump_dir, f"density_{cfg.distribution}_n{n}.csv")
+            law = distributions._law_key(cfg.distribution)
+            path = os.path.join(dump_dir, f"density_{law}_n{n}.csv")
             _write_rows(path, ["x", "p_n"], zip(grid.x, grid.values))
     return out
 
@@ -501,7 +494,8 @@ config keys:
   moment_order   real s in [2, 8] (moments assumed finite up to s)
   grid_points    inversion grid size, even, 1024..{_MAX_POINTS} \
 (default {numerics.DEFAULT_GRID_POINTS})
-  grid_extent    spatial half-width, >= 12 (default {numerics.DEFAULT_GRID_EXTENT})
+  grid_extent    spatial half-width, >= {numerics._MIN_EXTENT} \
+(default {numerics.DEFAULT_GRID_EXTENT})
   out            default output CSV path (overridden by --out)
 
 exit codes: 0 success; 2 config error, including an n outside the law's

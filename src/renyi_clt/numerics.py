@@ -104,6 +104,7 @@ import math
 
 from ._lazy import np
 from .distributions import DistributionSpec, Lattice, _simpson
+from .expansion import _check_index
 
 __all__ = [
     "GridError",
@@ -121,6 +122,8 @@ __all__ = [
 
 DEFAULT_GRID_POINTS = 2**17
 DEFAULT_GRID_EXTENT = 16.0
+# the least grid half-width, in standard deviations of Z_n
+_MIN_EXTENT = 12
 # f(t/sqrt(n))**n multiplies the relative rounding error of f, about 2**-53,
 # by n.  Against 40-digit cfs on the uniform, Gamma(4), Laplace and normal
 # laws, the density error bound int |error| dt / pi is 0.09 to 0.35 times
@@ -431,6 +434,30 @@ def _spectral_norm(bins: np.ndarray, span: float) -> float:
     return float(2.0 * terms.sum() - terms[0] - terms[-1]) / span
 
 
+def _check_grid(npoints, extent) -> None:
+    """The grid arguments' one rule: an even npoints from 1024 to
+    ``_EVAL_CAP`` (a larger grid would fold one period past the cap), a
+    finite extent of at least ``_MIN_EXTENT`` and a grid step
+    2 extent/npoints that does not overflow."""
+    if not 1024 <= npoints <= _EVAL_CAP or npoints % 2:
+        raise ValueError(f"npoints must be an even integer from 1024 to {_EVAL_CAP}")
+    if not _MIN_EXTENT <= extent < math.inf:
+        raise ValueError(
+            f"grid extent must be finite and cover at least {_MIN_EXTENT} standard deviations"
+        )
+    if not math.isfinite(2 * extent / npoints):
+        raise ValueError(f"grid step 2*extent/npoints overflows a float at extent={extent:g}")
+
+
+def _cap_note(folds: int, step: float) -> str:
+    """How a fold the evaluation cap stopped is named, in its ``GridError``
+    and in the CLI's warning: its periods and its last settle step, or the
+    tail bound of a single period when the cap left no room to double."""
+    settle = "last step between extrapolants" if folds > 1 else "tail bound"
+    return (f"stopped at the cf evaluation cap after {folds} period{'s' if folds > 1 else ''}, "
+            f"unsettled; {settle} {step:.3g}")
+
+
 def density_of_normalized_sum(
     spec: DistributionSpec,
     n: int,
@@ -445,10 +472,8 @@ def density_of_normalized_sum(
 
     Requires spec.n_min <= n <= ``MAX_N`` (below n_min the characteristic
     power is not integrable and the inversion is meaningless; above MAX_N
-    its rounding error alone exceeds the mass tolerance), an even npoints
-    from 1024 to ``_EVAL_CAP`` (a larger grid would fold one period past
-    the cap), a finite extent of at least 12 and a grid step 2 extent/npoints
-    that does not overflow; these argument checks are its only
+    its rounding error alone exceeds the mass tolerance) and grid arguments
+    that pass :func:`_check_grid`; these argument checks are its only
     ``ValueError``.  Raises :class:`GridError` when |f_n| still exceeds 1/2
     at the end of the first frequency period (a grid step too coarse for
     f_n), when the mass defect is not below 1e-6 or when a sample is not at
@@ -467,24 +492,13 @@ def density_of_normalized_sum(
             f"n={n} above {MAX_N}: f(t/sqrt(n))**n has a relative rounding "
             "error of about n 2**-53, beyond the 1e-6 mass tolerance"
         )
-    if not 1024 <= npoints <= _EVAL_CAP or npoints % 2:
-        raise ValueError(f"npoints must be an even integer from 1024 to {_EVAL_CAP}")
-    if not 12 <= extent < math.inf:
-        raise ValueError(
-            "grid extent must be finite and cover at least 12 standard deviations"
-        )
-    if not math.isfinite(2 * extent / npoints):
-        raise ValueError(f"grid step 2*extent/npoints overflows a float at extent={extent:g}")
+    _check_grid(npoints, extent)
 
     N = int(npoints)
     L = float(extent)
     values, folds, cap_hit, ringing, spectrum = _folded_density(spec, n, N, L)
     # a fold the cap stopped says so: the cap, not the grid, may be the cause
-    capped = (
-        f"; fold stopped at the evaluation cap after {folds} "
-        f"period{'s' if folds > 1 else ''} (ringing bound {ringing:.3e})"
-        if cap_hit else ""
-    )
+    capped = f"; fold {_cap_note(folds, ringing)}" if cap_hit else ""
     mass_defect = abs(1.0 - float(values.sum() * (2 * L / len(values))))
     if not mass_defect < _MASS_DEFECT_LIMIT:
         raise GridError(f"grid under-resolved: mass defect {mass_defect:.3e}{capped}")
@@ -504,8 +518,7 @@ def density_of_normalized_sum(
 def lr_integral(grid: DensityGrid, r: float) -> float:
     """int p**r over the grid's samples by composite Simpson quadrature
     (r >= 1)."""
-    if not r >= 1:
-        raise ValueError("r must be >= 1")
+    _check_index(r)
     return _simpson(_on_positive(np.power, grid, r), dx=grid._step)
 
 
@@ -515,10 +528,9 @@ def renyi_entropy(grid: DensityGrid, r: float) -> float:
 
     Raises ``ValueError`` when the integral or the sup-norm is not positive,
     naming the cause: p**r underflowing at a huge r, or a grid with no
-    positive sample.
+    positive sample, and at an r below 1 or NaN, which :func:`lr_integral`
+    refuses.
     """
-    if not r >= 1:
-        raise ValueError("r must be at least 1")
     if r == 1:
         return shannon_entropy(grid)
     if r == math.inf:

@@ -379,6 +379,27 @@ def test_a1_at_r500_is_finite(tmp_path, capsys):
     assert math.isfinite(a1) and a1 < 0
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("grid_points", 1025), ("grid_points", 1022), ("grid_extent", 11.9),
+     ("grid_extent", 1e308), ("r_values", [0.5]), ("r_values", [-3])],
+    ids=["odd_points", "points_below_1024", "narrow", "overflowing_step", "r_half", "r_negative"],
+)
+def test_config_refuses_in_the_library_words(key, value):
+    # the config applies the library's own rule, so its error carries the
+    # ValueError of the function that enforces it, word for word
+    data = {"distribution": "uniform", "r_values": [2], "n_values": [8], **FAST_GRID, key: value}
+    with pytest.raises(ValueError) as library:
+        if key == "r_values":
+            rc.b_coefficient(value[0], rc.standard_cumulants("uniform", order=4))
+        else:
+            rc.density_of_normalized_sum(rc.Uniform(), 8, data["grid_points"], data["grid_extent"])
+    with pytest.raises(ConfigError) as config:
+        ExperimentConfig(data)
+    assert str(library.value) in str(config.value)
+    assert key in str(config.value)
+
+
 def test_underflowing_lr_integral_is_named(tmp_path, capsys):
     path = write_config(tmp_path, r_values=[1e308], n_values=[8, 9, 10])
     assert main(["monotonicity", "--config", str(path)]) == 3
@@ -898,32 +919,34 @@ def test_cli_stdout_when_no_out(tmp_path, capsys):
 
 
 def test_cli_dump_density(tmp_path):
-    path = write_config(tmp_path, n_values=[4])
-    dump = tmp_path / "dumps"
-    assert (
-        main(
-            [
-                "verify",
-                "--config",
-                str(path),
-                "--out",
-                str(tmp_path / "v.csv"),
-                "--dump-density",
-                str(dump),
-            ]
-        )
-        == 0
-    )
-    files = sorted(dump.iterdir())
-    assert [f.name for f in files] == ["density_uniform_n4.csv"]
-    # every x and p_n round-trips through its 17 significant digits
     grid = rc.density_of_normalized_sum(rc.Uniform(), 4, npoints=2**14, extent=12.0)
-    lines = files[0].read_text().splitlines()
-    assert lines[0] == "x,p_n"
-    assert len(lines) == len(grid.values) + 1
-    table = np.array([[float(cell) for cell in ln.split(",")] for ln in lines[1:]])
-    assert np.array_equal(table[:, 0], grid.x) and np.array_equal(table[:, 1], grid.values)
-    assert float(lines[1].split(",")[0]) == grid.x0
+    # a dump is named after the law's table key, the name as from_name reads it
+    for i, name in enumerate(["uniform", " Uniform "]):
+        path = write_config(tmp_path, n_values=[4], distribution=name)
+        dump = tmp_path / f"dumps{i}"
+        assert (
+            main(
+                [
+                    "verify",
+                    "--config",
+                    str(path),
+                    "--out",
+                    str(tmp_path / "v.csv"),
+                    "--dump-density",
+                    str(dump),
+                ]
+            )
+            == 0
+        )
+        files = sorted(dump.iterdir())
+        assert [f.name for f in files] == ["density_uniform_n4.csv"]
+        # every x and p_n round-trips through its 17 significant digits
+        lines = files[0].read_text().splitlines()
+        assert lines[0] == "x,p_n"
+        assert len(lines) == len(grid.values) + 1
+        table = np.array([[float(cell) for cell in ln.split(",")] for ln in lines[1:]])
+        assert np.array_equal(table[:, 0], grid.x) and np.array_equal(table[:, 1], grid.values)
+        assert float(lines[1].split(",")[0]) == grid.x0
 
 
 def _capture_grids(monkeypatch):

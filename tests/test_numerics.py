@@ -997,8 +997,8 @@ def test_grid_error_names_the_cap(monkeypatch, spec, n, periods, cause):
     with pytest.raises(rc.GridError, match=cause) as info:
         rc.density_of_normalized_sum(spec, n, npoints=npoints, extent=12.0)
     assert re.search(
-        rf"fold stopped at the evaluation cap after {periods} periods "
-        r"\(ringing bound \S+\)$", str(info.value)
+        rf"fold stopped at the cf evaluation cap after {periods} periods, "
+        r"unsettled; last step between extrapolants \S+$", str(info.value)
     )
 
 

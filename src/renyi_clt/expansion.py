@@ -375,7 +375,6 @@ class ExpansionCoefficients:
     a: tuple
     b: tuple
     c: tuple
-    remainder_exponent: float
 
     @property
     def terms(self) -> int:
@@ -390,15 +389,15 @@ class ExpansionCoefficients:
         return 1.0 + sum(cj * n ** -(j + 1) for j, cj in enumerate(self.c))
 
 
-def _expansion(m: int, r, cumulants: CumulantVector, with_a: bool):
+def _expansion(m: int, r, cumulants: CumulantVector, least: int, with_a: bool):
     """The coefficients through J = [(m-2)/2] terms, the a_j only when
-    ``with_a``, tagged with the remainder exponent rho = (m-2)/2."""
-    if m < 2:
-        raise ValueError("moment order m must be at least 2")
+    ``with_a``, at a moment order m of at least ``least``."""
+    if m < least:
+        raise ValueError(f"the r = {r} expansion needs moment order m >= {least}, got {m}")
     terms = (m - 2) // 2
     a = tuple(a_coefficient(j, r, cumulants) for j in range(1, terms + 1)) if with_a else ()
     b, c = _entropy_coefficients(terms, r, cumulants)
-    return ExpansionCoefficients(a=a, b=b, c=c, remainder_exponent=(m - 2) / 2)
+    return ExpansionCoefficients(a=a, b=b, c=c)
 
 
 def entropy_expansion(m: int, r, cumulants: CumulantVector) -> ExpansionCoefficients:
@@ -406,14 +405,14 @@ def entropy_expansion(m: int, r, cumulants: CumulantVector) -> ExpansionCoeffici
     J = [(m-2)/2] at a finite index r > 1, where m is the available
     (integer) moment order.
 
-    For m <= 3 the coefficient lists are empty and only the remainder tag
-    rho = (m-2)/2 survives.  Like :func:`a_coefficient`, the coefficients
-    are exact (``Fraction``) when r is an int or Fraction and every cumulant
-    is rational, and floats, each rounded once from the exact value,
-    otherwise.  :func:`limit_expansion` serves r = 1 and r = inf.
+    For m <= 3 the coefficient lists are empty.  Like :func:`a_coefficient`,
+    the coefficients are exact (``Fraction``) when r is an int or Fraction
+    and every cumulant is rational, and floats, each rounded once from the
+    exact value, otherwise.  :func:`limit_expansion` serves r = 1 and
+    r = inf.
     """
     _require_r(r)
-    return _expansion(m, r, cumulants, with_a=True)
+    return _expansion(m, r, cumulants, 2, with_a=True)
 
 
 def limit_expansion(m: int, r, cumulants: CumulantVector) -> ExpansionCoefficients:
@@ -421,10 +420,13 @@ def limit_expansion(m: int, r, cumulants: CumulantVector) -> ExpansionCoefficien
     entropy) or r = inf (-log of the sup-norm), as limits of the same exact
     polynomials L_j; ``a`` is empty.  Exact when every cumulant is rational
     and r is the int 1 or inf.
+
+    The moment order m must be at least 4 at r = 1, where b_1 reads
+    gamma_4, and at least 6 at r = inf; a lower m is a ``ValueError``.
     """
     if not (r == 1 or r == math.inf):
         raise ValueError(f"limit_expansion takes r = 1 or r = inf, got {r}")
-    return _expansion(m, r, cumulants, with_a=False)
+    return _expansion(m, r, cumulants, 4 if r == 1 else 6, with_a=False)
 
 
 def sign_change_threshold(cumulants: CumulantVector):

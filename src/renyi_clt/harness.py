@@ -24,6 +24,7 @@ randomness, floats printed with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -214,8 +215,9 @@ def _write_rows(path, header, rows) -> None:
 
 def _prepare_outputs(out, dump_dir) -> None:
     """Fail before any work when an output cannot be written: create the dump
-    directory, and open the CSV for appending, which leaves an existing file
-    as it is (a file that this check creates is removed again)."""
+    directory (which a failed run removes again while it is empty), and open
+    the CSV for appending, which leaves an existing file as it is (a file
+    that this check creates is removed again)."""
     try:
         if dump_dir is not None:
             os.makedirs(dump_dir, exist_ok=True)
@@ -299,9 +301,7 @@ def cmd_coeffs(cfg: ExperimentConfig, dump_dir=None):
     """
     order = cfg.integer_order
     _, cums = _law(cfg, order)
-    if cfg.moment_order < 4:
-        raise ConfigError("coeffs needs moment_order >= 4")
-    r0 = sign_change_threshold(cums)
+    r0 = _as_config(f"moment_order={cfg.moment_order}: ", sign_change_threshold, cums)
     if order >= 6:
         # the two-term N_inf expansion: moment order 6 is enough
         a_sup, b_sup = limit_expansion(6, math.inf, cums).c
@@ -334,12 +334,9 @@ def cmd_verify(cfg: ExperimentConfig, dump_dir=None):
     spec, cums = _law(cfg, order)
     if not cfg.n_values:
         raise ConfigError("verify needs n_values")
-    if math.inf in cfg.r_values and cfg.moment_order < 6:
-        raise ConfigError("r = inf predictions need moment_order >= 6")
-    if 1 in cfg.r_values and cfg.moment_order < 4:
-        raise ConfigError("r = 1 predictions need moment_order >= 4")
     expansions = {
-        r: (entropy_expansion if 1 < r < math.inf else limit_expansion)(order, r, cums)
+        r: _as_config(f"moment_order={cfg.moment_order}: ",
+                      entropy_expansion if 1 < r < math.inf else limit_expansion, order, r, cums)
         for r in cfg.r_values
     }
     grids = _grids(cfg, spec, dump_dir)
@@ -379,9 +376,10 @@ def cmd_verify(cfg: ExperimentConfig, dump_dir=None):
 
 def cmd_monotonicity(cfg: ExperimentConfig, dump_dir=None):
     spec, cums = _law(cfg, cfg.integer_order)
-    if cfg.moment_order < 4:
-        # the predicted verdict reads b_1, which needs gamma_4
-        raise ConfigError("monotonicity needs moment_order >= 4")
+    predicted = {
+        r: _as_config(f"moment_order={cfg.moment_order}: ", monotonicity_prediction, r, cums)
+        for r in cfg.r_values
+    }
     if len(cfg.n_values) < 3:
         raise ConfigError("monotonicity needs at least three n values")
     if any(b - a != 1 for a, b in zip(cfg.n_values, cfg.n_values[1:])):
@@ -401,7 +399,6 @@ def cmd_monotonicity(cfg: ExperimentConfig, dump_dir=None):
     rows = []
     for r in cfg.r_values:
         values = [numerics.entropy_power(grids[n], r) for n in cfg.n_values]
-        predicted = monotonicity_prediction(r, cums)
         noise = _SIGN_NOISE * gaussian_entropy_power(r)
         diffs = [b - a for a, b in zip(values, values[1:])]
         signs = [0 if abs(d) <= noise else (1 if d > 0 else -1) for d in diffs]
@@ -412,7 +409,7 @@ def cmd_monotonicity(cfg: ExperimentConfig, dump_dir=None):
         while idx > 0 and signs[idx - 1] == final:
             idx -= 1
         n0 = cfg.n_values[idx] if final != 0 else None
-        match = "yes" if verdict == predicted else "no"
+        match = "yes" if verdict == predicted[r] else "no"
         for i, n in enumerate(cfg.n_values):
             rows.append(
                 [
@@ -423,7 +420,7 @@ def cmd_monotonicity(cfg: ExperimentConfig, dump_dir=None):
                     signs[i] if i < len(diffs) else None,
                     n0,
                     verdict,
-                    predicted,
+                    predicted[r],
                     match,
                 ]
             )
@@ -491,7 +488,8 @@ config keys:
                  (distribution = grid)
   r_values       entropy indexes: numbers > 1, 1 (Shannon), or "inf"
   n_values       strictly ascending positive integers
-  moment_order   real s in [2, 8] (moments assumed finite up to s)
+  moment_order   real s in [2, 8], moments finite up to s: coeffs, monotonicity \
+need >= 4, verify >= 4 at r = 1 and >= 6 at r = inf, locallimit <= 6
   grid_points    inversion grid size, even, 1024..{_MAX_POINTS} \
 (default {numerics.DEFAULT_GRID_POINTS})
   grid_extent    spatial half-width, >= {numerics._MIN_EXTENT} \
@@ -526,23 +524,25 @@ def main(argv=None) -> int:
     if args.command == "coeffs" and args.dump_density is not None:
         print("renyi-clt: error: coeffs builds no density to dump", file=sys.stderr)
         return 2
+    dump_dir = args.dump_density
+    made = dump_dir is not None and not os.path.lexists(dump_dir)
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    out, dump_dir = args.out or cfg.out, args.dump_density
-    try:
+        out = args.out or cfg.out
         _prepare_outputs(out, dump_dir)
         header, rows = _COMMANDS[args.command](cfg, dump_dir=dump_dir)
         _write_rows(out, header, rows)
+        return 0
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"config error: {exc}"
     except (numerics.GridError, ValueError, OverflowError, MemoryError) as exc:
-        print(f"numerical failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 3
-    return 0
+        code, message = 3, f"numerical failure: {str(exc) or type(exc).__name__}"
+    print(message, file=sys.stderr)
+    if made:
+        # a failed run takes back the dump directory it created, while empty
+        with contextlib.suppress(OSError):
+            os.rmdir(dump_dir)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

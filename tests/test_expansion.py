@@ -487,6 +487,11 @@ def test_limit_expansion_is_the_limit_of_entropy_expansion():
 def test_limit_expansion_rejects_finite_r():
     with pytest.raises(ValueError, match="r = 1 or r = inf"):
         limit_expansion(8, 2, UNIFORM)
+    # below its moment-order need at r = 1 (4) and r = inf (6)
+    with pytest.raises(ValueError, match="^the r = 1 expansion needs moment order m >= 4, got 3$"):
+        limit_expansion(3, 1, UNIFORM)
+    with pytest.raises(ValueError, match="^the r = inf expansion needs moment order m >= 6, got 4$"):
+        limit_expansion(4, math.inf, UNIFORM)
 
 
 def test_symmetric_shannon_rate():
@@ -598,7 +603,6 @@ def test_entropy_expansion_m3_empty():
     c = CumulantVector((0, 1, 0.3))
     coeffs = entropy_expansion(3, 2.0, c)
     assert coeffs.terms == 0
-    assert coeffs.remainder_exponent == 0.5
     assert coeffs.entropy_offset(10) == 0.0
     assert coeffs.entropy_power_factor(10) == 1.0
 

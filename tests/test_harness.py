@@ -400,6 +400,30 @@ def test_config_refuses_in_the_library_words(key, value):
     assert key in str(config.value)
 
 
+@pytest.mark.parametrize(
+    "command,order,r,library",
+    [("coeffs", 3, 2, rc.sign_change_threshold),
+     ("monotonicity", 3, 2, lambda cums: rc.monotonicity_prediction(2, cums)),
+     ("verify", 3, 1, lambda cums: rc.limit_expansion(3, 1, cums)),
+     ("verify", 4, "inf", lambda cums: rc.limit_expansion(4, math.inf, cums))],
+    ids=["coeffs", "monotonicity", "verify_r1", "verify_rinf"],
+)
+def test_order_refusals_in_the_library_words(tmp_path, capsys, monkeypatch, command, order, r,
+                                            library):
+    # each command's moment-order need is stated by the library routine that
+    # has it; the CLI reports that routine's ValueError after moment_order=,
+    # on one line, before it builds any grid
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(numerics, "density_of_normalized_sum", no_grid)
+    with pytest.raises(ValueError) as refusal:
+        library(rc.standard_cumulants("uniform", order=order))
+    path = write_config(tmp_path, r_values=[r], n_values=[8, 9, 10], moment_order=order)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == f"config error: moment_order={order}: {refusal.value}\n"
+
+
 def test_underflowing_lr_integral_is_named(tmp_path, capsys):
     path = write_config(tmp_path, r_values=[1e308], n_values=[8, 9, 10])
     assert main(["monotonicity", "--config", str(path)]) == 3
@@ -785,7 +809,8 @@ def test_monotonicity_needs_order4(tmp_path, capsys):
                         moment_order=3)
     for command in ("monotonicity", "coeffs"):
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
-        assert capsys.readouterr().err == f"config error: {command} needs moment_order >= 4\n"
+        assert capsys.readouterr().err == (
+            "config error: moment_order=3: insufficient cumulant order: need 4, have 3\n")
 
 
 def test_monotonicity_uniform_short_run():
@@ -947,6 +972,39 @@ def test_cli_dump_density(tmp_path):
         table = np.array([[float(cell) for cell in ln.split(",")] for ln in lines[1:]])
         assert np.array_equal(table[:, 0], grid.x) and np.array_equal(table[:, 1], grid.values)
         assert float(lines[1].split(",")[0]) == grid.x0
+
+
+def test_failed_run_takes_back_its_dump_directory(tmp_path, capsys, monkeypatch):
+    # a run that fails leaves no empty --dump-density directory of its own
+    # making; a directory that was there, or that holds dumps, stays
+    def run(command, dump, out="o.csv", **overrides):
+        path = write_config(tmp_path, **overrides)
+        return main([command, "--config", str(path), "--out", str(tmp_path / out),
+                     "--dump-density", str(dump)])
+
+    below_n_min = tmp_path / "nd2"
+    assert run("verify", below_n_min, n_values=[1, 2]) == 2
+    assert "n_min" in capsys.readouterr().err
+    assert not below_n_min.exists()
+    order3 = tmp_path / "order3"
+    assert run("monotonicity", order3, n_values=[8, 9, 10], moment_order=3) == 2
+    assert not order3.exists()
+    unwritable_out = tmp_path / "unwritable_out"
+    assert run("verify", unwritable_out, out="missing/o.csv") == 2
+    assert not unwritable_out.exists()
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    assert run("verify", existing, n_values=[1, 2]) == 2
+    assert existing.is_dir()
+
+    def fail(*args):
+        raise ValueError("no entropy")
+
+    monkeypatch.setattr(numerics, "renyi_entropy", fail)
+    dumped = tmp_path / "dumped"
+    assert run("verify", dumped, n_values=[8]) == 3
+    assert [f.name for f in dumped.iterdir()] == ["density_uniform_n8.csv"]
+    capsys.readouterr()
 
 
 def _capture_grids(monkeypatch):

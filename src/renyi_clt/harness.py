@@ -30,10 +30,11 @@ import json
 import math
 import os
 import sys
+import textwrap
 
 from . import distributions, numerics
 from ._lazy import np
-from .cumulants import standard_cumulants
+from .cumulants import _MAX_ORDER, standard_cumulants
 from .edgeworth import EdgeworthModel
 from .expansion import (
     DECREASING,
@@ -143,10 +144,8 @@ class ExperimentConfig:
             raise ConfigError("n_values must be strictly ascending")
 
         self.moment_order = data.get("moment_order", 6)
-        if not isinstance(self.moment_order, (int, float)) or not (
-            2 <= self.moment_order <= 8
-        ):
-            raise ConfigError("moment_order must lie in [2, 8]")
+        if _finite_real(self.moment_order) is None:
+            raise ConfigError("moment_order must be a finite number")
 
         self.grid_points = data.get("grid_points", numerics.DEFAULT_GRID_POINTS)
         if not isinstance(self.grid_points, int):
@@ -166,6 +165,11 @@ class ExperimentConfig:
     @property
     def integer_order(self) -> int:
         return int(math.floor(self.moment_order))
+
+    def at_order(self, call, *args):
+        """``call(*args)``, a library routine that states a moment-order need,
+        with its refusal a config error after ``moment_order=<s>: ``."""
+        return _as_config(f"moment_order={self.moment_order}: ", call, *args)
 
     def build_spec(self) -> distributions.DistributionSpec:
         try:
@@ -215,12 +219,12 @@ def _write_rows(path, header, rows) -> None:
 
 def _prepare_outputs(out, dump_dir) -> None:
     """Fail before any work when an output cannot be written: create the dump
-    directory (which a failed run removes again while it is empty), and open
-    the CSV for appending, which leaves an existing file as it is (a file
-    that this check creates is removed again)."""
+    directory, but not its parents (a failed run removes it again while it
+    is empty), and open the CSV for appending, which leaves an existing file
+    as it is (a file that this check creates is removed again)."""
     try:
-        if dump_dir is not None:
-            os.makedirs(dump_dir, exist_ok=True)
+        if dump_dir is not None and not os.path.isdir(dump_dir):
+            os.mkdir(dump_dir)
         if out is not None:
             created = not os.path.lexists(out)
             open(out, "a").close()
@@ -232,11 +236,12 @@ def _prepare_outputs(out, dump_dir) -> None:
 
 def _law(cfg: ExperimentConfig, order: int):
     """The configured law and its standardized cumulants through ``order``.
-    Moments beyond the float range, as of Gamma with a tiny alpha, are a
-    config error."""
+    An order that ``standard_cumulants`` refuses (below 2 or above its
+    ceiling), and moments beyond the float range, as of Gamma with a tiny
+    alpha, are config errors."""
     spec = cfg.build_spec()
     try:
-        return spec, standard_cumulants(spec, order=order)
+        return spec, cfg.at_order(standard_cumulants, spec, order)
     except OverflowError as exc:
         raise ConfigError(f"{spec!r}: moments to order {order} overflow a float") from exc
 
@@ -301,7 +306,7 @@ def cmd_coeffs(cfg: ExperimentConfig, dump_dir=None):
     """
     order = cfg.integer_order
     _, cums = _law(cfg, order)
-    r0 = _as_config(f"moment_order={cfg.moment_order}: ", sign_change_threshold, cums)
+    r0 = cfg.at_order(sign_change_threshold, cums)
     if order >= 6:
         # the two-term N_inf expansion: moment order 6 is enough
         a_sup, b_sup = limit_expansion(6, math.inf, cums).c
@@ -334,11 +339,8 @@ def cmd_verify(cfg: ExperimentConfig, dump_dir=None):
     spec, cums = _law(cfg, order)
     if not cfg.n_values:
         raise ConfigError("verify needs n_values")
-    expansions = {
-        r: _as_config(f"moment_order={cfg.moment_order}: ",
-                      entropy_expansion if 1 < r < math.inf else limit_expansion, order, r, cums)
-        for r in cfg.r_values
-    }
+    expansions = {r: cfg.at_order(entropy_expansion if 1 < r < math.inf else limit_expansion,
+                                  order, r, cums) for r in cfg.r_values}
     grids = _grids(cfg, spec, dump_dir)
     scale_exp = (cfg.moment_order - 2) / 2
     header = [
@@ -376,10 +378,7 @@ def cmd_verify(cfg: ExperimentConfig, dump_dir=None):
 
 def cmd_monotonicity(cfg: ExperimentConfig, dump_dir=None):
     spec, cums = _law(cfg, cfg.integer_order)
-    predicted = {
-        r: _as_config(f"moment_order={cfg.moment_order}: ", monotonicity_prediction, r, cums)
-        for r in cfg.r_values
-    }
+    predicted = {r: cfg.at_order(monotonicity_prediction, r, cums) for r in cfg.r_values}
     if len(cfg.n_values) < 3:
         raise ConfigError("monotonicity needs at least three n values")
     if any(b - a != 1 for a, b in zip(cfg.n_values, cfg.n_values[1:])):
@@ -480,15 +479,16 @@ _EPILOG = f"""commands:
   locallimit     weighted sup distance of p_n from the corrected density
 
 config keys:
-  distribution   uniform | gamma | two_sided_exponential | gaussian_mixture |
-                 gaussian | grid
+{textwrap.fill(" | ".join(distributions.LAWS), 78, initial_indent="  distribution   ",
+                subsequent_indent=" " * 17)}
   alpha          shape parameter (distribution = gamma)
   weights, means, sigmas   lists (distribution = gaussian_mixture)
   density_file   two-column UTF-8 CSV of finite x,p, after an optional header
                  (distribution = grid)
   r_values       entropy indexes: numbers > 1, 1 (Shannon), or "inf"
   n_values       strictly ascending positive integers
-  moment_order   real s in [2, 8], moments finite up to s: coeffs, monotonicity \
+  moment_order   real s >= 2, moments finite up to s, floor(s) <= {_MAX_ORDER}, past which \
+the exact expansion grows to seconds: coeffs, monotonicity \
 need >= 4, verify >= 4 at r = 1 and >= 6 at r = inf, locallimit <= 6
   grid_points    inversion grid size, even, 1024..{_MAX_POINTS} \
 (default {numerics.DEFAULT_GRID_POINTS})

@@ -9,13 +9,16 @@ and log and Horner's rule take one Fraction operation at a time, the entropy and
 sup-norm coefficients and the threshold r_0 are hand-derived formulas, and
 the density fold adds
 whole frequency periods in complex arithmetic, as it was first written, a
-band grid is inverted from its zero-padded N-bin fold, and the local limit
-error is taken over the whole grid at once.
+band grid is inverted from its zero-padded N-bin fold, the local limit
+error is taken over the whole grid at once, and the Renyi entropies of Gamma
+sums are log-Gamma closed forms in mpmath.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, inf, pi, prod, sqrt
+
+import mpmath
 
 from renyi_clt.edgeworth import EdgeworthModel, correction_polynomial
 from renyi_clt.exactpoly import Poly, hermite
@@ -496,3 +499,49 @@ def solve_extremum(cumulants, n: int) -> float:
             return x_new
         x = x_new
     return x
+
+
+# -- exact entropies without a grid -------------------------------------------
+
+
+def exact_mpf(value):
+    """An int, Fraction or float as an mpmath number at the working
+    precision, rounded once."""
+    value = Fraction(value)
+    return mpmath.mpf(value.numerator) / value.denominator
+
+
+def gamma_sum_renyi_entropy(k, r):
+    """h_r of the standardized Gamma(k) law, which is Z_n of Gamma(alpha) at
+    k = n alpha, as an mpmath number at the working precision.  With
+    Y ~ Gamma(k) and Z = (Y - k)/sqrt(k),
+
+        int p**r = k**((r-1)/2) Gamma(r(k-1)+1) / (Gamma(k)**r r**(r(k-1)+1)),
+
+    so h_r = log(int p**r)/(1 - r); at r = 1 h = k + log Gamma(k)
+    + (1-k) psi(k) - log(k)/2, and at r = inf h = -log sup p, where p peaks
+    at Y's mode k - 1: h = log Gamma(k) + (k-1) (1 - log(k-1)) - log(k)/2.
+    """
+    k = mpmath.mpf(k)
+    if r == 1:
+        return k + mpmath.loggamma(k) + (1 - k) * mpmath.digamma(k) - mpmath.log(k) / 2
+    if r == inf:
+        return mpmath.loggamma(k) + (k - 1) * (1 - mpmath.log(k - 1)) - mpmath.log(k) / 2
+    r = exact_mpf(r)
+    z = r * (k - 1) + 1
+    log_mass = ((r - 1) / 2 * mpmath.log(k) + mpmath.loggamma(z)
+                - r * mpmath.loggamma(k) - z * mpmath.log(r))
+    return log_mass / (1 - r)
+
+
+def gaussian_renyi_entropy_exact(r):
+    """h_r(Z) of the standard normal law at the working precision:
+    log sqrt(2 pi) + log(r)/(2(r-1)), with the limits 1/2 at r = 1 and 0 at
+    r = inf in the second term."""
+    base = mpmath.log(2 * mpmath.pi) / 2
+    if r == 1:
+        return base + mpmath.mpf(1) / 2
+    if r == inf:
+        return base
+    r = exact_mpf(r)
+    return base + mpmath.log(r) / (2 * (r - 1))

@@ -1,18 +1,22 @@
 import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from renyi_clt.cumulants import (
+    _MAX_ORDER,
     CumulantVector,
     MomentVector,
     cumulants_from_moments,
     moments_from_cumulants,
     standard_cumulants,
 )
-from renyi_clt.distributions import GaussianMixture
+from renyi_clt.distributions import GaussianMixture, GridDensity
 from renyi_clt.expansion import sign_change_threshold
+from renyi_clt.numerics import MAX_N
 from oracles import compositions
 
 
@@ -226,3 +230,31 @@ def test_standard_cumulants_at_any_order_follow_closed_forms():
             for k in range(3, order + 1):
                 assert cums.gamma(k) == kappa(k), (name, order, k)
                 assert isinstance(cums.gamma(k), (int, Fraction))
+
+
+def test_ceiling_is_checked_before_any_moment():
+    class Law:
+        def moments(self, order):
+            raise AssertionError("a moment was computed")
+
+    with pytest.raises(ValueError, match=f"above the cost ceiling {_MAX_ORDER} "):
+        standard_cumulants(Law(), order=_MAX_ORDER + 1)
+    with pytest.raises(ValueError, match="ceiling"):
+        standard_cumulants(Law(), order=10**300)
+    # verify scales a residual by n**((s-2)/2), for every real s below
+    # _MAX_ORDER + 1 and n up to MAX_N: the scale stays a float
+    assert math.isfinite(MAX_N ** ((_MAX_ORDER - 1) / 2))
+
+
+def test_table_cumulants_hold_to_the_ceiling():
+    # a table law needs no ceiling of its own: its Simpson moments on 4001
+    # nodes of the dyadic mixture over [-12, 12] give cumulants within
+    # 1e-11 of the mixture's exact ones, relative, at every order up to the
+    # ceiling (1.04e-12 measured at order 14, below 4e-14 at the others)
+    mixture = GaussianMixture((Fraction(1, 4), Fraction(3, 4)), (Fraction(3, 2), Fraction(-1, 2)),
+                              (Fraction(1, 2), Fraction(1, 2)))
+    x = np.linspace(-12, 12, 4001)
+    table = standard_cumulants(GridDensity(x, mixture.density(x)), order=_MAX_ORDER)
+    exact = standard_cumulants(mixture, order=_MAX_ORDER)
+    for k in range(3, _MAX_ORDER + 1):
+        assert table.gamma(k) == pytest.approx(float(exact.gamma(k)), rel=1e-11), k

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -12,6 +13,7 @@ import renyi_clt as rc
 from oracles import a_coefficient_by_compositions, b_closed_form, leading_entropy_coefficient
 from oracles import correction_polynomial_by_partitions, cumulant_by_partitions
 from oracles import gauss_power_integral, hermite_integral, sign_change_threshold_closed_form
+from oracles import exact_mpf, gamma_sum_renyi_entropy, gaussian_renyi_entropy_exact
 from oracles import truncated_product
 from renyi_clt.cumulants import CumulantVector, cumulants_from_moments, moments_from_cumulants
 from renyi_clt.expansion import (
@@ -428,6 +430,25 @@ def test_gamma4_at_order_20_follows_stirling(r):
     assert len(b) == 9
     for j, bj in enumerate(b, start=1):
         assert sp.Rational(bj.numerator, bj.denominator) == stirling_gamma_b(j, r)
+
+
+@pytest.mark.parametrize("r", [F(3, 2), F(2), F(3), 1, math.inf])
+def test_gamma4_at_order_20_leaves_an_n_minus_10_remainder(r):
+    # Z_n of Gamma(4) is a standardized Gamma(4n), whose h_r is a log-Gamma
+    # closed form: against it, the b_1..b_9 that verify predicts with at
+    # moment order 20 leave a remainder of order n**-10, which falls about
+    # 1e10-fold from n = 10**3 to 10**4 (1.0e10 to 1.4e10 at these r); a
+    # wrong b_j, j <= 9, would leave an n**-j term, falling at most 1e9-fold
+    cums = rc.standard_cumulants("gamma", order=20, alpha=4)
+    b = (entropy_expansion if 1 < r < math.inf else limit_expansion)(20, r, cums).b
+    assert len(b) == 9
+    remainders = []
+    with mpmath.workdps(80):
+        for n in (10**3, 10**4):
+            series = sum(exact_mpf(bj) / mpmath.mpf(n) ** j for j, bj in enumerate(b, start=1))
+            remainders.append(gamma_sum_renyi_entropy(4 * n, r)
+                              - gaussian_renyi_entropy_exact(r) - series)
+        assert remainders[0] / remainders[1] >= 5e9
 
 
 def test_rational_inputs_give_exact_expansion():

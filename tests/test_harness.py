@@ -30,6 +30,7 @@ from renyi_clt.harness import (
     main,
 )
 from oracles import one_shot_locallimit_errors, richardson
+from renyi_clt.cumulants import _MAX_ORDER
 
 FAST_GRID = {"grid_points": 2**14, "grid_extent": 12.0}
 
@@ -75,8 +76,9 @@ def test_bad_n_values():
 
 
 def test_bad_moment_order():
+    cfg = ExperimentConfig({"distribution": "uniform", "moment_order": _MAX_ORDER + 1})
     with pytest.raises(ConfigError):
-        ExperimentConfig({"distribution": "uniform", "moment_order": 9})
+        cmd_coeffs(cfg)
 
 
 def test_bad_distribution_params():
@@ -424,6 +426,39 @@ def test_order_refusals_in_the_library_words(tmp_path, capsys, monkeypatch, comm
     assert capsys.readouterr().err == f"config error: moment_order={order}: {refusal.value}\n"
 
 
+@pytest.mark.parametrize(
+    "order", [True, math.nan, "8", 0, 1.5, _MAX_ORDER + 1, 10**300],
+    ids=["true", "nan", "string", "0", "1.5", "past_ceiling", "1e300"],
+)
+@pytest.mark.parametrize("command", sorted(harness._COMMANDS))
+def test_moment_order_outside_the_served_range(tmp_path, capsys, monkeypatch, command, order):
+    # the config takes any finite number, and standard_cumulants serves
+    # orders 2.._MAX_ORDER: anything else exits 2 at once, on one line that
+    # names moment_order, before any moment past the ceiling or any grid
+    def no_grid(*args):
+        raise AssertionError("a grid was built")
+
+    def moments(self, k):
+        assert k <= _MAX_ORDER, "moments past the ceiling"
+        return served(self, k)
+
+    served = distributions.Uniform.moments
+    monkeypatch.setattr(numerics, "density_of_normalized_sum", no_grid)
+    monkeypatch.setattr(distributions.Uniform, "moments", moments)
+    path = write_config(tmp_path, r_values=[2], n_values=[8, 9, 10], moment_order=order)
+    start = time.perf_counter()
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("config error: moment_order") and err.count("\n") == 1, err
+    assert not (tmp_path / "o.csv").exists()
+    if harness._finite_real(order) is not None:
+        # a number is the library's refusal, word for word
+        with pytest.raises(ValueError) as refusal:
+            rc.standard_cumulants("uniform", order=math.floor(order))
+        assert err == f"config error: moment_order={order}: {refusal.value}\n"
+
+
 def test_underflowing_lr_integral_is_named(tmp_path, capsys):
     path = write_config(tmp_path, r_values=[1e308], n_values=[8, 9, 10])
     assert main(["monotonicity", "--config", str(path)]) == 3
@@ -763,6 +798,40 @@ def test_asymmetric_mixture_verify():
     assert abs(rows[3][4]) < abs(rows[1][4])
 
 
+@pytest.mark.parametrize("command", ["coeffs", "verify", "monotonicity"])
+def test_order_20_runs(tmp_path, command):
+    # the config keeps no order rule: at moment order 20 on Gamma(4) each
+    # command exits 0, and verify's b_1..b_9 leave residuals near rounding
+    # where order 8 leaves 1.5e-8 at n = 8
+    path = write_config(tmp_path, distribution="gamma", alpha=4, r_values=[1.5, 2, 1, "inf"],
+                        n_values=[8, 9, 10], moment_order=20)
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    rows = read_rows(out)[1]
+    assert len(rows) == (4 if command == "coeffs" else 12)
+    if command == "verify":
+        assert all(abs(float(row["residual"])) < 1e-12 for row in rows)
+
+
+def test_next_terms_explain_the_order8_residual(tmp_path):
+    # on the dyadic mixture at n = 128 the order-8 residual of verify is the
+    # b_4 n**-4 + b_5 n**-5 that moment order 12 adds to its prediction, to
+    # within 1 % at each r (measured 1.0004, 1.0003, 1.0007, 0.9989 and
+    # 0.9948 on this grid, 0.9954 at r = 1 on the default one)
+    r_values = [1.5, 2, 3, "inf", 1]
+    rows = {}
+    for order in (8, 12):
+        path = write_config(tmp_path, distribution="gaussian_mixture", weights=[0.25, 0.75],
+                            means=[1.5, -0.5], sigmas=[0.5, 0.5], r_values=r_values,
+                            n_values=[128], moment_order=order)
+        out = tmp_path / f"order{order}.csv"
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 0
+        rows[order] = read_rows(out)[1]
+    for row8, row12 in zip(rows[8], rows[12]):
+        extra = float(row12["h_r_predicted"]) - float(row8["h_r_predicted"])
+        assert float(row8["residual"]) / extra == pytest.approx(1, rel=0.01), row8["r"]
+
+
 def test_locallimit_slope_via_command():
     cfg = ExperimentConfig(
         {
@@ -996,6 +1065,13 @@ def test_failed_run_takes_back_its_dump_directory(tmp_path, capsys, monkeypatch)
     existing.mkdir()
     assert run("verify", existing, n_values=[1, 2]) == 2
     assert existing.is_dir()
+    # only the leaf is made: a missing parent is a config error before any work
+    capsys.readouterr()
+    nested = tmp_path / "outer" / "inner"
+    assert run("verify", nested, n_values=[1, 2]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: cannot write {nested}: No such file or directory\n")
+    assert not (tmp_path / "outer").exists()
 
     def fail(*args):
         raise ValueError("no entropy")
@@ -1109,6 +1185,7 @@ def test_cli_help_mentions_config_keys():
     for key in ("distribution", "r_values", "n_values", "moment_order",
                 "grid_points", "grid_extent"):
         assert key in proc.stdout
+    assert f"floor(s) <= {_MAX_ORDER}, " in proc.stdout
 
 
 def test_cli_usage_errors_exit_2(tmp_path, capsys):

@@ -34,10 +34,12 @@ The built-in families, each named in ``LAWS`` with the parameters
 * ``TwoSidedExponential``: Laplace with variance 1; cf = 1/(1 + t**2/2).
 * ``GaussianMixture``: finite normal mixture, standardized by construction.
 * ``GridDensity``: a tabulated density on a uniform grid, named ``grid``
-  and read from a ``density_file`` of x,p rows.  Its cf is the exact
-  transform of the piecewise-linear interpolant, evaluated on a lattice by
-  a chirp z-transform; its moments come by Simpson quadrature.  It has no
-  cf envelope: the lattice sum revives near every multiple of 2*pi/h, so no
+  and read from a ``density_file`` of x,p rows.  The law is the
+  standardized piecewise-linear interpolant of the nodes: its cf is that
+  law's exact transform, evaluated on a lattice by a chirp z-transform, and
+  its moments are that law's exact moments, so a table's h_r converge to
+  the interpolant's, not to those of the law it samples.  It has no cf
+  envelope: the lattice sum revives near every multiple of 2*pi/h, so no
   useful monotone bound exists.
 """
 
@@ -488,6 +490,13 @@ class GridDensity(DistributionSpec):
     The tabulation must describe a standardized law: finite x and p, and
     unit mass, zero mean and unit variance, verified by Simpson quadrature
     to 1e-10 at construction (a sum that overflows to NaN fails the check).
+    The law is then the piecewise-linear interpolant of the nodes, mapped
+    exactly to mean 0 and variance 1: the hat of each node adds h**2/6 to
+    the variance of the nodes' lattice law, so x -> (x - mu)/sigma,
+    p -> sigma p and h -> h/sigma with the interpolant's own mu and sigma.
+    ``cf`` and ``moments`` are both that law's, exactly, so the symbolic and
+    the numeric routes see one law; a table's h_r converge to the
+    interpolant's, not to those of the law it samples.
     ``n_min`` is 1 for every table: the interpolant's cf carries the factor
     sinc(t*h/(2*pi))**2, so |cf(t)| = O(t**-2) is integrable and Z_1
     already inverts.  ``support`` is max(|x_0|, |x_end|) + h: the hat of
@@ -511,14 +520,20 @@ class GridDensity(DistributionSpec):
             raise ValueError("x must be an increasing uniform grid")
         if p.min() < 0:
             raise ValueError("tabulated density has negative values")
-        self.x = x
-        self.p = p
-        self.h = float(steps.mean())
-        self.support = float(max(abs(x[0]), abs(x[-1]))) + self.h
-        mass = _simpson(p, dx=self.h)
-        mean = _simpson(p * x, dx=self.h)
-        second = _simpson(p * x * x, dx=self.h)
+        h = float(steps.mean())
+        mass = _simpson(p, dx=h)
+        mean = _simpson(p * x, dx=h)
+        second = _simpson(p * x * x, dx=h)
         _require_standardized("tabulated density", mass, mean, second)
+        # the interpolant is x_J + h T, J drawn by the weights p_j h and T the
+        # hat on [-1, 1] (variance 1/6): map it to its own mean 0, variance 1
+        weights = p * h
+        mu = float(weights @ x)
+        sigma = math.sqrt(float(weights @ (x - mu) ** 2) + h * h / 6 * float(weights.sum()))
+        self.x = (x - mu) / sigma
+        self.p = p * sigma
+        self.h = h / sigma
+        self.support = float(max(abs(self.x[0]), abs(self.x[-1]))) + self.h
 
     @classmethod
     def from_file(cls, density_file) -> "GridDensity":
@@ -585,10 +600,30 @@ class GridDensity(DistributionSpec):
         return out.reshape(t.shape)
 
     def moments(self, order: int):
+        """The interpolant's exact moments E(x_J + h T)**k, from the lattice
+        sums sum_j p_j h x_j**i and E T**(2i) = 2/((2i + 1)(2i + 2))."""
+        weights = self.p * self.h
+        lattice = [float(weights @ self.x**i) for i in range(order + 1)]
         return [
-            _simpson(self.p * self.x**k, dx=self.h)
+            sum(comb(k, i) * self.h**i * 2 / ((i + 1) * (i + 2)) * lattice[k - i]
+                for i in range(0, k + 1, 2))
             for k in range(1, order + 1)
         ]
+
+
+def _smooth_length(n: int) -> int:
+    """The smallest 2**a 3**b 5**c of at least n: an FFT length numpy
+    transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            # the least odd * 2**a that reaches n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        five *= 5
+    return best
 
 
 def _chirp_lattice_sum(w: np.ndarray, x0: float, h: float, t0: float,
@@ -597,19 +632,21 @@ def _chirp_lattice_sum(w: np.ndarray, x0: float, h: float, t0: float,
 
     With theta = step*h, the identity uj = (u**2 + j**2 - (u-j)**2)/2 turns
     the sum over j into one linear convolution with the chirp
-    exp(-i theta m**2/2), done by FFT at a power-of-two length of at least
+    exp(-i theta m**2/2), done by FFT at the smooth length of at least
     J + M - 1.  The chirps are built from explicit real angles, anchored at
     t0, a lattice's point nearest t = 0: there the transform is largest,
-    and the chirp angles, which grow like u**2, are smallest.
+    and the chirp angles, which grow like u**2, are smallest.  The kernel
+    over lags 1 - J..M - 1 is its half over |lag| < max(J, M), mirrored.
     """
     J = w.size
     theta = step * h
-    size = 1 << (J + M - 2).bit_length()
+    size = _smooth_length(J + M - 1)
     j = np.arange(J, dtype=float)
     u = np.arange(M, dtype=float)
-    lag = np.arange(1 - J, M, dtype=float)
+    lag = np.arange(max(J, M), dtype=float)
+    half = np.exp(-0.5j * theta * lag * lag)
     spectrum = np.fft.fft(w * np.exp(1j * (t0 * h * j + 0.5 * theta * j * j)), size)
-    spectrum *= np.fft.fft(np.exp(-0.5j * theta * lag * lag), size)
+    spectrum *= np.fft.fft(np.concatenate((half[J - 1 : 0 : -1], half[:M])), size)
     conv = np.fft.ifft(spectrum)[J - 1 : J - 1 + M]
     return conv * np.exp(1j * ((t0 + step * u) * x0 + 0.5 * theta * u * u))
 

@@ -168,8 +168,13 @@ class ExperimentConfig:
 
     def at_order(self, call, *args):
         """``call(*args)``, a library routine that states a moment-order need,
-        with its refusal a config error after ``moment_order=<s>: ``."""
-        return _as_config(f"moment_order={self.moment_order}: ", call, *args)
+        with its refusal a config error after ``moment_order=<s>: ``: s as
+        given, or to six digits when it is longer than any float's repr (an
+        integer such as 10**300)."""
+        order = str(self.moment_order)
+        if len(order) > 24:
+            order = format(float(self.moment_order), ".6g")
+        return _as_config(f"moment_order={order}: ", call, *args)
 
     def build_spec(self) -> distributions.DistributionSpec:
         try:

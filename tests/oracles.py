@@ -10,8 +10,9 @@ sup-norm coefficients and the threshold r_0 are hand-derived formulas, and
 the density fold adds
 whole frequency periods in complex arithmetic, as it was first written, a
 band grid is inverted from its zero-padded N-bin fold, the local limit
-error is taken over the whole grid at once, and the Renyi entropies of Gamma
-sums are log-Gamma closed forms in mpmath.
+error is taken over the whole grid at once, the Renyi entropies of Gamma
+sums are log-Gamma closed forms in mpmath, and int p_n**2 of any law with a
+cf is Parseval's integral of the cf, with no grid.
 """
 
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from fractions import Fraction
 from math import comb, factorial, inf, pi, prod, sqrt
 
 import mpmath
+from scipy.integrate import quad
 
 from renyi_clt.edgeworth import EdgeworthModel, correction_polynomial
 from renyi_clt.exactpoly import Poly, hermite
@@ -545,3 +547,13 @@ def gaussian_renyi_entropy_exact(r):
         return base
     r = exact_mpf(r)
     return base + mpmath.log(r) / (2 * (r - 1))
+
+
+def parseval_l2(spec, n: int) -> float:
+    """int p_n**2 of Z_n by Parseval, (1/pi) int_0^inf |f(t/sqrt(n))|**(2n)
+    dt, by ``scipy.integrate.quad`` on the law's own cf at scalar points: no
+    grid, fold or Simpson rule."""
+    root = sqrt(n)
+    value, _ = quad(lambda t: abs(complex(spec.cf(t / root)[0])) ** (2 * n), 0, inf,
+                    epsabs=0, epsrel=1e-13, limit=200)
+    return value / pi

@@ -247,14 +247,24 @@ def test_ceiling_is_checked_before_any_moment():
 
 
 def test_table_cumulants_hold_to_the_ceiling():
-    # a table law needs no ceiling of its own: its Simpson moments on 4001
-    # nodes of the dyadic mixture over [-12, 12] give cumulants within
-    # 1e-11 of the mixture's exact ones, relative, at every order up to the
-    # ceiling (1.04e-12 measured at order 14, below 4e-14 at the others)
+    # a table law needs no ceiling of its own: 4001 nodes of the dyadic
+    # mixture over [-12, 12] are, to rounding, its lattice law of step
+    # h = 3/500, and the table is that lattice plus h T, with T the hat on
+    # [-1, 1] (the sum of two uniforms on [-1/2, 1/2], so kappa_k(T) =
+    # 2 B_k/k at even k), standardized by sigma**2 = 1 + h**2/6; its
+    # cumulants hold to that within 1e-11, relative, at every order up to
+    # the ceiling
+    from sympy import bernoulli
+
     mixture = GaussianMixture((Fraction(1, 4), Fraction(3, 4)), (Fraction(3, 2), Fraction(-1, 2)),
                               (Fraction(1, 2), Fraction(1, 2)))
     x = np.linspace(-12, 12, 4001)
     table = standard_cumulants(GridDensity(x, mixture.density(x)), order=_MAX_ORDER)
-    exact = standard_cumulants(mixture, order=_MAX_ORDER)
+    mixed = standard_cumulants(mixture, order=_MAX_ORDER)
+    h = Fraction(3, 500)
+    sigma2 = 1 + h**2 / 6
     for k in range(3, _MAX_ORDER + 1):
-        assert table.gamma(k) == pytest.approx(float(exact.gamma(k)), rel=1e-11), k
+        hat = 2 * Fraction(str(bernoulli(k))) / k if k % 2 == 0 else 0
+        exact = (mixed.gamma(k) + h**k * hat) / sigma2 ** (k // 2)
+        expected = float(exact) / math.sqrt(sigma2) ** (k % 2)
+        assert table.gamma(k) == pytest.approx(expected, rel=1e-11), k

@@ -453,10 +453,12 @@ def test_moment_order_outside_the_served_range(tmp_path, capsys, monkeypatch, co
     assert err.startswith("config error: moment_order") and err.count("\n") == 1, err
     assert not (tmp_path / "o.csv").exists()
     if harness._finite_real(order) is not None:
-        # a number is the library's refusal, word for word
+        # a number is the library's refusal, word for word, after the order
+        # as given, or to six digits when its digits would fill the line
         with pytest.raises(ValueError) as refusal:
             rc.standard_cumulants("uniform", order=math.floor(order))
-        assert err == f"config error: moment_order={order}: {refusal.value}\n"
+        echoed = "1e+300" if order == 10**300 else order
+        assert err == f"config error: moment_order={echoed}: {refusal.value}\n"
 
 
 def test_underflowing_lr_integral_is_named(tmp_path, capsys):

@@ -20,6 +20,7 @@ from renyi_clt.numerics import _cf_power
 from oracles import (
     normalized_uniform_sum_density,
     normalized_uniform_sum_lr,
+    parseval_l2,
     period_at_a_time_fold,
     zero_padded_band_inversion,
 )
@@ -165,6 +166,34 @@ def test_cf_envelope_bounds_cf(key, t, step):
     assert spec.cf_envelope(t + step) <= bound
 
 
+@pytest.mark.parametrize("name", sorted(rc.distributions.LAWS))
+def test_cf_and_moments_describe_one_law(tmp_path, name):
+    # kappa_2 and kappa_3 read off the cf near 0, by Richardson on
+    # -2 log|f(t)|/t**2 = kappa_2 - kappa_4 t**2/12 + ... and on
+    # -6 arg f(t)/t**3 = kappa_3 - kappa_5 t**2/20 + ..., equal the
+    # cumulants that the law's moments give: both routes see one law (a
+    # table's cf is its interpolant's, whose hats add h**2/6 = 6e-6 at
+    # h = 0.006 to the variance of the nodes, so its moments must be the
+    # interpolant's too)
+    if name == "grid":
+        path = tmp_path / "table.csv"
+        x = np.linspace(-12, 12, 4001)
+        _write_rows(str(path), ["x", "p"], zip(x, _dyadic_mixture_pdf(x)))
+        params = {"density_file": str(path)}
+    else:
+        mixture = {"weights": (F(1, 4), F(3, 4)), "means": (F(3, 2), F(-1, 2)),
+                   "sigmas": (F(1, 2), F(1, 2))}
+        params = {"gamma": {"alpha": 4}, "gaussian_mixture": mixture}.get(name, {})
+    spec = rc.from_name(name, **params)
+    t = np.array([0.02, 0.01])
+    f = spec.cf(t).astype(complex)
+    k2 = -2 * np.log(np.abs(f)) / t**2
+    k3 = -6 * np.angle(f) / t**3
+    served = rc.standard_cumulants(spec, order=3)
+    assert abs((4 * k2[1] - k2[0]) / 3 - served.gamma(2)) < 1e-8
+    assert abs((4 * k3[1] - k3[0]) / 3 - served.gamma(3)) < 1e-8
+
+
 def test_cf_envelope_unknown_for_tables_and_base():
     x = np.linspace(-12, 12, 2001)
     assert rc.GridDensity(x, rc.normal_pdf(x)).cf_envelope(1.0) is None
@@ -238,6 +267,15 @@ def test_grid_density_inverts_at_default_grid():
         g = rc.density_of_normalized_sum(spec, n)
         assert len(g.values) == 2**17 and not g.cap_hit
         assert np.abs(g.values - rc.normal_pdf(g.x)).max() < 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_table_l2_matches_parseval(n):
+    # the grid's int p_n**2 of a table law against Parseval's integral of
+    # the table's own cf, a truth with no grid, fold or Simpson rule
+    spec = _table(4001, 12.0, _dyadic_mixture_pdf)
+    grid = rc.density_of_normalized_sum(spec, n, npoints=2**14, extent=12.0)
+    assert rc.lr_integral(grid, 2) == pytest.approx(parseval_l2(spec, n), rel=1e-12)
 
 
 def _exact_uniform_cf(t):
